@@ -20,10 +20,10 @@
 // chaos suite sweeps injected worker crashes over the resilient protocol and
 // reports each strategy's recovery cost (time inflation, re-executed tasks,
 // failure-detection latency). The readback suite runs the verified read
-// path: a mixed GET/PUT sweep (every durable batch re-read and checksummed
+// path: a mixed GET/PUT sweep (every durable batch re-read and content-checked
 // at 100/0, 90/10, and 50/50 GET shares) followed by the readback-under-chaos
 // battery, which re-runs committed fault plans with end-to-end content
-// verification — any checksum mismatch fails the suite, so a clean exit
+// verification — any content mismatch fails the suite, so a clean exit
 // certifies zero silent corruption. The scale suite runs the rank-scaling study
 // (bounded task count, FSM worker engine) at 1k/10k/100k ranks — 1k/10k
 // under -quick — reporting wall time, event throughput, and peak memory
@@ -348,7 +348,7 @@ func main() {
 	}
 	if *suite == "readback" || *suite == "all" {
 		// Mixed GET/PUT verification sweep, then the readback-under-chaos
-		// battery. Both verify content end to end; a checksum mismatch
+		// battery. Both verify content end to end; a content mismatch
 		// anywhere fails the suite.
 		ropts := s3asim.PaperReadbackOptions()
 		if *quick {

@@ -212,7 +212,7 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 		if rt.ad != nil {
 			rt.adaptStamped(gb, r.Proc().Name())
 		}
-		rt.rbInRunMaster(r, pt, b, data)
+		rt.rbInRunMaster(r, pt, b)
 		pt.Switch(PhaseGather)
 		if rt.ad != nil {
 			// Adaptive MW batches still send (empty) offset lists: the
@@ -279,11 +279,7 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 // batchData materializes a batch's result bytes in file order (capture
 // verification runs only).
 func (rt *runtime) batchData(b batch) []byte {
-	out := make([]byte, 0, b.Bytes)
-	for q := b.LoQ; q < b.HiQ; q++ {
-		for _, res := range rt.wl.Queries[q].Results {
-			out = append(out, rt.wl.ResultData(q, res.Index, res.Size)...)
-		}
-	}
+	out := make([]byte, b.Bytes)
+	rt.wl.FillContent(out, b.Region)
 	return out
 }

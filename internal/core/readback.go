@@ -10,13 +10,15 @@ import (
 )
 
 // This file is the verified read path (DESIGN.md §14): end-to-end content
-// verification in the style of s3bench. Writers fill result segments with
-// seeded pseudo-random bytes (Workload.ResultData, stored behind
-// pvfs.CaptureData); verifiers read committed extents back through a real
-// read strategy (romio.ReadSegsOp / CollReadOp) and compare content hashes
-// against independently regenerated expected bytes. Offset bookkeeping
-// (coverage, overlap, acks) cannot see a write that was acknowledged but
-// lost, duplicated, torn, or misplaced — the readback checksum can.
+// verification in the style of s3bench. File content is a seekable
+// pseudo-random function of (workload seed, file offset)
+// (search.Workload.FillContent); writers fill their segments from it and
+// the bytes are stored behind pvfs.CaptureData. Verifiers read committed
+// extents back through a real read strategy (romio.ReadSegsOp / CollReadOp)
+// and compare every byte read, word by word, against the content at its
+// offset (Workload.ContentEqual). Offset bookkeeping (coverage, overlap,
+// acks) cannot see a write that was acknowledged but lost, duplicated,
+// torn, or misplaced — the content comparison can.
 //
 // Everything here is nil-gated on Config.Readback: a run without it issues
 // no reads and is bit-identical to builds without this file.
@@ -88,24 +90,13 @@ type readbackState struct {
 	reads      int64 // read operations issued (in-run rounds + post-run batches)
 	extents    int64 // extents compared against regenerated content
 	bytes      int64 // bytes read back through the read strategy
-	mismatches int64 // extents whose content hash diverged
+	mismatches int64 // extents whose content diverged
 	firstErr   error // first mismatch, for the report error
 }
 
-// contentHash is FNV-1a over b — the checksum both sides of the
-// verification compute (stored bytes vs regenerated bytes).
-func contentHash(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// rbVerify compares one readback's bytes against the expected content
-// carried in segs[i].Data (regenerated from the workload, never read from
-// the file), extent by extent.
+// rbVerify compares one readback's bytes, extent by extent, against the
+// workload's content at each segment's offset (regenerated, never read
+// from the file or taken from segs[i].Data).
 func (rt *runtime) rbVerify(where string, segs []pvfs.Segment, got [][]byte) {
 	rb := rt.rb
 	rb.reads++
@@ -116,7 +107,7 @@ func (rt *runtime) rbVerify(where string, segs []pvfs.Segment, got [][]byte) {
 		if i < len(got) {
 			g = got[i]
 		}
-		if int64(len(g)) != s.Length || contentHash(g) != contentHash(s.Data) {
+		if int64(len(g)) != s.Length || !rt.wl.ContentEqual(g, s.Offset) {
 			rb.mismatches++
 			if rb.firstErr == nil {
 				rb.firstErr = fmt.Errorf("core: readback mismatch at %s: offset %d len %d",
@@ -156,13 +147,13 @@ func (rt *runtime) rbInRunWorker(r *mpi.Rank, pt *PhaseTimer, g *group, segs []p
 }
 
 // rbInRunMaster is the MW in-run verifier: the master re-reads the batch
-// region it just wrote and verifies it against the merged image.
-func (rt *runtime) rbInRunMaster(r *mpi.Rank, pt *PhaseTimer, b batch, data []byte) {
+// region it just wrote and verifies it against the workload's content.
+func (rt *runtime) rbInRunMaster(r *mpi.Rank, pt *PhaseTimer, b batch) {
 	rb := rt.rb
 	if rb == nil || rb.conf.InRunReads == 0 || b.Bytes == 0 {
 		return
 	}
-	segs := []pvfs.Segment{{Offset: b.Region, Length: b.Bytes, Data: data}}
+	segs := []pvfs.Segment{{Offset: b.Region, Length: b.Bytes}}
 	pt.Switch(PhaseIO)
 	for i := 0; i < rb.conf.InRunReads; i++ {
 		got := rt.file.ReadSegs(r, rb.conf.Method, segs)
@@ -173,8 +164,8 @@ func (rt *runtime) rbInRunMaster(r *mpi.Rank, pt *PhaseTimer, b batch, data []by
 // rbPostRun is the end-of-run verifier: the group master reads every
 // committed result extent of its query range back through the read strategy
 // — batch by batch, at result granularity so list and sieve methods see the
-// noncontiguous shape — and checks content hashes against regenerated
-// bytes. Runs after the final barrier (non-resilient) or the shutdown
+// noncontiguous shape — and compares every byte against the workload's
+// content. Runs after the final barrier (non-resilient) or the shutdown
 // handshake (resilient), when every batch is durable.
 func (rt *runtime) rbPostRun(r *mpi.Rank, pt *PhaseTimer, g *group) {
 	rb := rt.rb
@@ -186,11 +177,7 @@ func (rt *runtime) rbPostRun(r *mpi.Rank, pt *PhaseTimer, g *group) {
 		var segs []pvfs.Segment
 		for q := b.LoQ; q < b.HiQ; q++ {
 			for _, res := range rt.wl.Queries[q].Results {
-				segs = append(segs, pvfs.Segment{
-					Offset: res.Offset,
-					Length: res.Size,
-					Data:   rt.wl.ResultData(q, res.Index, res.Size),
-				})
+				segs = append(segs, pvfs.Segment{Offset: res.Offset, Length: res.Size})
 			}
 		}
 		if len(segs) == 0 {

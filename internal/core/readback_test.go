@@ -6,6 +6,7 @@ import (
 
 	"s3asim/internal/fault"
 	"s3asim/internal/romio"
+	"s3asim/internal/search"
 )
 
 // readbackConfig is tinyConfig with the verified read path enabled:
@@ -80,6 +81,57 @@ func TestReadbackDetectsSilentWriteDrop(t *testing.T) {
 		// Offset bookkeeping must NOT have noticed: the drop is silent.
 		if !dropped {
 			t.Fatalf("%v: dropper never fired", s)
+		}
+	}
+}
+
+// TestReadbackDetectsUnalignedDropInsideSegment drops one write piece that
+// starts at a file offset that is not 8-aligned, strictly inside a
+// coalesced worker segment: with a single worker every batch is one
+// segment, and an odd strip size cuts it into pieces at unaligned strip
+// boundaries. Every read method must catch the zeroed range.
+func TestReadbackDetectsUnalignedDropInsideSegment(t *testing.T) {
+	for _, m := range []romio.Method{romio.Posix, romio.ListIO, romio.DataSieve} {
+		cfg := readbackConfig(WWList, m)
+		cfg.Procs = 2 // one worker: each batch is written as one coalesced segment
+		cfg.FS.StripSize = 1001
+		wl := search.Generate(cfg.Workload)
+		starts := map[int64]bool{}
+		for _, q := range wl.Queries {
+			starts[q.Region] = true
+		}
+		var droppedAt int64 = -1
+		cfg.TestWriteDropper = func(off, n int64) bool {
+			if droppedAt >= 0 || off%8 == 0 || off%cfg.FS.StripSize != 0 || starts[off] {
+				return false
+			}
+			droppedAt = off
+			return true
+		}
+		rep, err := Run(cfg)
+		if droppedAt < 0 {
+			t.Fatalf("%v: dropper never fired", m)
+		}
+		if err == nil || !strings.Contains(err.Error(), "readback verification failed") {
+			t.Fatalf("%v: drop at %d not detected, err=%v", m, droppedAt, err)
+		}
+		if rep == nil || rep.ReadbackMismatches == 0 {
+			t.Fatalf("%v: report carries no mismatches", m)
+		}
+	}
+}
+
+// TestReadbackResumedRunClean pins a resumed run (ResumeFromQuery > 0):
+// only the rewritten queries are read back and verified, cleanly, under
+// every strategy.
+func TestReadbackResumedRunClean(t *testing.T) {
+	for _, s := range Strategies {
+		cfg := readbackConfig(s, romio.ListIO)
+		cfg.ResumeFromQuery = 1
+		rep := mustRun(t, cfg)
+		if !rep.Verified || rep.ReadbackMismatches != 0 || rep.ReadbackExtents == 0 {
+			t.Fatalf("%v: verified=%v mismatches=%d extents=%d",
+				s, rep.Verified, rep.ReadbackMismatches, rep.ReadbackExtents)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"s3asim/internal/causal"
@@ -110,7 +109,7 @@ type Report struct {
 
 	// Readback* summarize the verified read path (Config.Readback runs
 	// only): reads issued through the read strategy, extents and bytes
-	// compared against regenerated content, and extents whose content hash
+	// compared against regenerated content, and extents whose content
 	// diverged. A run with ReadbackMismatches > 0 also returns an error.
 	ReadbackReads      int64
 	ReadbackExtents    int64
@@ -575,14 +574,14 @@ func (rt *runtime) recordMetrics(rep *Report) {
 	rep.Metrics = m.Snapshot()
 }
 
-// verifyImage checks every result's bytes against the workload's
-// deterministic content — the cross-strategy file-image invariant.
+// verifyImage checks every result's stored bytes, in place, against the
+// workload's deterministic content — the cross-strategy file-image
+// invariant.
 func (rt *runtime) verifyImage(f *pvfs.File) error {
+	eq := rt.wl.ContentEqual
 	for q := rt.cfg.ResumeFromQuery; q < len(rt.wl.Queries); q++ {
 		for _, r := range rt.wl.Queries[q].Results {
-			want := rt.wl.ResultData(q, r.Index, r.Size)
-			got := f.ReadBack(r.Offset, r.Size)
-			if !bytes.Equal(got, want) {
+			if !f.Match(r.Offset, r.Size, eq) {
 				return fmt.Errorf("core: query %d result %d content mismatch at offset %d",
 					q, r.Index, r.Offset)
 			}

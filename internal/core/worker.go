@@ -347,26 +347,22 @@ func (rt *runtime) stampFlush(proc string, g *group, localBatch int) {
 
 // placementsToSegments converts result placements (already in file order)
 // to write segments, coalescing adjacent results — a real implementation
-// merges contiguous extents when building its I/O list.
+// merges contiguous extents when building its I/O list. Capture runs then
+// fill each segment's bytes once from the seekable file content.
 func (rt *runtime) placementsToSegments(placements []search.Result) []pvfs.Segment {
 	var segs []pvfs.Segment
 	for _, res := range placements {
-		var data []byte
-		if rt.cfg.CaptureData {
-			data = rt.wl.ResultData(res.Query, res.Index, res.Size)
-		}
 		if n := len(segs); n > 0 && segs[n-1].Offset+segs[n-1].Length == res.Offset {
 			segs[n-1].Length += res.Size
-			if data != nil {
-				segs[n-1].Data = append(segs[n-1].Data, data...)
-			}
 			continue
 		}
-		seg := pvfs.Segment{Offset: res.Offset, Length: res.Size}
-		if data != nil {
-			seg.Data = append([]byte(nil), data...)
+		segs = append(segs, pvfs.Segment{Offset: res.Offset, Length: res.Size})
+	}
+	if rt.cfg.CaptureData {
+		for i := range segs {
+			segs[i].Data = make([]byte, segs[i].Length)
+			rt.wl.FillContent(segs[i].Data, segs[i].Offset)
 		}
-		segs = append(segs, seg)
 	}
 	return segs
 }

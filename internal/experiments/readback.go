@@ -19,7 +19,7 @@ import (
 // immediately read back at a given GET share (s3bench-style verification
 // traffic). The chaos suite re-runs the fault plans of the chaos sweep with
 // content verification on: a recovery protocol that silently lost, tore, or
-// duplicated bytes would surface here as a checksum mismatch, which
+// duplicated bytes would surface here as a content mismatch, which
 // core.Run turns into a hard error — a clean suite IS the assertion.
 
 // ReadbackOptions scales the mixed GET/PUT readback sweep.
@@ -351,7 +351,7 @@ func (rc *ReadbackChaosResult) Cell(s core.Strategy, plan int) *ReadbackChaosCel
 
 // RunReadbackChaos executes the readback-under-chaos battery: every strategy
 // re-runs every committed fault plan with end-to-end verification on. Any
-// checksum mismatch fails the corresponding run — and therefore the suite —
+// content mismatch fails the corresponding run — and therefore the suite —
 // so a returned result certifies zero mismatches across the battery.
 func RunReadbackChaos(opts ReadbackChaosOptions) (*ReadbackChaosResult, error) {
 	if opts.InRunReads < 1 {

@@ -134,7 +134,7 @@ func (m *extentMap) write(off, n int64, data []byte) {
 // coverage returns the number of distinct bytes ever written.
 func (m *extentMap) coverage() int64 { return m.bytesStored }
 
-// contiguousFrom reports whether [0, size) is fully covered.
+// covers reports whether [0, size) is fully covered.
 func (m *extentMap) covers(size int64) bool {
 	var pos int64
 	for _, e := range m.exts {
@@ -168,6 +168,30 @@ func (m *extentMap) read(off, n int64) []byte {
 		}
 	}
 	return out
+}
+
+// match walks the stored bytes of [off, off+n) in file order, calling eq on
+// each extent's piece with its file offset, and reports whether every call
+// matched. A gap (or an extent without stored bytes) fails the match. The
+// pieces alias the store; eq must not modify or retain them.
+func (m *extentMap) match(off, n int64, eq func(b []byte, off int64) bool) bool {
+	pos, end := off, off+n
+	i := sort.Search(len(m.exts), func(i int) bool { return m.exts[i].end() > off })
+	for ; pos < end; i++ {
+		if i == len(m.exts) {
+			return false
+		}
+		e := m.exts[i]
+		if e.off > pos || e.data == nil {
+			return false
+		}
+		hi := min64(e.end(), end)
+		if !eq(e.data[pos-e.off:hi-e.off], pos) {
+			return false
+		}
+		pos = hi
+	}
+	return true
 }
 
 func max64(a, b int64) int64 {

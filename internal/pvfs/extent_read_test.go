@@ -68,3 +68,47 @@ func TestExtentReadAcrossSpliceBoundaries(t *testing.T) {
 		t.Fatal("overlap accounting missed the overwrites")
 	}
 }
+
+// TestExtentMatchInPlace pins match(): pieces arrive in file order, split
+// at extent boundaries, aliasing the store; a hole, an uncaptured extent or
+// a rejecting comparator fails the match.
+func TestExtentMatchInPlace(t *testing.T) {
+	m := extentMap{capture: true}
+	m.write(10, 4, []byte{1, 2, 3, 4})
+	m.write(14, 2, []byte{5, 6})
+	m.write(20, 2, []byte{9, 9})
+	img := m.read(0, 22)
+
+	type piece struct {
+		off int64
+		b   []byte
+	}
+	var seen []piece
+	eq := func(b []byte, off int64) bool {
+		seen = append(seen, piece{off, append([]byte(nil), b...)})
+		return bytes.Equal(b, img[off:off+int64(len(b))])
+	}
+	if !m.match(11, 4, eq) {
+		t.Fatal("match over two adjacent extents failed")
+	}
+	if len(seen) != 2 || seen[0].off != 11 || !bytes.Equal(seen[0].b, []byte{2, 3, 4}) ||
+		seen[1].off != 14 || !bytes.Equal(seen[1].b, []byte{5}) {
+		t.Fatalf("pieces = %v, want [11:{2 3 4}] [14:{5}]", seen)
+	}
+	for _, c := range []struct{ off, n int64 }{{8, 4}, {12, 10}, {16, 2}, {21, 3}, {30, 1}} {
+		if m.match(c.off, c.n, eq) {
+			t.Errorf("match(%d, %d) spans a hole but succeeded", c.off, c.n)
+		}
+	}
+	if m.match(10, 4, func([]byte, int64) bool { return false }) {
+		t.Error("rejecting comparator matched")
+	}
+	if !m.match(5, 0, eq) {
+		t.Error("empty range did not match")
+	}
+	plain := extentMap{}
+	plain.write(0, 8, nil)
+	if plain.match(0, 8, func([]byte, int64) bool { return true }) {
+		t.Error("extent without stored bytes matched")
+	}
+}

@@ -50,6 +50,21 @@ func FuzzExtentMap(f *testing.F) {
 			if got := m.read(off, n); !bytes.Equal(got, ref[off:off+n]) {
 				t.Fatalf("read(%d, %d) diverged from reference", off, n)
 			}
+			// In-place match over the same window: it succeeds exactly
+			// when the window has no hole, visiting contiguous pieces.
+			pos := off
+			got := m.match(off, n, func(b []byte, o int64) bool {
+				ok := o == pos && bytes.Equal(b, ref[o:o+int64(len(b))])
+				pos = o + int64(len(b))
+				return ok
+			})
+			full := true
+			for j := off; j < off+n; j++ {
+				full = full && covered[j]
+			}
+			if got != full {
+				t.Fatalf("match(%d, %d) = %v, want %v", off, n, got, full)
+			}
 		}
 		var want int64
 		for _, c := range covered {

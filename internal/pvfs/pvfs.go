@@ -167,8 +167,8 @@ func (fs *FileSystem) ScheduleOutage(server int, at, dur des.Time) {
 // for which fn returns true is acknowledged and fully accounted (dirty
 // bytes, coverage, file size) but its payload is silently discarded — the
 // stored extent holds zeroes. This models a silent data-loss fault that no
-// offset bookkeeping can see; only content verification (readback
-// checksumming) catches it. Nil (the default) disables dropping.
+// offset bookkeeping can see; only content verification (readback)
+// catches it. Nil (the default) disables dropping.
 func (fs *FileSystem) SetWriteDropper(fn func(off, n int64) bool) { fs.dropWrite = fn }
 
 // SetMetrics attaches a registry; every subsequent server-request completion
@@ -251,6 +251,15 @@ func (f *File) FullyCovers(size int64) bool { return f.data.covers(size) }
 
 // ReadBack returns captured bytes for [off, off+n), zero-filled in gaps.
 func (f *File) ReadBack(off, n int64) []byte { return f.data.read(off, n) }
+
+// Match checks the captured bytes of [off, off+n) in place: eq is called
+// on each stored piece, in file order, with the piece's file offset, and
+// Match reports whether every piece matched and no byte of the range is
+// unwritten. The pieces alias the store; eq must not modify or retain them.
+// Unlike ReadBack it copies nothing.
+func (f *File) Match(off, n int64, eq func(b []byte, off int64) bool) bool {
+	return f.data.match(off, n, eq)
+}
 
 // Captures reports whether the file system stores real bytes
 // (Config.CaptureData), i.e. whether ReadBack returns meaningful content.

@@ -186,16 +186,6 @@ func (w *Workload) TaskBytes(q, f int) int64 {
 	return n
 }
 
-// ResultData deterministically materializes the bytes of one result, for
-// data-capture verification runs. The content depends only on
-// (seed, query, index).
-func (w *Workload) ResultData(q, index int, size int64) []byte {
-	rng := stats.SubRand(w.Spec.Seed^0x5EED, int64(q), int64(index))
-	b := make([]byte, size)
-	rng.Read(b)
-	return b
-}
-
 func max64(a, b int64) int64 {
 	if a > b {
 		return a

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -176,23 +175,6 @@ func TestDefaultSpecMatchesPaper(t *testing.T) {
 	}
 	if qbytes < 10_000 || qbytes > 2_000_000 {
 		t.Fatalf("total query bytes = %d, want roughly 86 KB scale", qbytes)
-	}
-}
-
-func TestResultDataDeterministicAndSized(t *testing.T) {
-	w := Generate(smallSpec())
-	r := w.Queries[0].Results[0]
-	d1 := w.ResultData(0, r.Index, r.Size)
-	d2 := w.ResultData(0, r.Index, r.Size)
-	if int64(len(d1)) != r.Size {
-		t.Fatalf("data length %d, want %d", len(d1), r.Size)
-	}
-	if !bytes.Equal(d1, d2) {
-		t.Fatal("ResultData not deterministic")
-	}
-	other := w.ResultData(1, r.Index, r.Size)
-	if bytes.Equal(d1, other) {
-		t.Fatal("different queries produced identical data")
 	}
 }
 

@@ -43,18 +43,3 @@ func TestFixedResultCount(t *testing.T) {
 		}
 	}
 }
-
-func TestResultDataDistinctAcrossIndexes(t *testing.T) {
-	w := Generate(smallSpec())
-	a := w.ResultData(0, 0, 64)
-	b := w.ResultData(0, 1, 64)
-	same := 0
-	for i := range a {
-		if a[i] == b[i] {
-			same++
-		}
-	}
-	if same > 16 { // random bytes agree ~1/256 of the time
-		t.Fatalf("result data for different indexes looks identical (%d/64 equal)", same)
-	}
-}

@@ -2,10 +2,11 @@ package stats
 
 import "math/rand"
 
-// splitmix64 advances and mixes a 64-bit state; it is the standard seeding
+// SplitMix64 advances and mixes a 64-bit state; it is the standard seeding
 // finalizer from Vigna's splitmix64, used here to derive well-separated
-// deterministic substreams.
-func splitmix64(x uint64) uint64 {
+// deterministic substreams and, as a counter-based generator, seekable
+// payload content (search.Workload.FillContent).
+func SplitMix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
@@ -19,9 +20,9 @@ func splitmix64(x uint64) uint64 {
 // ("the results are always identical since they are pseudo-randomly
 // generated").
 func DeriveSeed(root int64, dims ...int64) int64 {
-	x := splitmix64(uint64(root))
+	x := SplitMix64(uint64(root))
 	for _, d := range dims {
-		x = splitmix64(x ^ splitmix64(uint64(d)+0xD1B54A32D192ED03))
+		x = SplitMix64(x ^ SplitMix64(uint64(d)+0xD1B54A32D192ED03))
 	}
 	return int64(x)
 }

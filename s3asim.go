@@ -355,11 +355,11 @@ const (
 	FaultPhaseRead  = fault.PhaseRead
 )
 
-// Verified read path (internal/core/readback.go, DESIGN.md §14): writers
-// fill result segments with seeded pseudo-random bytes, and verifiers read
-// committed extents back through a real ADIO read strategy, comparing
-// content hashes against independently regenerated expected bytes. Attach
-// via Config.Readback (requires Config.CaptureData).
+// Verified read path (internal/core/readback.go, DESIGN.md §14): file
+// content is a seeded pseudo-random function of the file offset; writers
+// fill result segments from it, and verifiers read committed extents back
+// through a real ADIO read strategy and compare every byte with the content
+// at its offset. Attach via Config.Readback (requires Config.CaptureData).
 type ReadbackConfig = core.ReadbackConfig
 
 // Readback suite: the mixed GET/PUT verification sweep and the
@@ -400,7 +400,7 @@ func QuickReadbackChaosOptions() ReadbackChaosOptions {
 }
 
 // RunReadbackChaos re-runs the committed fault plans with end-to-end
-// verification on: a returned result certifies zero checksum mismatches.
+// verification on: a returned result certifies zero content mismatches.
 func RunReadbackChaos(opts ReadbackChaosOptions) (*ReadbackChaosResult, error) {
 	return experiments.RunReadbackChaos(opts)
 }
