@@ -23,7 +23,7 @@ race:
 	$(GO) test -race ./internal/obs/ ./internal/experiments/ ./internal/search/ ./internal/core/ ./internal/fault/ ./internal/causal/ ./internal/serve/ ./internal/pvfs/ ./internal/romio/ ./internal/adapt/
 
 # A short pass over every fuzz target: the chaos-spec parser, the pvfs
-# extent map, the FASTA reader and the seekable payload content (longer
+# descriptor extent map, the FASTA reader and the seekable payload content (longer
 # sessions: raise -fuzztime).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 15s ./internal/fault/
@@ -43,10 +43,11 @@ bench-quick:
 # Kernel fast-path micro-benchmarks (DESIGN.md §11): calendar throughput,
 # process switches, Signal wake/broadcast, timed-wait re-arm, the MPI
 # layer riding on them, the adaptive controller's decision path
-# (DESIGN.md §16), and payload fill/verify throughput (DESIGN.md §14). The
-# steady-state paths must stay 0 allocs/op.
+# (DESIGN.md §16), payload fill throughput, and the capture path's
+# descriptor store, in-place verifier and romio read ops (DESIGN.md §14).
+# The steady-state paths must stay 0 allocs/op.
 bench-kernel:
-	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/
+	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/ ./internal/pvfs/ ./internal/romio/
 
 # Rank-scaling benchmark (DESIGN.md §12): 1k/10k/100k-rank cells on the
 # FSM worker engine, reporting events/sec and peak memory per rank. The
@@ -55,7 +56,7 @@ bench-scale:
 	$(GO) test -bench BenchmarkScaleWorkers -benchmem -benchtime=1x -run xxx ./internal/core/
 
 # The verified read path: mixed GET/PUT sweep plus the readback-under-chaos
-# battery. Exits nonzero on any checksum mismatch.
+# battery. Exits nonzero on any content mismatch.
 bench-readback:
 	$(GO) run ./cmd/s3abench -suite readback -quick -quiet -json ""
 

@@ -121,14 +121,15 @@ type Config struct {
 	// proposes).
 	CollMethod romio.CollMethod
 
-	// CaptureData stores real bytes in the simulated file system so the
-	// output image can be verified; use only with small workloads.
+	// CaptureData stores content descriptors (which part of the content
+	// stream each byte range holds, never the bytes) in the simulated file
+	// system so the output image can be verified.
 	CaptureData bool
 
 	// Readback, if non-nil, enables the verified read path (DESIGN.md §14):
 	// in-run and/or post-run verifiers read committed extents back through a
-	// real read strategy and compare every byte with the workload's content
-	// at its file offset. Requires CaptureData. Nil issues no reads and is
+	// real read strategy and check that every byte read holds the content
+	// of its own file offset. Requires CaptureData. Nil issues no reads and is
 	// bit-identical to builds without the readback code.
 	Readback *ReadbackConfig
 

@@ -199,11 +199,7 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 			rt.adaptFlushStart(gb, 1)
 		}
 		rt.mergeSleep(r, des.BytesOver(b.Bytes, cfg.FormatBandwidth))
-		var data []byte
-		if cfg.CaptureData {
-			data = rt.batchData(b)
-		}
-		rt.file.WriteAt(r, b.Region, b.Bytes, data)
+		rt.file.WriteAt(r, b.Region, b.Bytes, b.Region)
 		if cfg.SyncEveryWrite {
 			rt.file.Sync(r)
 		}
@@ -274,12 +270,4 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 		}
 	}
 	st.offsetSends = kept
-}
-
-// batchData materializes a batch's result bytes in file order (capture
-// verification runs only).
-func (rt *runtime) batchData(b batch) []byte {
-	out := make([]byte, b.Bytes)
-	rt.wl.FillContent(out, b.Region)
-	return out
 }

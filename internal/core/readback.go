@@ -10,15 +10,17 @@ import (
 )
 
 // This file is the verified read path (DESIGN.md §14): end-to-end content
-// verification in the style of s3bench. File content is a seekable
-// pseudo-random function of (workload seed, file offset)
-// (search.Workload.FillContent); writers fill their segments from it and
-// the bytes are stored behind pvfs.CaptureData. Verifiers read committed
-// extents back through a real read strategy (romio.ReadSegsOp / CollReadOp)
-// and compare every byte read, word by word, against the content at its
-// offset (Workload.ContentEqual). Offset bookkeeping (coverage, overlap,
-// acks) cannot see a write that was acknowledged but lost, duplicated,
-// torn, or misplaced — the content comparison can.
+// verification in the style of s3bench. File content is a stream addressed
+// by offset (its bytes, search.Workload.FillContent, are never built on
+// this path); every segment carries a descriptor of the stream range it
+// holds (pvfs.Segment.Src), a writer that places its bytes correctly
+// writes Src == Offset, and the file system stores the descriptors behind
+// pvfs.CaptureData. Verifiers read committed extents back through a real
+// read strategy (romio.ReadSegsOp / CollReadOp) and check that the pieces
+// read tile each extent and each carries the content of its own offset
+// (pvfs.AllPlaced) — O(pieces), not O(bytes). Offset bookkeeping
+// (coverage, overlap, acks) cannot see a write that was acknowledged but
+// lost, duplicated, torn, or misplaced — the descriptor check can.
 //
 // Everything here is nil-gated on Config.Readback: a run without it issues
 // no reads and is bit-identical to builds without this file.
@@ -53,7 +55,7 @@ func (c *Config) validateReadback() error {
 		return nil
 	}
 	if !c.CaptureData {
-		return errors.New("core: Readback requires CaptureData (content verification needs stored bytes)")
+		return errors.New("core: Readback requires CaptureData (content verification needs stored content)")
 	}
 	if rc.InRunReads < 0 {
 		return errors.New("core: Readback.InRunReads must be non-negative")
@@ -88,26 +90,26 @@ func (c *Config) validateReadback() error {
 type readbackState struct {
 	conf       ReadbackConfig
 	reads      int64 // read operations issued (in-run rounds + post-run batches)
-	extents    int64 // extents compared against regenerated content
+	extents    int64 // extents checked
 	bytes      int64 // bytes read back through the read strategy
 	mismatches int64 // extents whose content diverged
 	firstErr   error // first mismatch, for the report error
 }
 
-// rbVerify compares one readback's bytes, extent by extent, against the
-// workload's content at each segment's offset (regenerated, never read
-// from the file or taken from segs[i].Data).
-func (rt *runtime) rbVerify(where string, segs []pvfs.Segment, got [][]byte) {
+// rbVerify checks one readback, extent by extent: the pieces read for each
+// segment must tile it and carry the content of their own offsets. Only
+// the offsets are trusted; segs[i].Src is never consulted.
+func (rt *runtime) rbVerify(where string, segs []pvfs.Segment, got [][]pvfs.Segment) {
 	rb := rt.rb
 	rb.reads++
 	for i, s := range segs {
 		rb.extents++
 		rb.bytes += s.Length
-		var g []byte
+		var g []pvfs.Segment
 		if i < len(got) {
 			g = got[i]
 		}
-		if int64(len(g)) != s.Length || !rt.wl.ContentEqual(g, s.Offset) {
+		if !pvfs.AllPlaced(g, s.Offset, s.Length) {
 			rb.mismatches++
 			if rb.firstErr == nil {
 				rb.firstErr = fmt.Errorf("core: readback mismatch at %s: offset %d len %d",
@@ -136,7 +138,7 @@ func (rt *runtime) rbInRunWorker(r *mpi.Rank, pt *PhaseTimer, g *group, segs []p
 	}
 	pt.Switch(PhaseIO)
 	for i := 0; i < rb.conf.InRunReads; i++ {
-		var got [][]byte
+		var got [][]pvfs.Segment
 		if useColl {
 			got = g.collGroup.ReadAll(r, segs)
 		} else {
@@ -147,7 +149,7 @@ func (rt *runtime) rbInRunWorker(r *mpi.Rank, pt *PhaseTimer, g *group, segs []p
 }
 
 // rbInRunMaster is the MW in-run verifier: the master re-reads the batch
-// region it just wrote and verifies it against the workload's content.
+// region it just wrote and verifies it.
 func (rt *runtime) rbInRunMaster(r *mpi.Rank, pt *PhaseTimer, b batch) {
 	rb := rt.rb
 	if rb == nil || rb.conf.InRunReads == 0 || b.Bytes == 0 {
@@ -164,9 +166,9 @@ func (rt *runtime) rbInRunMaster(r *mpi.Rank, pt *PhaseTimer, b batch) {
 // rbPostRun is the end-of-run verifier: the group master reads every
 // committed result extent of its query range back through the read strategy
 // — batch by batch, at result granularity so list and sieve methods see the
-// noncontiguous shape — and compares every byte against the workload's
-// content. Runs after the final barrier (non-resilient) or the shutdown
-// handshake (resilient), when every batch is durable.
+// noncontiguous shape — and verifies every extent. Runs after the final
+// barrier (non-resilient) or the shutdown handshake (resilient), when every
+// batch is durable.
 func (rt *runtime) rbPostRun(r *mpi.Rank, pt *PhaseTimer, g *group) {
 	rb := rt.rb
 	if rb == nil || !rb.conf.PostRun {

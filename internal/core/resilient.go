@@ -658,11 +658,7 @@ func (rt *runtime) rmFlushInitial(r *mpi.Rank, m *rmasterState, bi int) {
 	if cfg.Strategy == MW {
 		pt.Switch(PhaseIO)
 		rt.mergeSleep(r, des.BytesOver(b.Bytes, cfg.FormatBandwidth))
-		var data []byte
-		if cfg.CaptureData {
-			data = rt.batchData(b)
-		}
-		rt.file.WriteAt(r, b.Region, b.Bytes, data)
+		rt.file.WriteAt(r, b.Region, b.Bytes, b.Region)
 		if cfg.SyncEveryWrite {
 			rt.file.Sync(r)
 		}

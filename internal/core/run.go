@@ -574,14 +574,13 @@ func (rt *runtime) recordMetrics(rep *Report) {
 	rep.Metrics = m.Snapshot()
 }
 
-// verifyImage checks every result's stored bytes, in place, against the
-// workload's deterministic content — the cross-strategy file-image
+// verifyImage checks, in place, that every result's bytes are stored and
+// hold the content of their own offset — the cross-strategy file-image
 // invariant.
 func (rt *runtime) verifyImage(f *pvfs.File) error {
-	eq := rt.wl.ContentEqual
 	for q := rt.cfg.ResumeFromQuery; q < len(rt.wl.Queries); q++ {
 		for _, r := range rt.wl.Queries[q].Results {
-			if !f.Match(r.Offset, r.Size, eq) {
+			if !f.Placed(r.Offset, r.Size) {
 				return fmt.Errorf("core: query %d result %d content mismatch at offset %d",
 					q, r.Index, r.Offset)
 			}

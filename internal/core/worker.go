@@ -347,22 +347,16 @@ func (rt *runtime) stampFlush(proc string, g *group, localBatch int) {
 
 // placementsToSegments converts result placements (already in file order)
 // to write segments, coalescing adjacent results — a real implementation
-// merges contiguous extents when building its I/O list. Capture runs then
-// fill each segment's bytes once from the seekable file content.
+// merges contiguous extents when building its I/O list. Each segment
+// carries the content of its own offset (Src == Offset).
 func (rt *runtime) placementsToSegments(placements []search.Result) []pvfs.Segment {
 	var segs []pvfs.Segment
 	for _, res := range placements {
-		if n := len(segs); n > 0 && segs[n-1].Offset+segs[n-1].Length == res.Offset {
+		if n := len(segs); n > 0 && segs[n-1].End() == res.Offset {
 			segs[n-1].Length += res.Size
 			continue
 		}
-		segs = append(segs, pvfs.Segment{Offset: res.Offset, Length: res.Size})
-	}
-	if rt.cfg.CaptureData {
-		for i := range segs {
-			segs[i].Data = make([]byte, segs[i].Length)
-			rt.wl.FillContent(segs[i].Data, segs[i].Offset)
-		}
+		segs = append(segs, pvfs.Segment{Offset: res.Offset, Length: res.Size, Src: res.Offset})
 	}
 	return segs
 }

@@ -540,7 +540,7 @@ func (m *workerFSM) stepWrite() bool {
 			if !m.rsegs.Step() {
 				return false
 			}
-			rt.rbVerify(r.Proc().Name(), m.segs, m.rsegs.Data())
+			rt.rbVerify(r.Proc().Name(), m.segs, m.rsegs.Pieces())
 			m.rbLeft--
 			if m.rbLeft > 0 {
 				m.startReadback()
@@ -551,7 +551,7 @@ func (m *workerFSM) stepWrite() bool {
 			if !m.rcoll.Step() {
 				return false
 			}
-			rt.rbVerify(r.Proc().Name(), m.segs, m.rcoll.Data())
+			rt.rbVerify(r.Proc().Name(), m.segs, m.rcoll.Pieces())
 			m.rbLeft--
 			if m.rbLeft > 0 {
 				m.startReadback()

@@ -26,7 +26,7 @@ import (
 type ReadbackOptions struct {
 	// Base is the template configuration; Strategy and Readback are
 	// overridden per cell. CaptureData is forced on (content verification
-	// needs stored bytes).
+	// needs stored content descriptors).
 	Base core.Config
 	// Mixes is the x-axis: the GET percentage of the verification workload.
 	// 100 is the pure-read pass (post-run verification only); a mix m < 100

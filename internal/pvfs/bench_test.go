@@ -21,7 +21,7 @@ func BenchmarkWriteContig(b *testing.B) {
 	sim.Spawn("c", func(p *des.Proc) {
 		f := fs.Create(p, "bench")
 		for i := 0; i < b.N; i++ {
-			f.Write(p, port, int64(i)*1<<20, 1<<20, nil)
+			f.Write(p, port, int64(i)*1<<20, 1<<20, int64(i)*1<<20)
 		}
 	})
 	b.ResetTimer()
@@ -60,6 +60,48 @@ func BenchmarkExtentMapWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Alternating pattern exercising search + insert.
 		off := int64((i * 7919) % 1000000)
-		m.write(off*16, 8, nil)
+		m.write(off*16, 8, off*16)
+	}
+}
+
+// BenchmarkExtentMapWriteCapture measures the capture path's store:
+// descriptor writes with overwrites that exercise the ≤3-entry splice.
+func BenchmarkExtentMapWriteCapture(b *testing.B) {
+	m := extentMap{capture: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		off := int64((i*7919)%1000000) * 16
+		m.write(off, 24, off)
+	}
+}
+
+// BenchmarkExtentMapPlaced measures the in-place verifier over a range
+// spanning 64 stored extents. It must stay 0 allocs/op.
+func BenchmarkExtentMapPlaced(b *testing.B) {
+	m := extentMap{capture: true}
+	for i := int64(0); i < 4096; i++ {
+		m.write(i*1000, 1000, i*1000)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !m.placed(int64(i%4000)*1000+17, 64*1000) {
+			b.Fatal("placed range failed verification")
+		}
+	}
+}
+
+// BenchmarkExtentMapRead measures descriptor reads of a range spanning 64
+// stored extents, which merge into one piece.
+func BenchmarkExtentMapRead(b *testing.B) {
+	m := extentMap{capture: true}
+	for i := int64(0); i < 4096; i++ {
+		m.write(i*1000, 1000, i*1000)
+	}
+	var buf []Segment
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = m.read(int64(i%4000)*1000+17, 64*1000, buf[:0])
 	}
 }

@@ -1,9 +1,10 @@
 // Package pvfs implements a simulated PVFS2-style parallel file system:
 // a configurable set of I/O servers plus a metadata server, round-robin
 // striping, native support for noncontiguous list I/O, per-server FCFS
-// request queues with an explicit cost model, and optional capture of real
-// file bytes so tests can verify that different I/O strategies produce
-// identical file images.
+// request queues with an explicit cost model, and optional capture of file
+// content as descriptors (Segment.Src: which part of the content stream a
+// range holds, never the bytes themselves) so readback can verify that
+// every I/O strategy leaves every byte where it belongs.
 //
 // As on real PVFS2 (paper §3.1), there is no locking and no atomicity for
 // overlapping writes — writers are expected not to overlap, and the file
@@ -12,34 +13,20 @@ package pvfs
 
 import "sort"
 
-// Segment is one contiguous piece of file data: a file offset, a length,
-// and optionally the real bytes (when data capture is enabled).
-type Segment struct {
-	Offset int64
-	Length int64
-	Data   []byte // nil unless capturing; if non-nil, len(Data) == Length
-}
-
-// extent is a stored, non-overlapping run of the file.
-type extent struct {
-	off  int64
-	n    int64
-	data []byte // nil when not capturing
-}
-
-func (e extent) end() int64 { return e.off + e.n }
-
-// extentMap maintains sorted, non-overlapping extents with overwrite
-// semantics and counts bytes that were ever written more than once.
+// extentMap maintains sorted, non-overlapping extents (stored as Segments:
+// each extent's Src is the stream offset of its first byte, or Zero) with
+// overwrite semantics, and counts bytes that were ever written more than
+// once.
 type extentMap struct {
-	exts        []extent
+	exts        []Segment
 	overlapped  int64 // total bytes written over already-written bytes
-	capture     bool
+	capture     bool  // false: every extent is stored as Zero
 	writes      int64
 	bytesStored int64 // current coverage
 }
 
-// write records [off, off+n) with optional data, replacing any overlap.
+// write records [off, off+n) holding stream content from src (or Zero),
+// replacing any overlap.
 //
 // The extents intersecting the write form one contiguous run exts[i:j], and
 // because stored extents are sorted and non-overlapping, at most the first
@@ -47,23 +34,24 @@ type extentMap struct {
 // right. The run is therefore replaced by at most three already-ordered
 // entries, spliced in place — the slice is never reallocated (beyond
 // amortized append growth), which keeps a W-write file at O(W) total
-// allocation instead of the O(W²) bytes a copy-per-write rebuild costs.
-func (m *extentMap) write(off, n int64, data []byte) {
+// allocation. A right remnant keeps the content it held: its Src advances
+// with its offset (Segment.Sub).
+func (m *extentMap) write(off, n, src int64) {
 	if n <= 0 {
 		return
 	}
-	if m.capture && data != nil && int64(len(data)) != n {
-		panic("pvfs: data length mismatch")
+	if !m.capture {
+		src = Zero
 	}
 	m.writes++
 	end := off + n
 
 	// Find the run of extents intersecting [off, end).
-	i := sort.Search(len(m.exts), func(i int) bool { return m.exts[i].end() > off })
+	i := sort.Search(len(m.exts), func(i int) bool { return m.exts[i].End() > off })
 	j := i
-	for j < len(m.exts) && m.exts[j].off < end {
+	for j < len(m.exts) && m.exts[j].Offset < end {
 		e := m.exts[j]
-		ovLo, ovHi := max64(e.off, off), min64(e.end(), end)
+		ovLo, ovHi := max64(e.Offset, off), min64(e.End(), end)
 		if ovHi > ovLo {
 			m.overlapped += ovHi - ovLo
 			m.bytesStored -= ovHi - ovLo
@@ -72,30 +60,15 @@ func (m *extentMap) write(off, n int64, data []byte) {
 	}
 	m.bytesStored += n
 
-	newExt := extent{off: off, n: n}
-	if m.capture {
-		newExt.data = make([]byte, n)
-		if data != nil {
-			copy(newExt.data, data)
-		}
-	}
-
-	var left, right extent
+	newExt := Segment{Offset: off, Length: n, Src: src}
+	var left, right Segment
 	haveLeft, haveRight := false, false
 	if j > i {
-		if e := m.exts[i]; e.off < off {
-			left = extent{off: e.off, n: off - e.off}
-			if m.capture {
-				left.data = e.data[:off-e.off]
-			}
-			haveLeft = true
+		if e := m.exts[i]; e.Offset < off {
+			left, haveLeft = e.Sub(e.Offset, off), true
 		}
-		if e := m.exts[j-1]; e.end() > end {
-			right = extent{off: end, n: e.end() - end}
-			if m.capture {
-				right.data = e.data[end-e.off:]
-			}
-			haveRight = true
+		if e := m.exts[j-1]; e.End() > end {
+			right, haveRight = e.Sub(end, e.End()), true
 		}
 	}
 
@@ -111,14 +84,11 @@ func (m *extentMap) write(off, n int64, data []byte) {
 	oldLen := len(m.exts)
 	switch delta := repl - (j - i); {
 	case delta > 0:
-		var pad [2]extent
+		var pad [2]Segment
 		m.exts = append(m.exts, pad[:delta]...)
 		copy(m.exts[j+delta:], m.exts[j:oldLen])
 	case delta < 0:
 		copy(m.exts[j+delta:], m.exts[j:])
-		for k := oldLen + delta; k < oldLen; k++ {
-			m.exts[k] = extent{} // release captured data to the GC
-		}
 		m.exts = m.exts[:oldLen+delta]
 	}
 	if haveLeft {
@@ -138,11 +108,11 @@ func (m *extentMap) coverage() int64 { return m.bytesStored }
 func (m *extentMap) covers(size int64) bool {
 	var pos int64
 	for _, e := range m.exts {
-		if e.off > pos {
+		if e.Offset > pos {
 			return false
 		}
-		if e.end() > pos {
-			pos = e.end()
+		if e.End() > pos {
+			pos = e.End()
 		}
 		if pos >= size {
 			return true
@@ -151,45 +121,41 @@ func (m *extentMap) covers(size int64) bool {
 	return pos >= size
 }
 
-// read copies stored bytes for [off, off+n) into a fresh slice, zero-filling
-// gaps. Only meaningful with capture enabled.
-func (m *extentMap) read(off, n int64) []byte {
-	out := make([]byte, n)
-	end := off + n
-	i := sort.Search(len(m.exts), func(i int) bool { return m.exts[i].end() > off })
-	for ; i < len(m.exts) && m.exts[i].off < end; i++ {
+// read appends to dst the descriptor pieces tiling [off, off+n) in file
+// order: stored extents clipped to the range, gaps as Zero pieces, and
+// pieces that continue each other merged (AppendPiece). No bytes are
+// copied.
+func (m *extentMap) read(off, n int64, dst []Segment) []Segment {
+	pos, end := off, off+n
+	i := sort.Search(len(m.exts), func(i int) bool { return m.exts[i].End() > off })
+	for ; pos < end && i < len(m.exts) && m.exts[i].Offset < end; i++ {
 		e := m.exts[i]
-		lo, hi := max64(e.off, off), min64(e.end(), end)
-		if hi <= lo {
-			continue
+		if e.Offset > pos {
+			dst = AppendPiece(dst, Segment{Offset: pos, Length: e.Offset - pos, Src: Zero})
+			pos = e.Offset
 		}
-		if e.data != nil {
-			copy(out[lo-off:hi-off], e.data[lo-e.off:hi-e.off])
-		}
+		hi := min64(e.End(), end)
+		dst = AppendPiece(dst, e.Sub(pos, hi))
+		pos = hi
 	}
-	return out
+	return AppendPiece(dst, Segment{Offset: pos, Length: end - pos, Src: Zero})
 }
 
-// match walks the stored bytes of [off, off+n) in file order, calling eq on
-// each extent's piece with its file offset, and reports whether every call
-// matched. A gap (or an extent without stored bytes) fails the match. The
-// pieces alias the store; eq must not modify or retain them.
-func (m *extentMap) match(off, n int64, eq func(b []byte, off int64) bool) bool {
+// placed reports whether every byte of [off, off+n) is stored and holds the
+// stream content of its own offset — AllPlaced over read's pieces, walked
+// in place: O(extents), no allocation.
+func (m *extentMap) placed(off, n int64) bool {
 	pos, end := off, off+n
-	i := sort.Search(len(m.exts), func(i int) bool { return m.exts[i].end() > off })
+	i := sort.Search(len(m.exts), func(i int) bool { return m.exts[i].End() > off })
 	for ; pos < end; i++ {
 		if i == len(m.exts) {
 			return false
 		}
 		e := m.exts[i]
-		if e.off > pos || e.data == nil {
+		if e.Offset > pos || !e.Placed() {
 			return false
 		}
-		hi := min64(e.end(), end)
-		if !eq(e.data[pos-e.off:hi-e.off], pos) {
-			return false
-		}
-		pos = hi
+		pos = e.End()
 	}
 	return true
 }

@@ -1,114 +1,207 @@
 package pvfs
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 )
 
 // TestExtentReadZeroFillsHoles pins read()'s hole semantics: bytes never
-// written come back as zeros, exactly as a file system returns zeros for
-// unwritten regions of a sparse file.
+// written come back as Zero pieces, exactly as a file system returns zeros
+// for unwritten regions of a sparse file.
 func TestExtentReadZeroFillsHoles(t *testing.T) {
 	m := extentMap{capture: true}
-	m.write(10, 4, []byte{1, 2, 3, 4})
-	m.write(20, 2, []byte{9, 9})
+	m.write(10, 4, 10)
+	m.write(20, 2, 90)
 
 	cases := []struct {
 		off, n int64
-		want   []byte
+		want   []Segment
 	}{
-		{0, 5, []byte{0, 0, 0, 0, 0}},                  // entirely before any extent
-		{8, 8, []byte{0, 0, 1, 2, 3, 4, 0, 0}},         // hole, extent, hole
-		{12, 10, []byte{3, 4, 0, 0, 0, 0, 0, 0, 9, 9}}, // extent tail + gap + next extent
-		{14, 6, []byte{0, 0, 0, 0, 0, 0}},              // pure gap between extents
-		{10, 4, []byte{1, 2, 3, 4}},                    // exact extent
-		{11, 2, []byte{2, 3}},                          // interior of one extent
-		{30, 3, []byte{0, 0, 0}},                       // entirely past the last extent
-		{0, 25, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, // full image
-			0, 0, 0, 0, 0, 0, 9, 9, 0, 0, 0}},
+		{0, 5, []Segment{z(0, 5)}},                                                       // entirely before any extent
+		{8, 8, []Segment{z(8, 2), seg(10, 4, 10), z(14, 2)}},                             // hole, extent, hole
+		{12, 10, []Segment{seg(12, 2, 12), z(14, 6), seg(20, 2, 90)}},                    // extent tail + gap + next extent
+		{14, 6, []Segment{z(14, 6)}},                                                     // pure gap between extents
+		{10, 4, []Segment{seg(10, 4, 10)}},                                               // exact extent
+		{11, 2, []Segment{seg(11, 2, 11)}},                                               // interior of one extent
+		{30, 3, []Segment{z(30, 3)}},                                                     // entirely past the last extent
+		{0, 25, []Segment{z(0, 10), seg(10, 4, 10), z(14, 6), seg(20, 2, 90), z(22, 3)}}, // full image
+		{5, 0, nil}, // empty range
 	}
 	for _, c := range cases {
-		if got := m.read(c.off, c.n); !bytes.Equal(got, c.want) {
+		if got := m.read(c.off, c.n, nil); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("read(%d, %d) = %v, want %v", c.off, c.n, got, c.want)
 		}
 	}
 }
 
 // TestExtentReadAcrossSpliceBoundaries overwrites the middle of an extent —
-// forcing the ≤3-entry splice to leave left and right remnants sharing the
-// original backing array — then reads windows spanning every boundary.
+// forcing the ≤3-entry splice to leave left and right remnants — then reads
+// windows spanning every boundary.
 func TestExtentReadAcrossSpliceBoundaries(t *testing.T) {
 	m := extentMap{capture: true}
-	m.write(0, 16, bytes.Repeat([]byte{0xAA}, 16))
-	m.write(4, 8, bytes.Repeat([]byte{0xBB}, 8)) // splits into [0,4) [4,12) [12,16)
+	m.write(0, 16, 1000)
+	m.write(4, 8, 2000) // splits into [0,4) [4,12) [12,16)
 	if len(m.exts) != 3 {
 		t.Fatalf("expected 3 extents after mid-overwrite, got %d", len(m.exts))
 	}
 
-	want := append(append(bytes.Repeat([]byte{0xAA}, 4), bytes.Repeat([]byte{0xBB}, 8)...),
-		bytes.Repeat([]byte{0xAA}, 4)...)
-	if got := m.read(0, 16); !bytes.Equal(got, want) {
-		t.Fatalf("full read = %v, want %v", got, want)
+	whole := []Segment{seg(0, 4, 1000), seg(4, 8, 2000), seg(12, 4, 1012)}
+	if got := m.read(0, 16, nil); !reflect.DeepEqual(got, whole) {
+		t.Fatalf("full read = %v, want %v", got, whole)
 	}
 	// Windows straddling each splice boundary, and one covering both.
 	for _, c := range []struct{ off, n int64 }{{2, 4}, {10, 4}, {3, 10}, {0, 13}} {
-		if got := m.read(c.off, c.n); !bytes.Equal(got, want[c.off:c.off+c.n]) {
-			t.Errorf("read(%d, %d) = %v, want %v", c.off, c.n, got, want[c.off:c.off+c.n])
+		want := AppendRange(nil, whole, c.off, c.off+c.n)
+		if got := m.read(c.off, c.n, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("read(%d, %d) = %v, want %v", c.off, c.n, got, want)
 		}
 	}
 
 	// Overwrite spanning the splice boundary itself: the read must see the
-	// newest data even where remnant extents alias the old backing array.
-	m.write(10, 4, bytes.Repeat([]byte{0xCC}, 4))
-	copy(want[10:14], bytes.Repeat([]byte{0xCC}, 4))
-	if got := m.read(8, 8); !bytes.Equal(got, want[8:16]) {
-		t.Fatalf("post-overwrite read = %v, want %v", got, want[8:16])
+	// newest content on both sides of it.
+	m.write(10, 4, 3000)
+	want := []Segment{seg(8, 2, 2004), seg(10, 4, 3000), seg(14, 2, 1014)}
+	if got := m.read(8, 8, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-overwrite read = %v, want %v", got, want)
 	}
 	if m.overlapped == 0 {
 		t.Fatal("overlap accounting missed the overwrites")
 	}
 }
 
-// TestExtentMatchInPlace pins match(): pieces arrive in file order, split
-// at extent boundaries, aliasing the store; a hole, an uncaptured extent or
-// a rejecting comparator fails the match.
+// TestExtentMatchInPlace pins placed(), the in-place verifier: it succeeds
+// exactly when every byte of the range is stored with Src == Offset; a
+// hole, a Zero extent (lost payload or no capture) or misplaced content
+// fails it.
 func TestExtentMatchInPlace(t *testing.T) {
 	m := extentMap{capture: true}
-	m.write(10, 4, []byte{1, 2, 3, 4})
-	m.write(14, 2, []byte{5, 6})
-	m.write(20, 2, []byte{9, 9})
-	img := m.read(0, 22)
-
-	type piece struct {
-		off int64
-		b   []byte
-	}
-	var seen []piece
-	eq := func(b []byte, off int64) bool {
-		seen = append(seen, piece{off, append([]byte(nil), b...)})
-		return bytes.Equal(b, img[off:off+int64(len(b))])
-	}
-	if !m.match(11, 4, eq) {
-		t.Fatal("match over two adjacent extents failed")
-	}
-	if len(seen) != 2 || seen[0].off != 11 || !bytes.Equal(seen[0].b, []byte{2, 3, 4}) ||
-		seen[1].off != 14 || !bytes.Equal(seen[1].b, []byte{5}) {
-		t.Fatalf("pieces = %v, want [11:{2 3 4}] [14:{5}]", seen)
-	}
-	for _, c := range []struct{ off, n int64 }{{8, 4}, {12, 10}, {16, 2}, {21, 3}, {30, 1}} {
-		if m.match(c.off, c.n, eq) {
-			t.Errorf("match(%d, %d) spans a hole but succeeded", c.off, c.n)
+	m.write(10, 4, 10)
+	m.write(14, 2, 14)
+	m.write(20, 2, 20)
+	m.write(24, 4, Zero)
+	m.write(30, 4, 31)
+	for _, c := range []struct {
+		off, n int64
+		want   bool
+	}{
+		{11, 4, true},   // across two adjacent placed extents
+		{10, 6, true},   // both extents exactly
+		{5, 0, true},    // empty range
+		{8, 4, false},   // starts in a hole
+		{12, 10, false}, // hole in the middle
+		{21, 3, false},  // runs past the extent into a hole
+		{24, 2, false},  // Zero extent
+		{30, 2, false},  // misplaced content
+		{40, 1, false},  // past the last extent
+	} {
+		if got := m.placed(c.off, c.n); got != c.want {
+			t.Errorf("placed(%d, %d) = %v, want %v", c.off, c.n, got, c.want)
+		}
+		if got := AllPlaced(m.read(c.off, c.n, nil), c.off, c.n); got != c.want {
+			t.Errorf("AllPlaced(read(%d, %d)) = %v, want %v", c.off, c.n, got, c.want)
 		}
 	}
-	if m.match(10, 4, func([]byte, int64) bool { return false }) {
-		t.Error("rejecting comparator matched")
-	}
-	if !m.match(5, 0, eq) {
-		t.Error("empty range did not match")
-	}
 	plain := extentMap{}
-	plain.write(0, 8, nil)
-	if plain.match(0, 8, func([]byte, int64) bool { return true }) {
-		t.Error("extent without stored bytes matched")
+	plain.write(0, 8, 0)
+	if plain.placed(0, 8) {
+		t.Error("extent stored without capture verified")
+	}
+}
+
+// TestExtentMisplacedWriteFailsPlaced is the misplacement case a zeroing
+// fault cannot stand in for: a write whose content belongs elsewhere
+// (Src != Offset) is stored faithfully and fails verification, and the
+// remnants an overwrite leaves of it keep the shifted Src — so they still
+// fail, while the overwritten middle verifies.
+func TestExtentMisplacedWriteFailsPlaced(t *testing.T) {
+	m := extentMap{capture: true}
+	m.write(100, 30, 164) // content of [164, 194) written at 100
+	if m.placed(100, 30) {
+		t.Fatal("misplaced write verified")
+	}
+	m.write(110, 10, 110) // correct overwrite of the middle
+	want := []Segment{seg(100, 10, 164), seg(110, 10, 110), seg(120, 10, 184)}
+	if got := m.read(100, 30, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("read = %v, want %v", got, want)
+	}
+	if !m.placed(110, 10) {
+		t.Error("correct overwrite not verified")
+	}
+	if m.placed(100, 10) || m.placed(120, 10) || m.placed(105, 10) {
+		t.Error("misplaced remnant verified")
+	}
+	// A one-byte slip is as wrong as any other offset.
+	m.write(200, 16, 201)
+	if m.placed(200, 16) {
+		t.Error("write slipped by one byte verified")
+	}
+}
+
+// TestPlacedNoAllocs pins the in-place verifier, File.Placed, at zero
+// allocations.
+func TestPlacedNoAllocs(t *testing.T) {
+	f := &File{data: extentMap{capture: true}}
+	for i := int64(0); i < 256; i++ {
+		f.data.write(i*64, 64, i*64)
+	}
+	if !f.Placed(100, 10000) {
+		t.Fatal("placed range failed verification")
+	}
+	if a := testing.AllocsPerRun(100, func() { f.Placed(100, 10000) }); a != 0 {
+		t.Fatalf("Placed allocates %.1f per call", a)
+	}
+}
+
+// TestSegmentDescriptorArithmetic pins the descriptor operations every
+// data-movement step uses.
+func TestSegmentDescriptorArithmetic(t *testing.T) {
+	if got, want := seg(100, 50, 900).Sub(120, 130), seg(120, 10, 920); got != want {
+		t.Errorf("Sub = %v, want %v", got, want)
+	}
+	if got, want := z(100, 50).Sub(120, 130), z(120, 10); got != want {
+		t.Errorf("Zero Sub = %v, want %v", got, want)
+	}
+	for _, c := range []struct {
+		a, b Segment
+		want bool
+	}{
+		{seg(0, 10, 50), seg(10, 5, 60), true},
+		{seg(0, 10, 50), seg(10, 5, 61), false}, // file-adjacent, stream gap
+		{seg(0, 10, 50), seg(11, 5, 61), false}, // stream-adjacent, file gap
+		{z(0, 10), z(10, 5), true},
+		{z(0, 10), seg(10, 5, 10), false},
+		{seg(0, 10, 0), z(10, 5), false},
+	} {
+		if got := c.a.Continues(c.b); got != c.want {
+			t.Errorf("%v.Continues(%v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+	img := []Segment{z(0, 10), seg(10, 10, 10), z(20, 10)}
+	got := Overlay(img, seg(5, 10, 5))
+	if want := []Segment{z(0, 5), seg(5, 15, 5), z(20, 10)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Overlay = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(img, []Segment{z(0, 10), seg(10, 10, 10), z(20, 10)}) {
+		t.Error("Overlay modified its input")
+	}
+	if AllPlaced([]Segment{seg(0, 5, 0), seg(6, 4, 6)}, 0, 10) {
+		t.Error("AllPlaced accepted a gap")
+	}
+	if AllPlaced([]Segment{seg(0, 5, 0)}, 0, 10) {
+		t.Error("AllPlaced accepted a short tiling")
+	}
+}
+
+// TestBytesExport pins the export boundary: content pieces are filled from
+// the stream at their Src, Zero pieces are zeros.
+func TestBytesExport(t *testing.T) {
+	fill := func(dst []byte, src int64) {
+		for i := range dst {
+			dst[i] = byte(src + int64(i))
+		}
+	}
+	got := Bytes([]Segment{seg(0, 3, 7), z(3, 2), seg(5, 2, 1)}, fill)
+	if want := []byte{7, 8, 9, 0, 0, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Bytes = %v, want %v", got, want)
 	}
 }

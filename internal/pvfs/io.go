@@ -85,8 +85,8 @@ type IssueOp struct {
 		at, submit, start, done des.Time
 	}
 
-	readOff, readN int64     // capture read-back range (InitRead only)
-	readSegs       []Segment // capture read-back segments (InitReadList only)
+	readOff, readN int64     // read range (InitRead only)
+	readSegs       []Segment // read segments (InitReadList only)
 }
 
 // init arms the op over prebuilt server requests.
@@ -189,11 +189,11 @@ func (op *IssueOp) launch() {
 							srv.dirty += r.bytes
 							srv.written += r.bytes
 							for _, seg := range r.segs {
-								data := seg.Data
+								src := seg.Src
 								if fs.dropWrite != nil && fs.dropWrite(seg.Offset, seg.Length) {
-									data = nil // silent loss: extent recorded, payload zeroed
+									src = Zero // silent loss: extent recorded, payload zeroed
 								}
-								f.data.write(seg.Offset, seg.Length, data)
+								f.data.write(seg.Offset, seg.Length, src)
 								if seg.Offset+seg.Length > f.size {
 									f.size = seg.Offset + seg.Length
 								}
@@ -235,15 +235,27 @@ func (op *IssueOp) launch() {
 	}
 }
 
-// InitWrite arms op as a contiguous write of n bytes at off. data may be nil
-// unless the file system captures real bytes. A non-positive n is a no-op.
-func (op *IssueOp) InitWrite(p *des.Proc, f *File, port *Port, off, n int64, data []byte) {
+// InitWrite arms op as a contiguous write of n bytes at off holding stream
+// content from src (Segment.Src). A non-positive n is a no-op.
+func (op *IssueOp) InitWrite(p *des.Proc, f *File, port *Port, off, n, src int64) {
 	if n <= 0 {
 		op.noop = true
 		return
 	}
-	pieces := f.splitByServer([]Segment{{Offset: off, Length: n, Data: data}})
-	op.init(f, p, port, groupRequests(pieces, opWrite, true))
+	op.InitWriteImage(p, f, port, []Segment{{Offset: off, Length: n, Src: src}})
+}
+
+// InitWriteImage arms op as a contiguous write of the range that img tiles
+// (sorted, gap-free pieces whose Src may differ, such as a data-sieving
+// window after its read-modify-write). It costs exactly what InitWrite of
+// the whole range costs; only the stored content follows the pieces. An
+// empty image is a no-op.
+func (op *IssueOp) InitWriteImage(p *des.Proc, f *File, port *Port, img []Segment) {
+	if len(img) == 0 {
+		op.noop = true
+		return
+	}
+	op.init(f, p, port, groupRequests(f.splitByServer(img), opWrite, true))
 }
 
 // InitWriteList arms op as a native noncontiguous list-I/O write: all
@@ -262,7 +274,7 @@ func (op *IssueOp) InitWriteList(p *des.Proc, f *File, port *Port, segs []Segmen
 // InitRead arms op as a contiguous read. A non-positive n is a no-op.
 func (op *IssueOp) InitRead(p *des.Proc, f *File, port *Port, off, n int64) {
 	if n <= 0 {
-		op.noop = true
+		op.noop, op.readN = true, 0
 		return
 	}
 	pieces := f.splitByServer([]Segment{{Offset: off, Length: n}})
@@ -277,7 +289,7 @@ func (op *IssueOp) InitRead(p *des.Proc, f *File, port *Port, off, n int64) {
 // empty segment list is a no-op.
 func (op *IssueOp) InitReadList(p *des.Proc, f *File, port *Port, segs []Segment) {
 	if len(segs) == 0 {
-		op.noop = true
+		op.noop, op.readSegs = true, nil
 		return
 	}
 	pieces := f.splitByServer(segs)
@@ -297,35 +309,36 @@ func (op *IssueOp) InitSync(p *des.Proc, f *File, port *Port) {
 	op.init(f, p, port, reqs)
 }
 
-// ReadData returns the stored bytes of an InitRead-armed op (zero-filled
-// gaps) when the file system captures data, nil otherwise. Valid only after
-// Step has returned true.
-func (op *IssueOp) ReadData() []byte {
+// ReadPieces returns the descriptor pieces tiling the range of an
+// InitRead-armed op (File.ReadBack: gaps are Zero pieces) when the file
+// system captures content, nil otherwise. Valid only after Step has
+// returned true.
+func (op *IssueOp) ReadPieces() []Segment {
 	if op.readN <= 0 || !op.f.fs.cfg.CaptureData {
 		return nil
 	}
-	return op.f.data.read(op.readOff, op.readN)
+	return op.f.data.read(op.readOff, op.readN, nil)
 }
 
-// ReadSegsData returns the stored bytes per segment of an
-// InitReadList-armed op (zero-filled gaps) when the file system captures
-// data, nil otherwise. Valid only after Step has returned true.
-func (op *IssueOp) ReadSegsData() [][]byte {
+// ReadSegsPieces returns, per segment of an InitReadList-armed op, the
+// descriptor pieces tiling it when the file system captures content, nil
+// otherwise. Valid only after Step has returned true.
+func (op *IssueOp) ReadSegsPieces() [][]Segment {
 	if len(op.readSegs) == 0 || !op.f.fs.cfg.CaptureData {
 		return nil
 	}
-	out := make([][]byte, len(op.readSegs))
+	out := make([][]Segment, len(op.readSegs))
 	for i, s := range op.readSegs {
-		out[i] = op.f.data.read(s.Offset, s.Length)
+		out[i] = op.f.data.read(s.Offset, s.Length, nil)
 	}
 	return out
 }
 
-// Write performs a contiguous write of n bytes at off. data may be nil
-// unless the file system captures real bytes.
-func (f *File) Write(p *des.Proc, port *Port, off, n int64, data []byte) {
+// Write performs a contiguous write of n bytes at off holding stream
+// content from src; see IssueOp.InitWrite.
+func (f *File) Write(p *des.Proc, port *Port, off, n, src int64) {
 	var op IssueOp
-	op.InitWrite(p, f, port, off, n, data)
+	op.InitWrite(p, f, port, off, n, src)
 	op.Step()
 }
 
@@ -337,22 +350,22 @@ func (f *File) WriteList(p *des.Proc, port *Port, segs []Segment) {
 	op.Step()
 }
 
-// Read performs a contiguous read; with capture enabled the stored bytes
-// (zero-filled gaps) are returned, otherwise nil.
-func (f *File) Read(p *des.Proc, port *Port, off, n int64) []byte {
+// Read performs a contiguous read; with capture enabled the descriptor
+// pieces tiling the range are returned, otherwise nil.
+func (f *File) Read(p *des.Proc, port *Port, off, n int64) []Segment {
 	var op IssueOp
 	op.InitRead(p, f, port, off, n)
 	op.Step()
-	return op.ReadData()
+	return op.ReadPieces()
 }
 
 // ReadList performs a native noncontiguous list-I/O read; with capture
-// enabled the stored bytes per segment are returned, otherwise nil.
-func (f *File) ReadList(p *des.Proc, port *Port, segs []Segment) [][]byte {
+// enabled the descriptor pieces per segment are returned, otherwise nil.
+func (f *File) ReadList(p *des.Proc, port *Port, segs []Segment) [][]Segment {
 	var op IssueOp
 	op.InitReadList(p, f, port, segs)
 	op.Step()
-	return op.ReadSegsData()
+	return op.ReadSegsPieces()
 }
 
 // Sync flushes every server's dirty data; see IssueOp.InitSync.

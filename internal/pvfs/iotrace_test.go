@@ -14,7 +14,7 @@ func TestRequestTraceRecordsRequests(t *testing.T) {
 	port := freePort(sim)
 	sim.Spawn("c", func(p *des.Proc) {
 		f := fs.Create(p, "x")
-		f.Write(p, port, 0, 250, make([]byte, 250)) // spans servers 0,1,2
+		f.Write(p, port, 0, 250, 0) // spans servers 0,1,2
 		f.Sync(p, port)
 	})
 	if err := sim.Run(); err != nil {
@@ -52,7 +52,7 @@ func TestRequestTraceOffByDefault(t *testing.T) {
 	port := freePort(sim)
 	sim.Spawn("c", func(p *des.Proc) {
 		f := fs.Create(p, "x")
-		f.Write(p, port, 0, 100, make([]byte, 100))
+		f.Write(p, port, 0, 100, 0)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)

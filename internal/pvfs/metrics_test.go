@@ -14,10 +14,10 @@ func TestResetRequestTrace(t *testing.T) {
 	port := freePort(sim)
 	sim.Spawn("c", func(p *des.Proc) {
 		f := fs.Create(p, "x")
-		f.Write(p, port, 0, 250, make([]byte, 250))
+		f.Write(p, port, 0, 250, 0)
 		p.Sleep(des.Second)
 		fs.ResetRequestTrace() // new measurement window
-		f.Write(p, port, 1000, 50, make([]byte, 50))
+		f.Write(p, port, 1000, 50, 1000)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestMetricsRecordedPerRequest(t *testing.T) {
 	port := freePort(sim)
 	sim.Spawn("c", func(p *des.Proc) {
 		f := fs.Create(p, "x")
-		f.Write(p, port, 0, 250, make([]byte, 250)) // strips of 100 B: servers 0,1,2
+		f.Write(p, port, 0, 250, 0) // strips of 100 B: servers 0,1,2
 		f.Read(p, port, 0, 100)
 		f.Sync(p, port)
 	})
@@ -80,7 +80,7 @@ func TestMetricsOffByDefault(t *testing.T) {
 	port := freePort(sim)
 	sim.Spawn("c", func(p *des.Proc) {
 		f := fs.Create(p, "x")
-		f.Write(p, port, 0, 100, make([]byte, 100))
+		f.Write(p, port, 0, 100, 0)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err) // a nil registry must not panic the request path

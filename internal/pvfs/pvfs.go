@@ -51,7 +51,7 @@ type Config struct {
 	// LockGranularity > 0.
 	LockAcquireCost des.Time
 
-	CaptureData bool // store real bytes for verification
+	CaptureData bool // store content descriptors for verification
 }
 
 // FeynmanLike returns a cost model shaped after the paper's test
@@ -166,7 +166,7 @@ func (fs *FileSystem) ScheduleOutage(server int, at, dur des.Time) {
 // SetWriteDropper installs a test-only corruption hook: any write segment
 // for which fn returns true is acknowledged and fully accounted (dirty
 // bytes, coverage, file size) but its payload is silently discarded — the
-// stored extent holds zeroes. This models a silent data-loss fault that no
+// extent is stored as a Zero range. This models a silent data-loss fault that no
 // offset bookkeeping can see; only content verification (readback)
 // catches it. Nil (the default) disables dropping.
 func (fs *FileSystem) SetWriteDropper(fn func(off, n int64) bool) { fs.dropWrite = fn }
@@ -249,20 +249,18 @@ func (f *File) OverlappedBytes() int64 { return f.data.overlapped }
 // FullyCovers reports whether every byte of [0, size) has been written.
 func (f *File) FullyCovers(size int64) bool { return f.data.covers(size) }
 
-// ReadBack returns captured bytes for [off, off+n), zero-filled in gaps.
-func (f *File) ReadBack(off, n int64) []byte { return f.data.read(off, n) }
+// ReadBack returns the descriptor pieces tiling [off, off+n) in file order,
+// with gaps as Zero pieces (see extentMap.read). It costs no virtual time.
+func (f *File) ReadBack(off, n int64) []Segment { return f.data.read(off, n, nil) }
 
-// Match checks the captured bytes of [off, off+n) in place: eq is called
-// on each stored piece, in file order, with the piece's file offset, and
-// Match reports whether every piece matched and no byte of the range is
-// unwritten. The pieces alias the store; eq must not modify or retain them.
-// Unlike ReadBack it copies nothing.
-func (f *File) Match(off, n int64, eq func(b []byte, off int64) bool) bool {
-	return f.data.match(off, n, eq)
-}
+// Placed reports, in place and without allocating, whether every byte of
+// [off, off+n) was written and holds the content of its own offset: the
+// check AllPlaced makes on ReadBack(off, n), without building the pieces.
+func (f *File) Placed(off, n int64) bool { return f.data.placed(off, n) }
 
-// Captures reports whether the file system stores real bytes
-// (Config.CaptureData), i.e. whether ReadBack returns meaningful content.
+// Captures reports whether the file system stores content descriptors
+// (Config.CaptureData), i.e. whether ReadBack and the read ops return
+// anything but Zero.
 func (f *File) Captures() bool { return f.fs.cfg.CaptureData }
 
 // serverFor returns the server index holding the strip at file offset x.
@@ -283,19 +281,10 @@ func (f *File) splitByServer(segs []Segment) []serverPiece {
 	strip := f.fs.cfg.StripSize
 	var pieces []serverPiece
 	for _, s := range segs {
-		off, n := s.Offset, s.Length
-		var dataPos int64
-		for n > 0 {
-			inStrip := strip - off%strip
-			take := min64(n, inStrip)
-			p := serverPiece{server: f.serverFor(off), seg: Segment{Offset: off, Length: take}}
-			if s.Data != nil {
-				p.seg.Data = s.Data[dataPos : dataPos+take]
-			}
-			pieces = append(pieces, p)
+		for off, end := s.Offset, s.End(); off < end; {
+			take := min64(end-off, strip-off%strip)
+			pieces = append(pieces, serverPiece{server: f.serverFor(off), seg: s.Sub(off, off+take)})
 			off += take
-			dataPos += take
-			n -= take
 		}
 	}
 	return pieces

@@ -1,8 +1,8 @@
 package pvfs
 
 import (
-	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -32,17 +32,35 @@ func freePort(sim *des.Simulation) *Port {
 	}
 }
 
+// seg builds a descriptor; z is shorthand for a Zero range.
+func seg(off, n, src int64) Segment { return Segment{Offset: off, Length: n, Src: src} }
+
+func z(off, n int64) Segment { return seg(off, n, Zero) }
+
+// perByte expands tiling pieces into the stream offset each byte holds
+// (-1 for zeros), the flat reference form.
+func perByte(pieces []Segment) []int64 {
+	var out []int64
+	for _, p := range pieces {
+		for i := int64(0); i < p.Length; i++ {
+			if p.Src == Zero {
+				out = append(out, -1)
+			} else {
+				out = append(out, p.Src+i)
+			}
+		}
+	}
+	return out
+}
+
 func TestExtentMapWriteReadBack(t *testing.T) {
 	m := extentMap{capture: true}
-	m.write(10, 5, []byte("hello"))
-	m.write(20, 3, []byte("abc"))
-	got := m.read(8, 20)
-	want := append([]byte{0, 0}, []byte("hello")...)
-	want = append(want, 0, 0, 0, 0, 0)
-	want = append(want, []byte("abc")...)
-	want = append(want, make([]byte, 20-len(want))...)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("read = %q, want %q", got, want)
+	m.write(10, 5, 10)
+	m.write(20, 3, 500)
+	got := m.read(8, 20, nil)
+	want := []Segment{z(8, 2), seg(10, 5, 10), z(15, 5), seg(20, 3, 500), z(23, 5)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("read = %v, want %v", got, want)
 	}
 	if m.coverage() != 8 {
 		t.Fatalf("coverage = %d, want 8", m.coverage())
@@ -54,11 +72,12 @@ func TestExtentMapWriteReadBack(t *testing.T) {
 
 func TestExtentMapOverwriteSplits(t *testing.T) {
 	m := extentMap{capture: true}
-	m.write(0, 10, []byte("aaaaaaaaaa"))
-	m.write(3, 4, []byte("bbbb"))
-	got := m.read(0, 10)
-	if string(got) != "aaabbbbaaa" {
-		t.Fatalf("read = %q", got)
+	m.write(0, 10, 100)
+	m.write(3, 4, 200)
+	// The right remnant keeps the content it held: Src advances with it.
+	got := m.read(0, 10, nil)
+	if want := []Segment{seg(0, 3, 100), seg(3, 4, 200), seg(7, 3, 107)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("read = %v, want %v", got, want)
 	}
 	if m.overlapped != 4 {
 		t.Fatalf("overlapped = %d, want 4", m.overlapped)
@@ -70,12 +89,12 @@ func TestExtentMapOverwriteSplits(t *testing.T) {
 
 func TestExtentMapCovers(t *testing.T) {
 	m := extentMap{}
-	m.write(0, 5, nil)
-	m.write(7, 5, nil)
+	m.write(0, 5, 0)
+	m.write(7, 5, 7)
 	if m.covers(12) {
 		t.Fatal("covers should be false with a gap at [5,7)")
 	}
-	m.write(5, 2, nil)
+	m.write(5, 2, 5)
 	if !m.covers(12) {
 		t.Fatal("covers should be true once the gap is filled")
 	}
@@ -89,11 +108,14 @@ func TestPropertyExtentMapMatchesReference(t *testing.T) {
 	type op struct {
 		Off  uint8
 		Len  uint8
-		Fill byte
+		Fill byte // 0 writes a Zero range; otherwise the content's Src
 	}
 	f := func(ops []op) bool {
 		const size = 600
-		ref := make([]byte, size)
+		ref := make([]int64, size)
+		for i := range ref {
+			ref[i] = -1
+		}
 		written := make([]bool, size)
 		m := extentMap{capture: true}
 		for _, o := range ops {
@@ -105,15 +127,20 @@ func TestPropertyExtentMapMatchesReference(t *testing.T) {
 			if n <= 0 {
 				continue
 			}
-			data := bytes.Repeat([]byte{o.Fill}, int(n))
-			m.write(off, n, data)
-			copy(ref[off:off+n], data)
+			src := Zero
+			if o.Fill != 0 {
+				src = int64(o.Fill) * 3
+			}
+			m.write(off, n, src)
 			for i := off; i < off+n; i++ {
+				ref[i] = -1
+				if src != Zero {
+					ref[i] = src + i - off
+				}
 				written[i] = true
 			}
 		}
-		got := m.read(0, size)
-		if !bytes.Equal(got, ref) {
+		if !reflect.DeepEqual(perByte(m.read(0, size, nil)), ref) {
 			return false
 		}
 		var cov int64
@@ -152,6 +179,8 @@ func TestSplitByServerStriping(t *testing.T) {
 	}
 }
 
+// TestSplitByServerCarriesData: each strip piece's descriptor advances with
+// its offset, so the pieces rejoin to the original segment.
 func TestSplitByServerCarriesData(t *testing.T) {
 	sim := des.New()
 	fs := New(sim, testConfig())
@@ -160,17 +189,15 @@ func TestSplitByServerCarriesData(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, 250)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	pieces := f.splitByServer([]Segment{{Offset: 50, Length: 250, Data: data}})
-	var rejoined []byte
-	for _, pc := range pieces {
-		rejoined = append(rejoined, pc.seg.Data...)
-	}
-	if !bytes.Equal(rejoined, data) {
-		t.Fatal("piece data does not rejoin to original")
+	for _, src := range []int64{50, 1000, Zero} {
+		whole := seg(50, 250, src)
+		var rejoined []Segment
+		for _, pc := range f.splitByServer([]Segment{whole}) {
+			rejoined = AppendPiece(rejoined, pc.seg)
+		}
+		if want := []Segment{whole}; !reflect.DeepEqual(rejoined, want) {
+			t.Fatalf("src %d: pieces rejoin to %v, want %v", src, rejoined, want)
+		}
 	}
 }
 
@@ -204,7 +231,7 @@ func TestWriteCostModel(t *testing.T) {
 	sim.Spawn("client", func(p *des.Proc) {
 		f := fs.Create(p, "out")
 		start := p.Now() // create costs one metadata op
-		f.Write(p, port, 0, 100, make([]byte, 100))
+		f.Write(p, port, 0, 100, 0)
 		doneAt = p.Now() - start
 	})
 	if err := sim.Run(); err != nil {
@@ -239,7 +266,7 @@ func TestWriteListParallelAcrossServers(t *testing.T) {
 				f.WriteList(p, port, segs)
 			} else {
 				for _, s := range segs {
-					f.Write(p, port, s.Offset, s.Length, nil)
+					f.Write(p, port, s.Offset, s.Length, s.Offset)
 				}
 			}
 			took = p.Now() - start
@@ -273,8 +300,8 @@ func TestWriteListBatchesSegmentsOnOneServer(t *testing.T) {
 		start := p.Now()
 		// Two segments, both on server 0 (strips 0 and 4).
 		f.WriteList(p, port, []Segment{
-			{Offset: 0, Length: 50, Data: make([]byte, 50)},
-			{Offset: 400, Length: 50, Data: make([]byte, 50)},
+			seg(0, 50, 0),
+			seg(400, 50, 400),
 		})
 		took = p.Now() - start
 	})
@@ -298,7 +325,7 @@ func TestSyncFlushesDirtyOnce(t *testing.T) {
 	var first, second des.Time
 	sim.Spawn("client", func(p *des.Proc) {
 		f := fs.Create(p, "out")
-		f.Write(p, port, 0, 100, make([]byte, 100)) // server 0 dirty: 100 B
+		f.Write(p, port, 0, 100, 0) // server 0 dirty: 100 B
 		start := p.Now()
 		f.Sync(p, port)
 		first = p.Now() - start
@@ -336,7 +363,7 @@ func TestConcurrentClientsSerializeAtServer(t *testing.T) {
 			p.Sleep(2 * des.Millisecond) // after setup
 			start := p.Now()
 			// Both write to server 0 strips (offsets 0 and 400).
-			f.Write(p, port, int64(i)*400, 100, nil)
+			f.Write(p, port, int64(i)*400, 100, int64(i)*400)
 			ends = append(ends, p.Now()-start)
 		})
 	}
@@ -363,8 +390,7 @@ func TestFileImageAcrossClients(t *testing.T) {
 		port := freePort(sim)
 		sim.Spawn("client", func(p *des.Proc) {
 			p.Sleep(2 * des.Millisecond)
-			data := bytes.Repeat([]byte{byte('a' + i)}, 250)
-			f.Write(p, port, int64(i)*250, 250, data)
+			f.Write(p, port, int64(i)*250, 250, int64(i)*250)
 		})
 	}
 	if err := sim.Run(); err != nil {
@@ -376,11 +402,12 @@ func TestFileImageAcrossClients(t *testing.T) {
 	if !f.FullyCovers(1000) {
 		t.Fatal("file should be fully covered")
 	}
-	img := f.ReadBack(0, 1000)
-	for i := 0; i < 1000; i++ {
-		if img[i] != byte('a'+i/250) {
-			t.Fatalf("byte %d = %c", i, img[i])
-		}
+	// Four placed quarters read back as one piece.
+	if got, want := f.ReadBack(0, 1000), []Segment{seg(0, 1000, 0)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("image = %v, want %v", got, want)
+	}
+	if !f.Placed(0, 1000) {
+		t.Fatal("placed quarters not verified")
 	}
 }
 
@@ -388,18 +415,17 @@ func TestReadReturnsWrittenData(t *testing.T) {
 	sim := des.New()
 	fs := New(sim, testConfig())
 	port := freePort(sim)
-	var got []byte
+	var got []Segment
 	sim.Spawn("client", func(p *des.Proc) {
 		f := fs.Create(p, "out")
-		f.Write(p, port, 10, 5, []byte("hello"))
+		f.Write(p, port, 10, 5, 10)
 		got = f.Read(p, port, 8, 9)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []byte{0, 0, 'h', 'e', 'l', 'l', 'o', 0, 0}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("read = %q, want %q", got, want)
+	if want := []Segment{z(8, 2), seg(10, 5, 10), z(15, 2)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("read = %v, want %v", got, want)
 	}
 }
 
@@ -424,7 +450,7 @@ func TestOpenAndLookup(t *testing.T) {
 }
 
 // Property: for random non-overlapping segment sets, WriteList stores the
-// same bytes as per-segment Writes, and never reports overlap.
+// same content as per-segment Writes, and never reports overlap.
 func TestPropertyListAndContigEquivalent(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%8) + 1
@@ -438,26 +464,24 @@ func TestPropertyListAndContigEquivalent(t *testing.T) {
 			if pos+gap+length > 2000 {
 				break
 			}
-			data := make([]byte, length)
-			rng.Read(data)
-			segs = append(segs, Segment{Offset: pos + gap, Length: length, Data: data})
+			segs = append(segs, seg(pos+gap, length, rng.Int63n(1<<20)))
 			pos += gap + length
 		}
 		if len(segs) == 0 {
 			return true
 		}
-		image := func(useList bool) []byte {
+		image := func(useList bool) []Segment {
 			sim := des.New()
 			fs := New(sim, testConfig())
 			port := freePort(sim)
-			var img []byte
+			var img []Segment
 			sim.Spawn("c", func(p *des.Proc) {
 				file := fs.Create(p, "out")
 				if useList {
 					file.WriteList(p, port, segs)
 				} else {
 					for _, s := range segs {
-						file.Write(p, port, s.Offset, s.Length, s.Data)
+						file.Write(p, port, s.Offset, s.Length, s.Src)
 					}
 				}
 				if file.OverlappedBytes() != 0 {
@@ -470,7 +494,7 @@ func TestPropertyListAndContigEquivalent(t *testing.T) {
 			}
 			return img
 		}
-		return bytes.Equal(image(true), image(false))
+		return reflect.DeepEqual(image(true), image(false))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func TestWriteZeroLengthIsNoop(t *testing.T) {
 	sim.Spawn("c", func(p *des.Proc) {
 		f := fs.Create(p, "x")
 		before := p.Now()
-		f.Write(p, port, 10, 0, nil)
+		f.Write(p, port, 10, 0, 10)
 		f.WriteList(p, port, nil)
 		if got := f.Read(p, port, 0, 0); got != nil {
 			t.Error("zero-length read returned data")
@@ -102,7 +102,7 @@ func TestLockingSerializesFalseSharing(t *testing.T) {
 				p.Sleep(2 * des.Millisecond)
 				// Offsets 0 and 100: different strips, different SERVERS,
 				// same 400-byte lock unit.
-				f.Write(p, port, int64(i)*100, 100, nil)
+				f.Write(p, port, int64(i)*100, 100, int64(i)*100)
 				if p.Now() > last {
 					last = p.Now()
 				}
@@ -138,7 +138,7 @@ func TestLockingDisjointUnitsStayParallel(t *testing.T) {
 			port := freePort(sim)
 			sim.Spawn("c", func(p *des.Proc) {
 				p.Sleep(2 * des.Millisecond)
-				f.Write(p, port, int64(i)*1000, 100, nil) // units 0 and 2 at gran 400
+				f.Write(p, port, int64(i)*1000, 100, int64(i)*1000) // units 0 and 2 at gran 400
 				if p.Now() > last {
 					last = p.Now()
 				}

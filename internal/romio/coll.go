@@ -180,29 +180,17 @@ func (g *Group) buildPlan(round *collRound) *collPlan {
 	}
 	for contributor, segs := range round.segs {
 		for _, s := range segs {
-			off, n := s.Offset, s.Length
-			var pos int64
-			for n > 0 {
+			for off, end := s.Offset, s.End(); off < end; {
 				d := domainOf(off)
-				dEnd := plan.domains[d+1]
-				take := n
-				if off+take > dEnd {
-					take = dEnd - off
-				}
-				piece := pvfs.Segment{Offset: off, Length: take}
-				if s.Data != nil {
-					piece.Data = s.Data[pos : pos+take]
-				}
+				take := min(end, plan.domains[d+1]) - off
 				agg := plan.aggregators[d]
 				m := plan.sendPieces[contributor]
 				if m == nil {
 					m = make(map[int][]pvfs.Segment)
 					plan.sendPieces[contributor] = m
 				}
-				m[agg] = append(m[agg], piece)
+				m[agg] = append(m[agg], s.Sub(off, off+take))
 				off += take
-				pos += take
-				n -= take
 			}
 		}
 	}
@@ -221,21 +209,18 @@ func isAggregator(rank int, plan *collPlan) bool {
 
 // coalesce sorts segments by offset and merges adjacent runs — inside an
 // aggregator's file domain the gathered pieces are usually dense, which is
-// precisely why two-phase writes are storage-efficient.
-func coalesce(segs []pvfs.Segment) []pvfs.Segment {
+// precisely why two-phase writes are storage-efficient. With content set
+// (a capturing write) a run merges only where its descriptors continue each
+// other too (Segment.Continues), so misplaced content is never glued onto
+// its neighbour; otherwise offset adjacency alone merges.
+func coalesce(segs []pvfs.Segment, content bool) []pvfs.Segment {
 	sort.Slice(segs, func(i, j int) bool { return segs[i].Offset < segs[j].Offset })
 	out := segs[:0:0]
 	for _, s := range segs {
-		if len(out) > 0 {
-			last := &out[len(out)-1]
-			if last.Offset+last.Length == s.Offset &&
-				(last.Data != nil) == (s.Data != nil) {
-				if last.Data != nil {
-					last.Data = append(append([]byte(nil), last.Data...), s.Data...)
-				}
-				last.Length += s.Length
-				continue
-			}
+		if n := len(out); n > 0 && out[n-1].End() == s.Offset &&
+			(!content || out[n-1].Continues(s)) {
+			out[n-1].Length += s.Length
+			continue
 		}
 		out = append(out, s)
 	}

@@ -75,7 +75,7 @@ func TestListSyncCollectiveImage(t *testing.T) {
 			for round := 0; round < 2; round++ {
 				off := int64(round*3+rk) * segSize
 				g.WriteAll(r, []pvfs.Segment{
-					{Offset: off, Length: segSize, Data: pattern(off, segSize)},
+					placed(off, segSize),
 				})
 			}
 		})
@@ -136,8 +136,8 @@ func TestSieveZeroBufferTerminates(t *testing.T) {
 		const segSize = 64
 		e.w.Spawn(0, "r0", func(r *mpi.Rank) {
 			e.f.WriteSegsHinted(r, []pvfs.Segment{
-				{Offset: 0, Length: segSize, Data: pattern(0, segSize)},
-				{Offset: 2 * segSize, Length: segSize, Data: pattern(2*segSize, segSize)},
+				placed(0, segSize),
+				placed(2*segSize, segSize),
 			}, Hints{IndWriteMethod: DataSieve, SieveBufferSize: size})
 		})
 		if err := e.sim.Run(); err != nil {
@@ -159,7 +159,7 @@ func TestWriteSegsHintedOverridesMethod(t *testing.T) {
 	segs := func() []pvfs.Segment {
 		var s []pvfs.Segment
 		for i := int64(0); i < 8; i++ {
-			s = append(s, pvfs.Segment{Offset: i * 512, Length: 256, Data: pattern(i*512, 256)})
+			s = append(s, placed(i*512, 256))
 		}
 		return s
 	}
@@ -200,7 +200,7 @@ func TestWriteAllHintedCBNodesOverride(t *testing.T) {
 		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
 			off := int64(rk) * segSize
 			g.WriteAllHinted(r, []pvfs.Segment{
-				{Offset: off, Length: segSize, Data: pattern(off, segSize)},
+				placed(off, segSize),
 			}, h)
 		})
 	}

@@ -16,15 +16,15 @@ import (
 // FSM processes execute the identical event sequence.
 
 // StartReadAt arms op as rank r's individual contiguous read (the resumable
-// form of ReadAt; fetch captured bytes with op.ReadData after completion).
+// form of ReadAt; fetch captured pieces with op.ReadPieces after completion).
 func (f *File) StartReadAt(op *pvfs.IssueOp, r *mpi.Rank, off, n int64) {
 	op.InitRead(r.Proc(), f.pv, f.port(r), off, n)
 }
 
 // StartWriteAt arms op as rank r's individual contiguous write (the
 // resumable form of WriteAt).
-func (f *File) StartWriteAt(op *pvfs.IssueOp, r *mpi.Rank, off, n int64, data []byte) {
-	op.InitWrite(r.Proc(), f.pv, f.port(r), off, n, data)
+func (f *File) StartWriteAt(op *pvfs.IssueOp, r *mpi.Rank, off, n, src int64) {
+	op.InitWrite(r.Proc(), f.pv, f.port(r), off, n, src)
 }
 
 // StartSync arms op as rank r's file sync (the resumable form of Sync).
@@ -111,7 +111,7 @@ func (op *WriteSegsOp) Step() bool {
 			for op.i < len(op.segs) {
 				if !op.armed {
 					s := op.segs[op.i]
-					op.issue.InitWrite(p, f.pv, port, s.Offset, s.Length, s.Data)
+					op.issue.InitWrite(p, f.pv, port, s.Offset, s.Length, s.Src)
 					op.armed = true
 				}
 				if !op.issue.Step() {
@@ -151,22 +151,21 @@ func (op *WriteSegsOp) Step() bool {
 			if !op.issue.Step() {
 				return false
 			}
-			img := op.issue.ReadData()
+			img := op.issue.ReadPieces() // nil unless capturing
 			if img == nil {
-				img = make([]byte, op.winN)
+				op.issue.InitWrite(p, f.pv, port, op.winLo, op.winN, pvfs.Zero)
+				op.pc = segsSieveWrite
+				continue
 			}
+			// Overlay the window's segments on the image read back, in
+			// sorted order, and write the whole window as one range.
 			for k := 0; k < op.j; k++ {
 				s := op.sorted[k]
-				lo := s.Offset
-				hi := s.Offset + s.Length
-				if hi > op.last {
-					hi = op.last
-				}
-				if s.Data != nil && hi > lo {
-					copy(img[lo-op.winLo:hi-op.winLo], s.Data[:hi-lo])
+				if hi := min(s.End(), op.last); hi > s.Offset {
+					img = pvfs.Overlay(img, s.Sub(s.Offset, hi))
 				}
 			}
-			op.issue.InitWrite(p, f.pv, port, op.winLo, op.winN, img)
+			op.issue.InitWriteImage(p, f.pv, port, img)
 			op.pc = segsSieveWrite
 		case segsSieveWrite:
 			if !op.issue.Step() {
@@ -177,13 +176,8 @@ func (op *WriteSegsOp) Step() bool {
 			var carry []pvfs.Segment
 			for k := 0; k < op.j; k++ {
 				s := op.sorted[k]
-				if s.Offset+s.Length > op.last {
-					over := s.Offset + s.Length - op.last
-					cs := pvfs.Segment{Offset: op.last, Length: over}
-					if s.Data != nil {
-						cs.Data = s.Data[s.Length-over:]
-					}
-					carry = append(carry, cs)
+				if s.End() > op.last {
+					carry = append(carry, s.Sub(op.last, s.End()))
 				}
 			}
 			rest := append(carry, op.sorted[op.j:]...)
@@ -352,7 +346,7 @@ func (op *CollWriteOp) Step() bool {
 				op.recvd++
 			}
 			if len(op.gathered) > 0 {
-				coalesced := coalesce(op.gathered)
+				coalesced := coalesce(op.gathered, g.f.pv.Captures())
 				op.issue.InitWriteList(p, g.f.pv, g.f.port(r), coalesced)
 				op.pc = collAggWrite
 				continue

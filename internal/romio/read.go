@@ -32,7 +32,7 @@ type ReadSegsOp struct {
 	r      *mpi.Rank
 	method Method
 	segs   []pvfs.Segment
-	data   [][]byte // per original segment; nil entries unless capturing
+	pieces [][]pvfs.Segment // per original segment; nil entries unless capturing
 	issue  pvfs.IssueOp
 	pc     uint8
 
@@ -50,11 +50,10 @@ type ReadSegsOp struct {
 }
 
 // sieveRange is a pending sub-range of one original segment: where it sits
-// in the file and where its bytes land in the caller's output.
+// in the file and which segment's pieces it extends.
 type sieveRange struct {
 	off, n int64
-	idx    int   // original segment index
-	pos    int64 // byte position within that segment
+	idx    int // original segment index
 }
 
 const (
@@ -69,12 +68,12 @@ const (
 // An empty list completes immediately.
 func (op *ReadSegsOp) Init(f *File, r *mpi.Rank, method Method, segs []pvfs.Segment) {
 	op.f, op.r, op.method, op.segs = f, r, method, segs
-	op.data = nil
+	op.pieces = nil
 	if len(segs) == 0 {
 		op.pc = rsegsDone
 		return
 	}
-	op.data = make([][]byte, len(segs))
+	op.pieces = make([][]pvfs.Segment, len(segs))
 	switch method {
 	case Posix:
 		op.i, op.armed = 0, false
@@ -95,7 +94,8 @@ func (op *ReadSegsOp) Init(f *File, r *mpi.Rank, method Method, segs []pvfs.Segm
 }
 
 // Step drives the read; true means every segment's bytes are in from
-// storage (and, when the file system captures data, in Data()).
+// storage (and, when the file system captures content, described by
+// Pieces()).
 func (op *ReadSegsOp) Step() bool {
 	f, r := op.f, op.r
 	p, port := r.Proc(), f.port(r)
@@ -115,7 +115,7 @@ func (op *ReadSegsOp) Step() bool {
 				if !op.issue.Step() {
 					return false
 				}
-				op.data[op.i] = op.issue.ReadData()
+				op.pieces[op.i] = op.issue.ReadPieces()
 				op.armed = false
 				op.i++
 			}
@@ -125,8 +125,8 @@ func (op *ReadSegsOp) Step() bool {
 			if !op.issue.Step() {
 				return false
 			}
-			if got := op.issue.ReadSegsData(); got != nil {
-				copy(op.data, got)
+			if got := op.issue.ReadSegsPieces(); got != nil {
+				copy(op.pieces, got)
 			}
 			op.pc = rsegsDone
 			return true
@@ -157,26 +157,19 @@ func (op *ReadSegsOp) Step() bool {
 			if !op.issue.Step() {
 				return false
 			}
-			img := op.issue.ReadData() // nil unless capturing
+			img := op.issue.ReadPieces() // nil unless capturing
 			var carry []sieveRange
 			for k := 0; k < op.j; k++ {
 				s := op.sorted[k]
-				hi := s.off + s.n
-				if hi > op.last {
-					hi = op.last
-				}
-				if img != nil && hi > s.off {
-					if op.data[s.idx] == nil {
-						op.data[s.idx] = make([]byte, op.segs[s.idx].Length)
-					}
-					copy(op.data[s.idx][s.pos:s.pos+(hi-s.off)], img[s.off-op.winLo:hi-op.winLo])
+				hi := min(s.off+s.n, op.last)
+				if img != nil {
+					// A segment's windows come in file order, so its pieces
+					// extend in order too.
+					op.pieces[s.idx] = pvfs.AppendRange(op.pieces[s.idx], img, s.off, hi)
 				}
 				// Any tail beyond the window re-slices into the next pass.
 				if s.off+s.n > op.last {
-					over := s.off + s.n - op.last
-					carry = append(carry, sieveRange{
-						off: op.last, n: over, idx: s.idx, pos: s.pos + s.n - over,
-					})
+					carry = append(carry, sieveRange{off: op.last, n: s.off + s.n - op.last, idx: s.idx})
 				}
 			}
 			rest := append(carry, op.sorted[op.j:]...)
@@ -187,21 +180,22 @@ func (op *ReadSegsOp) Step() bool {
 	}
 }
 
-// Data returns the bytes read per original segment, zero-filled in file
-// gaps. Entries are nil unless the file system captures data. Valid only
+// Pieces returns, per original segment, the descriptor pieces read: they
+// tile the segment in file order, with file gaps as pvfs.Zero pieces.
+// Entries are nil unless the file system captures content. Valid only
 // after Step has returned true.
-func (op *ReadSegsOp) Data() [][]byte { return op.data }
+func (op *ReadSegsOp) Pieces() [][]pvfs.Segment { return op.pieces }
 
 // ReadSegs performs an individual noncontiguous read of segs from rank r
-// using the given ADIO method, returning the per-segment bytes (nil entries
-// unless the file system captures data). The methods live in ReadSegsOp so
-// FSM processes can run them resumably; this wrapper drives it to
-// completion for goroutine processes.
-func (f *File) ReadSegs(r *mpi.Rank, method Method, segs []pvfs.Segment) [][]byte {
+// using the given ADIO method, returning the per-segment pieces (nil
+// entries unless the file system captures content). The methods live in
+// ReadSegsOp so FSM processes can run them resumably; this wrapper drives
+// it to completion for goroutine processes.
+func (f *File) ReadSegs(r *mpi.Rank, method Method, segs []pvfs.Segment) [][]pvfs.Segment {
 	var op ReadSegsOp
 	op.Init(f, r, method, segs)
 	op.Step()
-	return op.Data()
+	return op.Pieces()
 }
 
 // CollReadOp is Group.ReadAll as a resumable operation: one collective read
@@ -213,10 +207,10 @@ func (f *File) ReadSegs(r *mpi.Rank, method Method, segs []pvfs.Segment) [][]byt
 // the end. Read rounds use their own round state and tag space, so they
 // interleave safely with write rounds.
 type CollReadOp struct {
-	g    *Group
-	r    *mpi.Rank
-	segs []pvfs.Segment
-	data [][]byte
+	g      *Group
+	r      *mpi.Rank
+	segs   []pvfs.Segment
+	pieces [][]pvfs.Segment
 
 	round     *collRound
 	plan      *collPlan
@@ -257,9 +251,9 @@ func (op *CollReadOp) Init(g *Group, r *mpi.Rank, segs []pvfs.Segment) {
 	op.plan = nil
 	op.sends = op.sends[:0]
 	op.rreq = nil
-	op.data = nil
+	op.pieces = nil
 	if len(segs) > 0 {
-		op.data = make([][]byte, len(segs))
+		op.pieces = make([][]pvfs.Segment, len(segs))
 	}
 	if g.curRead == nil {
 		g.curRead = &collRound{id: g.round, segs: make(map[int][]pvfs.Segment, len(g.ranks)), hints: g.f.hints}
@@ -295,7 +289,7 @@ func (op *CollReadOp) depart() {
 	op.pc = rcollExit
 }
 
-// fill materializes the caller's per-segment bytes from the file's captured
+// fill takes the caller's per-segment pieces from the file's captured
 // store. The costed path (reads, redistribution transfers) has already run;
 // the aggregators' list reads covered exactly these bytes, so the stored
 // extents are the content the exchange delivered — including any corruption
@@ -305,7 +299,7 @@ func (op *CollReadOp) fill() {
 		return
 	}
 	for i, s := range op.segs {
-		op.data[i] = op.g.f.pv.ReadBack(s.Offset, s.Length)
+		op.pieces[i] = op.g.f.pv.ReadBack(s.Offset, s.Length)
 	}
 }
 
@@ -319,8 +313,8 @@ func (op *CollReadOp) Step() bool {
 			if !op.issue.Step() {
 				return false
 			}
-			if got := op.issue.ReadSegsData(); got != nil {
-				copy(op.data, got)
+			if got := op.issue.ReadSegsPieces(); got != nil {
+				copy(op.pieces, got)
 			}
 			op.depart()
 		case rcollEntry:
@@ -434,7 +428,7 @@ func (op *CollReadOp) startExchange() {
 			domain = append(domain, plan.sendPieces[contributor][me]...)
 		}
 		if len(domain) > 0 {
-			coalesced := coalesce(domain)
+			coalesced := coalesce(domain, false)
 			op.issue.InitReadList(r.Proc(), op.g.f.pv, op.g.f.port(r), coalesced)
 			op.pc = rcollAggRead
 			return
@@ -443,20 +437,20 @@ func (op *CollReadOp) startExchange() {
 	op.pc = rcollRecv
 }
 
-// Data returns the bytes read per original segment, zero-filled in file
-// gaps. Entries are nil unless the file system captures data. Valid only
-// after Step has returned true.
-func (op *CollReadOp) Data() [][]byte { return op.data }
+// Pieces returns, per original segment, the descriptor pieces read (as
+// ReadSegsOp.Pieces). Entries are nil unless the file system captures
+// content. Valid only after Step has returned true.
+func (op *CollReadOp) Pieces() [][]pvfs.Segment { return op.pieces }
 
 // ReadAll performs one collective read round from rank r, returning the
-// per-segment bytes (nil entries unless the file system captures data).
-// Blocks until the round's exit synchronization; the round itself lives in
-// CollReadOp so FSM processes can run it resumably.
-func (g *Group) ReadAll(r *mpi.Rank, segs []pvfs.Segment) [][]byte {
+// per-segment pieces (nil entries unless the file system captures
+// content). Blocks until the round's exit synchronization; the round itself
+// lives in CollReadOp so FSM processes can run it resumably.
+func (g *Group) ReadAll(r *mpi.Rank, segs []pvfs.Segment) [][]pvfs.Segment {
 	var op CollReadOp
 	op.Init(g, r, segs)
 	op.Step()
-	return op.Data()
+	return op.Pieces()
 }
 
 // sortedContributors returns the plan's contributor ranks in ascending

@@ -183,14 +183,16 @@ func (f *File) Hints() Hints { return f.hints }
 // port returns rank r's storage port.
 func (f *File) port(r *mpi.Rank) *pvfs.Port { return f.ports[r.Rank()] }
 
-// WriteAt performs an individual contiguous write from rank r.
-func (f *File) WriteAt(r *mpi.Rank, off, n int64, data []byte) {
-	f.pv.Write(r.Proc(), f.port(r), off, n, data)
+// WriteAt performs an individual contiguous write from rank r of n bytes
+// at off holding stream content from src (pvfs.Segment.Src).
+func (f *File) WriteAt(r *mpi.Rank, off, n, src int64) {
+	f.pv.Write(r.Proc(), f.port(r), off, n, src)
 }
 
 // ReadAt performs an individual contiguous read from rank r, returning the
-// stored bytes when the file system captures data (nil otherwise).
-func (f *File) ReadAt(r *mpi.Rank, off, n int64) []byte {
+// descriptor pieces tiling the range when the file system captures content
+// (nil otherwise).
+func (f *File) ReadAt(r *mpi.Rank, off, n int64) []pvfs.Segment {
 	return f.pv.Read(r.Proc(), f.port(r), off, n)
 }
 

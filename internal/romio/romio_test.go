@@ -3,6 +3,7 @@ package romio
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -43,7 +44,7 @@ type env struct {
 	f   *File
 }
 
-func newEnv(t *testing.T, ranks int, hints Hints) *env {
+func newEnv(t testing.TB, ranks int, hints Hints) *env {
 	t.Helper()
 	sim := des.New()
 	w := mpi.NewWorld(sim, ranks, testNet())
@@ -58,23 +59,36 @@ func newEnv(t *testing.T, ranks int, hints Hints) *env {
 	return e
 }
 
+// fillPattern is the test content stream: stream byte x is x mod 251.
+func fillPattern(dst []byte, src int64) {
+	for i := range dst {
+		dst[i] = byte((src + int64(i)) % 251)
+	}
+}
+
+// pattern returns the stream bytes of [off, off+n).
 func pattern(off, n int64) []byte {
 	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte((off + int64(i)) % 251)
-	}
+	fillPattern(b, off)
 	return b
 }
+
+// bytesOf exports descriptor pieces as bytes (pvfs.Bytes) so tests can
+// compare file images byte for byte.
+func bytesOf(pieces []pvfs.Segment) []byte { return pvfs.Bytes(pieces, fillPattern) }
+
+// placed returns a segment carrying the content of its own offset.
+func placed(off, n int64) pvfs.Segment { return pvfs.Segment{Offset: off, Length: n, Src: off} }
 
 func TestWriteAtStoresData(t *testing.T) {
 	e := newEnv(t, 1, DefaultHints())
 	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		e.f.WriteAt(r, 10, 300, pattern(10, 300))
+		e.f.WriteAt(r, 10, 300, 10)
 	})
 	if err := e.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.f.PV().ReadBack(10, 300); !bytes.Equal(got, pattern(10, 300)) {
+	if got := bytesOf(e.f.PV().ReadBack(10, 300)); !bytes.Equal(got, pattern(10, 300)) {
 		t.Fatal("WriteAt image mismatch")
 	}
 }
@@ -84,7 +98,7 @@ func sparseSegs(base int64, count int, size, gap int64) []pvfs.Segment {
 	var segs []pvfs.Segment
 	off := base
 	for i := 0; i < count; i++ {
-		segs = append(segs, pvfs.Segment{Offset: off, Length: size, Data: pattern(off, size)})
+		segs = append(segs, placed(off, size))
 		off += size + gap
 	}
 	return segs
@@ -109,7 +123,7 @@ func TestIndividualMethodsProduceSameImage(t *testing.T) {
 		if err := e.sim.Run(); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		images[m] = e.f.PV().ReadBack(0, total)
+		images[m] = bytesOf(e.f.PV().ReadBack(0, total))
 		if m != DataSieve && e.f.PV().OverlappedBytes() != 0 {
 			t.Fatalf("%v: unexpected overlap", m)
 		}
@@ -128,20 +142,21 @@ func TestDataSievePreservesExistingBytes(t *testing.T) {
 	e := newEnv(t, 1, h)
 	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
 		// Pre-existing data across the extent.
-		e.f.WriteAt(r, 0, 200, pattern(0, 200))
-		// Sieved sparse overwrite of two pieces.
+		e.f.WriteAt(r, 0, 200, 0)
+		// Sieved sparse overwrite of two pieces with content from
+		// elsewhere in the stream.
 		e.f.WriteSegs(r, []pvfs.Segment{
-			{Offset: 20, Length: 10, Data: bytes.Repeat([]byte{0xAA}, 10)},
-			{Offset: 90, Length: 10, Data: bytes.Repeat([]byte{0xBB}, 10)},
+			{Offset: 20, Length: 10, Src: 1000},
+			{Offset: 90, Length: 10, Src: 2000},
 		})
 	})
 	if err := e.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	img := e.f.PV().ReadBack(0, 200)
+	img := bytesOf(e.f.PV().ReadBack(0, 200))
 	want := pattern(0, 200)
-	copy(want[20:30], bytes.Repeat([]byte{0xAA}, 10))
-	copy(want[90:100], bytes.Repeat([]byte{0xBB}, 10))
+	copy(want[20:30], pattern(1000, 10))
+	copy(want[90:100], pattern(2000, 10))
 	if !bytes.Equal(img, want) {
 		t.Fatal("data sieving clobbered bytes between segments")
 	}
@@ -163,10 +178,10 @@ func TestDataSieveMultipleWindows(t *testing.T) {
 	if err := e.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	img := e.f.PV().ReadBack(0, total)
+	img := bytesOf(e.f.PV().ReadBack(0, total))
 	want := make([]byte, total)
 	for _, s := range segs {
-		copy(want[s.Offset:s.Offset+s.Length], s.Data)
+		copy(want[s.Offset:s.Offset+s.Length], pattern(s.Src, s.Length))
 	}
 	if !bytes.Equal(img, want) {
 		t.Fatal("multi-window sieve image mismatch")
@@ -178,14 +193,13 @@ func TestDataSieveSegmentLargerThanBuffer(t *testing.T) {
 	h.IndWriteMethod = DataSieve
 	h.SieveBufferSize = 64
 	e := newEnv(t, 1, h)
-	data := pattern(5, 300)
 	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		e.f.WriteSegs(r, []pvfs.Segment{{Offset: 5, Length: 300, Data: data}})
+		e.f.WriteSegs(r, []pvfs.Segment{placed(5, 300)})
 	})
 	if err := e.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.f.PV().ReadBack(5, 300); !bytes.Equal(got, data) {
+	if !e.f.PV().Placed(5, 300) {
 		t.Fatal("oversized segment mishandled by sieve")
 	}
 }
@@ -224,7 +238,7 @@ func TestCollectiveWriteImage(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		off := int64(i) * segSize
 		perRank[i%n] = append(perRank[i%n],
-			pvfs.Segment{Offset: off, Length: segSize, Data: pattern(off, segSize)})
+			placed(off, segSize))
 		total = off + segSize
 	}
 	var releases []des.Time
@@ -241,10 +255,10 @@ func TestCollectiveWriteImage(t *testing.T) {
 	want := make([]byte, total)
 	for _, segs := range perRank {
 		for _, s := range segs {
-			copy(want[s.Offset:], s.Data)
+			copy(want[s.Offset:], pattern(s.Src, s.Length))
 		}
 	}
-	if !bytes.Equal(e.f.PV().ReadBack(0, total), want) {
+	if !bytes.Equal(bytesOf(e.f.PV().ReadBack(0, total)), want) {
 		t.Fatal("collective image mismatch")
 	}
 	if e.f.PV().OverlappedBytes() != 0 {
@@ -269,7 +283,7 @@ func TestCollectiveMultipleRounds(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				off := int64(round*n+rk) * segSize
 				g.WriteAll(r, []pvfs.Segment{
-					{Offset: off, Length: segSize, Data: pattern(off, segSize)},
+					placed(off, segSize),
 				})
 			}
 		})
@@ -285,7 +299,7 @@ func TestCollectiveMultipleRounds(t *testing.T) {
 	for i := int64(0); i < total; i++ {
 		want[i] = byte(i % 251)
 	}
-	if !bytes.Equal(e.f.PV().ReadBack(0, total), want) {
+	if !bytes.Equal(bytesOf(e.f.PV().ReadBack(0, total)), want) {
 		t.Fatal("multi-round collective image mismatch")
 	}
 }
@@ -299,7 +313,7 @@ func TestCollectiveEmptyContributor(t *testing.T) {
 		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
 			var segs []pvfs.Segment
 			if rk == 1 {
-				segs = []pvfs.Segment{{Offset: 0, Length: 100, Data: pattern(0, 100)}}
+				segs = []pvfs.Segment{placed(0, 100)}
 			}
 			g.WriteAll(r, segs)
 		})
@@ -307,7 +321,7 @@ func TestCollectiveEmptyContributor(t *testing.T) {
 	if err := e.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(e.f.PV().ReadBack(0, 100), pattern(0, 100)) {
+	if !bytes.Equal(bytesOf(e.f.PV().ReadBack(0, 100)), pattern(0, 100)) {
 		t.Fatal("image mismatch with empty contributors")
 	}
 }
@@ -343,7 +357,7 @@ func TestCollectiveCBNodesHint(t *testing.T) {
 		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
 			off := int64(rk) * segSize
 			g.WriteAll(r, []pvfs.Segment{
-				{Offset: off, Length: segSize, Data: pattern(off, segSize)},
+				placed(off, segSize),
 			})
 		})
 	}
@@ -355,7 +369,7 @@ func TestCollectiveCBNodesHint(t *testing.T) {
 	for i := range want {
 		want[i] = byte(i % 251)
 	}
-	if !bytes.Equal(e.f.PV().ReadBack(0, total), want) {
+	if !bytes.Equal(bytesOf(e.f.PV().ReadBack(0, total)), want) {
 		t.Fatal("single-aggregator image mismatch")
 	}
 	// With one aggregator and a fully dense extent, the write coalesces into
@@ -368,7 +382,7 @@ func TestCollectiveCBNodesHint(t *testing.T) {
 func TestSyncRuns(t *testing.T) {
 	e := newEnv(t, 1, DefaultHints())
 	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		e.f.WriteAt(r, 0, 100, pattern(0, 100))
+		e.f.WriteAt(r, 0, 100, 0)
 		before := r.Now()
 		e.f.Sync(r)
 		if r.Now() == before {
@@ -381,27 +395,33 @@ func TestSyncRuns(t *testing.T) {
 }
 
 func TestCoalesce(t *testing.T) {
-	segs := []pvfs.Segment{
-		{Offset: 100, Length: 10, Data: bytes.Repeat([]byte{2}, 10)},
-		{Offset: 0, Length: 50, Data: bytes.Repeat([]byte{1}, 50)},
-		{Offset: 50, Length: 50, Data: bytes.Repeat([]byte{3}, 50)},
-		{Offset: 200, Length: 10, Data: bytes.Repeat([]byte{4}, 10)},
+	segs := func() []pvfs.Segment {
+		return []pvfs.Segment{
+			{Offset: 100, Length: 10, Src: 100},
+			{Offset: 0, Length: 50, Src: 0},
+			{Offset: 50, Length: 50, Src: 50},
+			{Offset: 200, Length: 10, Src: 200},
+			{Offset: 210, Length: 10, Src: 900}, // file-adjacent, content from elsewhere
+			{Offset: 220, Length: 5, Src: pvfs.Zero},
+			{Offset: 225, Length: 5, Src: pvfs.Zero},
+		}
 	}
-	out := coalesce(segs)
-	if len(out) != 2 {
-		t.Fatalf("coalesced to %d runs, want 2", len(out))
+	out := coalesce(segs(), true)
+	want := []pvfs.Segment{
+		{Offset: 0, Length: 110, Src: 0},
+		{Offset: 200, Length: 10, Src: 200},
+		{Offset: 210, Length: 10, Src: 900},
+		{Offset: 220, Length: 10, Src: pvfs.Zero},
 	}
-	if out[0].Offset != 0 || out[0].Length != 110 {
-		t.Fatalf("run 0 = %+v", out[0])
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("capturing coalesce = %v, want %v", out, want)
 	}
-	if out[1].Offset != 200 || out[1].Length != 10 {
-		t.Fatalf("run 1 = %+v", out[1])
-	}
-	if int64(len(out[0].Data)) != out[0].Length {
-		t.Fatalf("run 0 data length %d", len(out[0].Data))
-	}
-	if out[0].Data[49] != 1 || out[0].Data[50] != 3 || out[0].Data[100] != 2 {
-		t.Fatal("coalesced data out of order")
+	// Without content, offset adjacency alone merges (the rule non-capturing
+	// runs have always used, so their segment counts do not move).
+	out = coalesce(segs(), false)
+	want = []pvfs.Segment{{Offset: 0, Length: 110, Src: 0}, {Offset: 200, Length: 30, Src: 200}}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("offset-only coalesce = %v, want %v", out, want)
 	}
 }
 
@@ -415,7 +435,7 @@ func TestPropertyCollectiveMatchesIndividual(t *testing.T) {
 		off := int64(0)
 		for i := 0; i < 12; i++ {
 			length := int64(rng.Intn(90)) + 1
-			seg := pvfs.Segment{Offset: off, Length: length, Data: pattern(off, length)}
+			seg := placed(off, length)
 			owner := rng.Intn(n)
 			perRank[owner] = append(perRank[owner], seg)
 			off += length
@@ -437,7 +457,7 @@ func TestPropertyCollectiveMatchesIndividual(t *testing.T) {
 				t.Error(err)
 				return nil
 			}
-			return e.f.PV().ReadBack(0, off)
+			return bytesOf(e.f.PV().ReadBack(0, off))
 		}
 		return bytes.Equal(image(true), image(false))
 	}

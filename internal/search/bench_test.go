@@ -36,19 +36,3 @@ func BenchmarkFillContent(b *testing.B) {
 		w.FillContent(buf, 3)
 	}
 }
-
-// BenchmarkContentEqual measures payload verification throughput over a
-// 64 KiB extent at an unaligned offset. It must stay 0 allocs/op.
-func BenchmarkContentEqual(b *testing.B) {
-	w := Generate(DefaultSpec())
-	buf := make([]byte, 64<<10)
-	w.FillContent(buf, 3)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !w.ContentEqual(buf, 3) {
-			b.Fatal("content mismatch")
-		}
-	}
-}

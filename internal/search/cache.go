@@ -56,9 +56,9 @@ type cacheEntry struct {
 //
 // Sharing is sound because a generated Workload is immutable: Generate
 // materializes every query, result, offset and per-fragment index up front,
-// TaskResults returns a fresh copy, and FillContent/ContentEqual compute
-// file content as a pure function of (seed, file offset) — no lazy
-// buffers, no hidden mutation.
+// TaskResults returns a fresh copy, and FillContent computes file content
+// as a pure function of (seed, file offset) — no lazy buffers, no hidden
+// mutation.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry

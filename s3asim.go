@@ -356,10 +356,11 @@ const (
 )
 
 // Verified read path (internal/core/readback.go, DESIGN.md §14): file
-// content is a seeded pseudo-random function of the file offset; writers
-// fill result segments from it, and verifiers read committed extents back
-// through a real ADIO read strategy and compare every byte with the content
-// at its offset. Attach via Config.Readback (requires Config.CaptureData).
+// content is a seeded pseudo-random stream addressed by file offset; writers
+// tag each segment with the stream range it carries, and verifiers read
+// committed extents back through a real ADIO read strategy and check that
+// every piece read holds the content of its own offset. Attach via
+// Config.Readback (requires Config.CaptureData).
 type ReadbackConfig = core.ReadbackConfig
 
 // Readback suite: the mixed GET/PUT verification sweep and the
