@@ -6,7 +6,7 @@
 // Usage:
 //
 //	s3abench [-suite procs|speed|figures|extensions|chaos|readback|scale|serve|adaptive|all] [-quick] [-csv]
-//	         [-reps N] [-parallel N] [-json dir] [-diff baseline.json]
+//	         [-reps N] [-parallel N]
 //	         [-explain] [-trace-dir dir] [-metrics] [-pprof file]
 //
 // The full paper suite takes several minutes sequentially; every cell of a
@@ -46,16 +46,12 @@
 // (compute, io-service, io-queue, sync-wait, merge, transit, recovery), with
 // an exact conservation check and a WW-Coll vs WW-List path diff.
 //
-// Unless -json is empty, a machine-readable record of the run — per-suite
-// wall-clock, parallelism, estimated speedup over sequential execution, and
-// workload-cache hit/miss counts — is written to <dir>/BENCH_<n>.json
-// (n = highest existing index + 1), seeding the repo's performance
-// trajectory. -diff compares this run against a previously written record
-// (e.g. the committed results/BENCH_0001.json) and prints per-suite deltas.
+// Each suite's host wall-clock time, parallelism, and executor profile go
+// to stderr; stdout carries only the deterministic tables. The repo's
+// performance record is the separate perfbench module.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -69,64 +65,6 @@ import (
 	"s3asim"
 )
 
-// suiteRecord is one suite's entry in the JSON output.
-type suiteRecord struct {
-	Name        string  `json:"name"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Parallelism int     `json:"parallelism"`
-	// CellSeconds sums per-cell wall time — the estimated sequential cost —
-	// and Speedup is CellSeconds/WallSeconds. Zero for the extensions suite,
-	// which is a bundle of heterogeneous studies.
-	CellSeconds float64 `json:"cell_seconds,omitempty"`
-	Speedup     float64 `json:"speedup,omitempty"`
-	Cells       int     `json:"cells,omitempty"`
-	// MaxConcurrent and Occupancy are the executor's self-profile: the peak
-	// number of simulations in flight and the realized pool utilization.
-	MaxConcurrent int     `json:"max_concurrent,omitempty"`
-	Occupancy     float64 `json:"occupancy,omitempty"`
-	CacheHits     uint64  `json:"workload_cache_hits"`
-	CacheMisses   uint64  `json:"workload_cache_misses"`
-	// Serve carries the serving suite's per-cell telemetry (additive; absent
-	// for every other suite).
-	Serve []serveCellRecord `json:"serve,omitempty"`
-}
-
-// serveCellRecord is one (strategy, load) cell of the serving suite in the
-// JSON output: the headline percentiles, throughput, and SLO accounting.
-type serveCellRecord struct {
-	Strategy   string  `json:"strategy"`
-	Load       float64 `json:"load"`
-	OfferedQPS float64 `json:"offered_qps"`
-	Queries    int     `json:"queries"`
-	TputQPS    float64 `json:"tput_qps"`
-	P50Seconds float64 `json:"p50_seconds"`
-	P99Seconds float64 `json:"p99_seconds"`
-	P999Secs   float64 `json:"p999_seconds"`
-	Violations int     `json:"slo_violations"`
-	// Telemetry counts (present only when -window was set). Like the
-	// latency fields these are virtual-time quantities, identical on every
-	// machine and at every sweep parallelism.
-	Windows     int `json:"windows,omitempty"`
-	AlertsFired int `json:"alerts_fired,omitempty"`
-	FlightDumps int `json:"flight_dumps,omitempty"`
-}
-
-// benchRecord is the top-level JSON document. SchemaVersion guards the
-// committed-baseline diff (`make bench-diff`): bump it when a field changes
-// meaning, and regenerate the baseline.
-type benchRecord struct {
-	SchemaVersion int           `json:"schema_version"`
-	Timestamp     string        `json:"timestamp"`
-	GoMaxProcs    int           `json:"gomaxprocs"`
-	Parallelism   int           `json:"parallelism"`
-	Quick         bool          `json:"quick"`
-	Repetitions   int           `json:"repetitions"`
-	Suites        []suiteRecord `json:"suites"`
-}
-
-// benchSchemaVersion is the current benchRecord schema.
-const benchSchemaVersion = 1
-
 func main() {
 	var (
 		suite    = flag.String("suite", "all", "which suite to run: procs, speed, figures, extensions, chaos, readback, scale, serve, adaptive, all")
@@ -137,8 +75,6 @@ func main() {
 		chart    = flag.Bool("chart", false, "render ASCII charts after the tables")
 		figs     = flag.String("figs", "", "write figure SVGs into this directory")
 		parallel = flag.Int("parallel", 0, "concurrent simulation cells (0 = GOMAXPROCS, 1 = sequential)")
-		jsonDir  = flag.String("json", "results", "write BENCH_<n>.json into this directory (empty disables)")
-		diff     = flag.String("diff", "", "compare this run against a previous BENCH_<n>.json record")
 		explain  = flag.Bool("explain", false, "run the causal-tracing matrix and print critical-path attribution")
 		traceDir = flag.String("trace-dir", "", "write a per-cell phase-timeline JSONL into this directory")
 		metrics  = flag.Bool("metrics", false, "print the aggregated metrics snapshot per suite")
@@ -163,12 +99,6 @@ func main() {
 	}
 	if *figs != "" {
 		if err := os.MkdirAll(*figs, 0o755); err != nil {
-			fatal(err)
-		}
-	}
-	if *jsonDir != "" {
-		// Validate up front: a bad -json path should not cost a full run.
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
 			fatal(err)
 		}
 	}
@@ -222,15 +152,6 @@ func main() {
 		effPar = runtime.GOMAXPROCS(0)
 	}
 
-	record := benchRecord{
-		SchemaVersion: benchSchemaVersion,
-		Timestamp:     time.Now().Format(time.RFC3339),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		Parallelism:   effPar,
-		Quick:         *quick,
-		Repetitions:   *reps,
-	}
-
 	emit := func(sr *s3asim.SweepResult) {
 		for _, tb := range sr.Tables() {
 			if *csv {
@@ -254,18 +175,6 @@ func main() {
 			"suite %s: %d cells in %.2fs wall at parallelism %d — %.2fx vs sequential (est.), peak %d in flight (occupancy %.0f%%), workload cache %d hits / %d misses\n",
 			sr.Kind, len(sr.Cells), p.Elapsed.Seconds(), p.Parallelism,
 			p.Speedup(), p.MaxConcurrent, p.Occupancy()*100, p.Workload.Hits, p.Workload.Misses)
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:          sr.Kind,
-			WallSeconds:   p.Elapsed.Seconds(),
-			Parallelism:   p.Parallelism,
-			CellSeconds:   p.CellTime.Seconds(),
-			Speedup:       p.Speedup(),
-			Cells:         len(sr.Cells),
-			MaxConcurrent: p.MaxConcurrent,
-			Occupancy:     p.Occupancy(),
-			CacheHits:     p.Workload.Hits,
-			CacheMisses:   p.Workload.Misses,
-		})
 	}
 
 	if wantSweep("procs") {
@@ -333,18 +242,6 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"suite chaos: %d cells in %.2fs wall at parallelism %d — %.2fx vs sequential (est.)\n",
 			len(cr.Cells), p.Elapsed.Seconds(), p.Parallelism, p.Speedup())
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:          "chaos",
-			WallSeconds:   p.Elapsed.Seconds(),
-			Parallelism:   p.Parallelism,
-			CellSeconds:   p.CellTime.Seconds(),
-			Speedup:       p.Speedup(),
-			Cells:         len(cr.Cells),
-			MaxConcurrent: p.MaxConcurrent,
-			Occupancy:     p.Occupancy(),
-			CacheHits:     p.Workload.Hits,
-			CacheMisses:   p.Workload.Misses,
-		})
 	}
 	if *suite == "readback" || *suite == "all" {
 		// Mixed GET/PUT verification sweep, then the readback-under-chaos
@@ -373,18 +270,6 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"suite readback: %d cells in %.2fs wall at parallelism %d — %.2fx vs sequential (est.)\n",
 			len(rr.Cells), p.Elapsed.Seconds(), p.Parallelism, p.Speedup())
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:          "readback",
-			WallSeconds:   p.Elapsed.Seconds(),
-			Parallelism:   p.Parallelism,
-			CellSeconds:   p.CellTime.Seconds(),
-			Speedup:       p.Speedup(),
-			Cells:         len(rr.Cells),
-			MaxConcurrent: p.MaxConcurrent,
-			Occupancy:     p.Occupancy(),
-			CacheHits:     p.Workload.Hits,
-			CacheMisses:   p.Workload.Misses,
-		})
 
 		qopts := s3asim.PaperReadbackChaosOptions()
 		if *quick {
@@ -409,18 +294,6 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"suite readback-chaos: %d cells in %.2fs wall at parallelism %d — 0 mismatches\n",
 			len(cb.Cells), p.Elapsed.Seconds(), p.Parallelism)
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:          "readback-chaos",
-			WallSeconds:   p.Elapsed.Seconds(),
-			Parallelism:   p.Parallelism,
-			CellSeconds:   p.CellTime.Seconds(),
-			Speedup:       p.Speedup(),
-			Cells:         len(cb.Cells),
-			MaxConcurrent: p.MaxConcurrent,
-			Occupancy:     p.Occupancy(),
-			CacheHits:     p.Workload.Hits,
-			CacheMisses:   p.Workload.Misses,
-		})
 	}
 	if *suite == "extensions" || *suite == "all" {
 		start := time.Now()
@@ -428,11 +301,6 @@ func main() {
 		wall := time.Since(start)
 		fmt.Fprintf(os.Stderr, "suite extensions: %.2fs wall at parallelism %d\n",
 			wall.Seconds(), effPar)
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:        "extensions",
-			WallSeconds: wall.Seconds(),
-			Parallelism: effPar,
-		})
 	}
 	if *suite == "scale" || *suite == "all" {
 		// 100k ranks is a gigabyte-class cell; -quick stops at 10k, which
@@ -463,12 +331,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "suite scale: %d cells in %.2fs wall (sequential by design)\n",
 			len(ranks), wall.Seconds())
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:        "scale",
-			WallSeconds: wall.Seconds(),
-			Parallelism: 1,
-			Cells:       len(ranks),
-		})
 	}
 	if *suite == "serve" || *suite == "all" {
 		sopts := s3asim.PaperServeOptions()
@@ -530,36 +392,6 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"suite serve: %d cells (%d queries) in %.2fs wall at parallelism %d\n",
 			len(sres.Cells), queries, wall.Seconds(), effPar)
-		srec := suiteRecord{
-			Name:        "serve",
-			WallSeconds: wall.Seconds(),
-			Parallelism: effPar,
-			Cells:       len(sres.Cells),
-		}
-		for _, c := range sres.Cells {
-			rec := serveCellRecord{
-				Strategy:   c.Strategy.String(),
-				Load:       c.Load,
-				OfferedQPS: c.OfferedRate,
-				Queries:    len(c.Queries),
-				TputQPS:    c.Throughput,
-				P50Seconds: c.P50.Seconds(),
-				P99Seconds: c.P99.Seconds(),
-				P999Secs:   c.P999.Seconds(),
-				Violations: c.Violations,
-			}
-			if c.Windows != nil {
-				rec.Windows = len(c.Windows.Windows)
-				rec.FlightDumps = len(c.Dumps)
-				for _, a := range c.Alerts {
-					if a.Fired {
-						rec.AlertsFired++
-					}
-				}
-			}
-			srec.Serve = append(srec.Serve, rec)
-		}
-		record.Suites = append(record.Suites, srec)
 	}
 	if *suite == "adaptive" || *suite == "all" {
 		aopts := s3asim.PaperAdaptiveOptions()
@@ -606,29 +438,12 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"suite adaptive: %d regimes x %d cells in %.2fs wall at parallelism %d\n",
 			len(ares.Regimes), len(ares.Regimes)*(len(ares.Strat)+1), wall.Seconds(), effPar)
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:        "adaptive",
-			WallSeconds: wall.Seconds(),
-			Parallelism: effPar,
-			Cells:       len(ares.Regimes) * (len(ares.Strat) + 1),
-		})
 	}
 	if *explain {
 		start := time.Now()
 		runExplainMode(opts, *csv, *parallel)
 		wall := time.Since(start)
 		fmt.Fprintf(os.Stderr, "explain: %.2fs wall at parallelism %d\n", wall.Seconds(), effPar)
-		record.Suites = append(record.Suites, suiteRecord{
-			Name:        "explain",
-			WallSeconds: wall.Seconds(),
-			Parallelism: effPar,
-		})
-	}
-	if *jsonDir != "" {
-		writeRecord(*jsonDir, record)
-	}
-	if *diff != "" {
-		diffRecord(*diff, record)
 	}
 }
 
@@ -658,53 +473,8 @@ func runExplainMode(opts s3asim.Options, csv bool, parallel int) {
 	fmt.Println()
 }
 
-// diffRecord compares this run's record against a previously written
-// BENCH_<n>.json baseline and prints per-suite wall-clock deltas. Virtual-time
-// results are deterministic, so the only thing that legitimately moves here is
-// execution performance.
-func diffRecord(path string, cur benchRecord) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	var base benchRecord
-	if err := json.Unmarshal(data, &base); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-	if base.SchemaVersion != cur.SchemaVersion {
-		fatal(fmt.Errorf("%s: schema version %d, this binary writes %d — regenerate the baseline",
-			path, base.SchemaVersion, cur.SchemaVersion))
-	}
-	if base.Quick != cur.Quick || base.Repetitions != cur.Repetitions {
-		fmt.Fprintf(os.Stderr, "bench-diff: warning: comparing quick=%v reps=%d against baseline quick=%v reps=%d\n",
-			cur.Quick, cur.Repetitions, base.Quick, base.Repetitions)
-	}
-	byName := map[string]suiteRecord{}
-	for _, s := range base.Suites {
-		byName[s.Name] = s
-	}
-	fmt.Printf("bench diff vs %s (recorded %s)\n", path, base.Timestamp)
-	fmt.Printf("%-12s  %12s  %12s  %8s\n", "suite", "base wall(s)", "this wall(s)", "ratio")
-	for _, s := range cur.Suites {
-		b, ok := byName[s.Name]
-		if !ok {
-			fmt.Printf("%-12s  %12s  %12.2f  %8s\n", s.Name, "-", s.WallSeconds, "new")
-			continue
-		}
-		ratio := "-"
-		if b.WallSeconds > 0 {
-			ratio = fmt.Sprintf("%.2fx", s.WallSeconds/b.WallSeconds)
-		}
-		fmt.Printf("%-12s  %12.2f  %12.2f  %8s\n", s.Name, b.WallSeconds, s.WallSeconds, ratio)
-		delete(byName, s.Name)
-	}
-	for name, b := range byName {
-		fmt.Printf("%-12s  %12.2f  %12s  %8s\n", name, b.WallSeconds, "-", "gone")
-	}
-}
-
 // traceSpool opens one streaming JSONL sink per (cell, repetition) run of a
-// suite — the per-cell tracing path that, unlike a shared Config.Tracer,
+// suite — the per-cell tracing path that, unlike a shared Config.Sink,
 // leaves the sweep free to run cells in parallel. Files are named
 // <suite>_<strategy>_<sync|nosync>_x<X>_rep<N>.jsonl; render any of them
 // with s3atrace.
@@ -758,33 +528,6 @@ func (ts *traceSpool) close() {
 	if len(ts.files) > 0 {
 		fmt.Fprintf(os.Stderr, "wrote %d cell traces to %s\n", len(ts.files), ts.dir)
 	}
-}
-
-// writeRecord persists the machine-readable benchmark record as the next
-// BENCH_<n>.json in dir (highest existing index + 1, so records sort in run
-// order and the first one can serve as the committed baseline).
-func writeRecord(dir string, record benchRecord) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal(err)
-	}
-	next := 1
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			var n int
-			if _, err := fmt.Sscanf(e.Name(), "BENCH_%d.json", &n); err == nil && n >= next {
-				next = n + 1
-			}
-		}
-	}
-	path := filepath.Join(dir, fmt.Sprintf("BENCH_%04d.json", next))
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintln(os.Stderr, "wrote", path)
 }
 
 // runExtensions prints the §5 future-work studies.

@@ -106,7 +106,7 @@ func main() {
 	var tr *trace.Tracer
 	if *tracePath != "" || *perfetto != "" {
 		tr = trace.New()
-		cfg.Tracer = tr
+		cfg.Sink = tr
 	}
 	var rec *s3asim.CausalRecorder
 	if *explain {

@@ -27,7 +27,7 @@ func main() {
 		cfg.Workload.MaxResults = 120
 		cfg.Workload.QueryHist = s3asim.UniformHistogram(500, 5000)
 		cfg.Workload.DBSeqHist = s3asim.UniformHistogram(500, 50000)
-		cfg.Tracer = tr
+		cfg.Sink = tr
 
 		rep, err := s3asim.Run(cfg)
 		if err != nil {

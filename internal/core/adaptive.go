@@ -193,7 +193,7 @@ func (rt *runtime) newAdaptState() *adaptState {
 		strategies: arms,
 		pred:       adapt.NewPredictor(a.Gamma, sizePrior),
 		proc:       fmt.Sprintf("master%d", rt.groups[0].index),
-		sink:       cfg.sink(),
+		sink:       cfg.Sink,
 	}
 	names := make([]string, len(arms))
 	for i, s := range arms {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"s3asim/internal/causal"
@@ -59,33 +58,6 @@ func TestAdaptiveRunVerifiesImage(t *testing.T) {
 				t.Fatalf("batch %d has no decided arm (%d)", b, arm)
 			}
 		}
-	}
-}
-
-func TestAdaptiveEnginesEquivalent(t *testing.T) {
-	// The goroutine and FSM worker engines must produce the identical run:
-	// decisions happen on the master, observations on deterministic flush
-	// stamps, so every controller input is engine-independent.
-	run := func(pm ProcModel) *Report {
-		cfg := adaptiveConfig()
-		cfg.ProcModel = pm
-		return mustRun(t, cfg)
-	}
-	gor := run(ProcGoroutine)
-	fsm := run(ProcFSM)
-	if gor.Overall != fsm.Overall {
-		t.Fatalf("overall differs: goroutine %v, fsm %v", gor.Overall, fsm.Overall)
-	}
-	if !reflect.DeepEqual(gor.BatchFlushTimes, fsm.BatchFlushTimes) {
-		t.Fatal("flush times differ between engines")
-	}
-	if !reflect.DeepEqual(gor.Adaptive, fsm.Adaptive) {
-		t.Fatalf("adaptive reports differ:\n goroutine: %+v\n fsm: %+v",
-			gor.Adaptive, fsm.Adaptive)
-	}
-	if gor.Events != fsm.Events || gor.Messages != fsm.Messages {
-		t.Fatalf("event/message counts differ: %d/%d vs %d/%d",
-			gor.Events, gor.Messages, fsm.Events, fsm.Messages)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"s3asim/internal/causal"
 	"s3asim/internal/des"
@@ -12,7 +11,6 @@ import (
 	"s3asim/internal/pvfs"
 	"s3asim/internal/romio"
 	"s3asim/internal/search"
-	"s3asim/internal/trace"
 )
 
 // Segmentation selects the parallelization scheme (paper §1).
@@ -145,15 +143,13 @@ type Config struct {
 	// receive-side serialization at the master.
 	DisableMasterNICSerialization bool
 
-	// Tracer, if non-nil, records every process's phase timeline (the
-	// MPE/Jumpshot-style instrumentation of paper §3); render it with
-	// trace.Gantt or cmd/s3atrace.
-	Tracer *trace.Tracer
-	// Sink, if non-nil, additionally receives every phase-timeline event as
-	// it happens — a streaming alternative to (or companion of) Tracer. Use
-	// obs.NewStreamSink for JSONL spooling or obs.NewPerfettoSink for Chrome
-	// trace-event export. When both Tracer and Sink are set, events go to
-	// both.
+	// Sink, if non-nil, receives every process's phase-timeline event as it
+	// happens (the MPE/Jumpshot-style instrumentation of paper §3). Use an
+	// in-memory *trace.Tracer (render with trace.Gantt or cmd/s3atrace),
+	// obs.NewStreamSink for JSONL spooling, obs.NewPerfettoSink for Chrome
+	// trace-event export, or obs.Multi to fan out to several. Never store a
+	// nil *trace.Tracer here: the interface would be non-nil and panic on
+	// use.
 	Sink obs.Sink
 	// Metrics, if non-nil, is the registry the run populates with counters,
 	// gauges, and virtual-time histograms (engine phases, pvfs requests, MPI
@@ -222,57 +218,15 @@ type Config struct {
 	// telemetry code.
 	Telemetry *obs.Telemetry
 
-	// ProcModel selects how worker processes are backed by the kernel (see
-	// DESIGN.md §12). The default ProcAuto runs the steady-state worker loop
-	// as a pooled resumable state machine (des.SpawnFSM) on non-resilient
-	// runs — the scale path that makes 100k-rank configurations affordable —
-	// and keeps goroutine processes everywhere else. Both models execute the
-	// identical event sequence, so reports and fingerprints do not depend on
-	// the choice.
-	ProcModel ProcModel
-
 	// Adaptive, if non-nil, switches the run into closed-loop adaptive I/O
 	// (DESIGN.md §16): the master picks each flush batch's write strategy and
 	// ROMIO hints at dispatch time from an online cost model fed by observed
 	// flush windows (and their causal attribution on Causal runs), instead of
 	// committing to Strategy for the whole run. Requires a single query group
 	// and the non-resilient protocol; works in both the closed batch and
-	// serving modes and under either worker engine. Nil runs the original
-	// fixed-strategy protocol byte-for-byte.
+	// serving modes. Nil runs the original fixed-strategy protocol
+	// byte-for-byte.
 	Adaptive *AdaptiveConfig
-}
-
-// ProcModel selects the kernel backing for worker processes.
-type ProcModel int
-
-const (
-	// ProcAuto picks FSM workers for non-resilient runs, goroutines
-	// otherwise.
-	ProcAuto ProcModel = iota
-	// ProcGoroutine forces goroutine-coroutine workers everywhere.
-	ProcGoroutine
-	// ProcFSM forces FSM workers; invalid for resilient runs (the recovery
-	// protocol's control flow needs goroutine stacks).
-	ProcFSM
-)
-
-// String names the process model.
-func (m ProcModel) String() string {
-	switch m {
-	case ProcAuto:
-		return "auto"
-	case ProcGoroutine:
-		return "goroutine"
-	case ProcFSM:
-		return "fsm"
-	default:
-		return fmt.Sprintf("ProcModel(%d)", int(m))
-	}
-}
-
-// fsmWorkers reports whether this run's workers are state machines.
-func (c *Config) fsmWorkers() bool {
-	return !c.resilient() && c.ProcModel != ProcGoroutine
 }
 
 // DefaultConfig reproduces the paper's §3.3 test setup at 64 processes with
@@ -336,9 +290,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxTaskRetries < 0 {
 		return errors.New("core: MaxTaskRetries must be non-negative")
-	}
-	if c.ProcModel == ProcFSM && c.resilient() {
-		return errors.New("core: ProcFSM is incompatible with the resilient protocol (use ProcAuto or ProcGoroutine)")
 	}
 	hints := romio.Hints{
 		CBNodes:         c.CBNodes,
@@ -464,18 +415,6 @@ func (c *Config) EffectiveWorkload() search.Spec {
 		s.NumFragments = 1
 	}
 	return s
-}
-
-// sink resolves the run's timeline destination: the legacy Tracer, the
-// streaming Sink, both, or nil. The explicit nil check on Tracer matters —
-// wrapping a nil *trace.Tracer in the obs.Sink interface would yield a
-// non-nil interface that panics on use.
-func (c *Config) sink() obs.Sink {
-	var tr obs.Sink
-	if c.Tracer != nil {
-		tr = c.Tracer
-	}
-	return obs.Multi(tr, c.Sink)
 }
 
 // indMethod resolves the ADIO method for individual worker writes.

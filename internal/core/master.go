@@ -30,7 +30,7 @@ type masterState struct {
 func (rt *runtime) master(r *mpi.Rank, g *group) {
 	cfg := rt.cfg
 	pt := NewPhaseTimer(rt.sim)
-	pt.Trace(cfg.sink(), r.Proc().Name())
+	pt.Trace(cfg.Sink, r.Proc().Name())
 	rt.timers[r.Rank()] = pt
 
 	// Step 1: set up the output file and distribute input variables.
@@ -260,7 +260,7 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 				r.Isend(w, tagOffsets, bytes, msg))
 		}
 		// Worker-writing durability is stamped by the workers as their
-		// writes (and syncs) complete; see workerWrite.
+		// writes (and syncs) complete; see workerFSM.stepWrite.
 	}
 	// Step 16: retire completed offset-list sends.
 	kept := st.offsetSends[:0]

@@ -105,16 +105,15 @@ func TestConfigSinkReceivesTimeline(t *testing.T) {
 	}
 }
 
-// TestSinkAndTracerBothRecord checks the Multi path in Config.sink(): when
-// both the legacy Tracer and a Sink are attached, each sees the full
-// timeline.
+// TestSinkAndTracerBothRecord checks fan-out through Config.Sink: an
+// in-memory Tracer and a streaming sink combined with obs.Multi each see
+// the full timeline.
 func TestSinkAndTracerBothRecord(t *testing.T) {
 	tr := trace.New()
 	var buf bytes.Buffer
 	sink := obs.NewStreamSink(&buf)
 	cfg := tinyConfig()
-	cfg.Tracer = tr
-	cfg.Sink = sink
+	cfg.Sink = obs.Multi(tr, sink)
 	mustRun(t, cfg)
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)

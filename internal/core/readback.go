@@ -32,7 +32,7 @@ type ReadbackConfig struct {
 	// list reads), or romio.DataSieve (whole-window reads with extraction).
 	Method romio.Method
 	// Collective routes in-run readback through the collective read
-	// (Group.ReadAll — two-phase or list-sync per Config.CollMethod).
+	// (romio.CollReadOp — two-phase or list-sync per Config.CollMethod).
 	// Requires Strategy == WWColl and the non-resilient protocol; a tainted
 	// collective group under recovery falls back to individual reads, so
 	// resilient runs always read individually.
@@ -122,28 +122,19 @@ func (rt *runtime) rbVerify(where string, segs []pvfs.Segment, got [][]pvfs.Segm
 	}
 }
 
-// rbInRunWorker is the worker-side in-run verifier: immediately after a
-// batch write is stamped durable, re-read the just-written segments through
-// the configured read strategy InRunReads times and verify each pass.
-// collective marks a write that went through the (untainted) collective
-// round, making a collective readback round legal.
-func (rt *runtime) rbInRunWorker(r *mpi.Rank, pt *PhaseTimer, g *group, segs []pvfs.Segment, collective bool) {
+// rbInRunWorker is the resilient worker's in-run verifier: immediately
+// after a batch write is stamped durable, re-read the just-written segments
+// through the configured read strategy InRunReads times and verify each
+// pass. (Resilient runs always read individually; the plain worker's
+// resumable version, collective rounds included, is workerFSM.armReadback.)
+func (rt *runtime) rbInRunWorker(r *mpi.Rank, pt *PhaseTimer, segs []pvfs.Segment) {
 	rb := rt.rb
-	if rb == nil || rb.conf.InRunReads == 0 {
-		return
-	}
-	useColl := collective && rb.conf.Collective
-	if !useColl && len(segs) == 0 {
+	if rb == nil || rb.conf.InRunReads == 0 || len(segs) == 0 {
 		return
 	}
 	pt.Switch(PhaseIO)
 	for i := 0; i < rb.conf.InRunReads; i++ {
-		var got [][]pvfs.Segment
-		if useColl {
-			got = g.collGroup.ReadAll(r, segs)
-		} else {
-			got = rt.file.ReadSegs(r, rb.conf.Method, segs)
-		}
+		got := rt.file.ReadSegs(r, rb.conf.Method, segs)
 		rt.rbVerify(r.Proc().Name(), segs, got)
 	}
 }

@@ -136,34 +136,6 @@ func TestReadbackResumedRunClean(t *testing.T) {
 	}
 }
 
-// TestReadbackFSMMatchesGoroutine pins engine parity: the FSM process model
-// must execute the identical readback event sequence as goroutine workers.
-func TestReadbackFSMMatchesGoroutine(t *testing.T) {
-	for _, s := range Strategies {
-		for _, coll := range []bool{false, true} {
-			if coll && s != WWColl {
-				continue
-			}
-			a := readbackConfig(s, romio.ListIO)
-			a.Readback.Collective = coll
-			a.ProcModel = ProcGoroutine
-			b := a
-			b.ProcModel = ProcFSM
-			ra := mustRun(t, a)
-			rb := mustRun(t, b)
-			if ra.Overall != rb.Overall || ra.Events != rb.Events ||
-				ra.ReadbackReads != rb.ReadbackReads ||
-				ra.ReadbackExtents != rb.ReadbackExtents ||
-				ra.ReadbackBytes != rb.ReadbackBytes {
-				t.Fatalf("%v coll=%v: FSM diverged: goroutine (%v,%d,%d,%d,%d) vs FSM (%v,%d,%d,%d,%d)",
-					s, coll,
-					ra.Overall, ra.Events, ra.ReadbackReads, ra.ReadbackExtents, ra.ReadbackBytes,
-					rb.Overall, rb.Events, rb.ReadbackReads, rb.ReadbackExtents, rb.ReadbackBytes)
-			}
-		}
-	}
-}
-
 // TestReadbackResilient runs the verified read path under the recovery
 // protocol with worker crashes: exactly-once replay must leave zero content
 // mismatches.

@@ -113,7 +113,7 @@ type rmasterState struct {
 func (rt *runtime) rmaster(r *mpi.Rank, g *group) {
 	cfg := rt.cfg
 	pt := NewPhaseTimer(rt.sim)
-	pt.Trace(cfg.sink(), r.Proc().Name())
+	pt.Trace(cfg.Sink, r.Proc().Name())
 	rt.timers[r.Rank()] = pt
 
 	pt.Switch(PhaseSetup)

@@ -264,7 +264,7 @@ func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
 	// file system, but there is nothing to Arm and no recovery state.
 	resilient := cfg.resilient()
 	if resilient || !cfg.FaultPlan.IsEmpty() {
-		inj := fault.NewInjector(sim, cfg.FaultPlan, reg, cfg.sink())
+		inj := fault.NewInjector(sim, cfg.FaultPlan, reg, cfg.Sink)
 		inj.SetTagPolicy(droppableTag, delayableTag)
 		world.SetFaultModel(inj)
 		fs.SetFaults(inj)
@@ -292,20 +292,14 @@ func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
 		}
 		world.Spawn(g.masterRank, fmt.Sprintf("master%d", g.index),
 			func(r *mpi.Rank) { rt.master(r, g) })
+		// Workers run as pooled state machines: a blocked worker is one
+		// struct, not a goroutine stack, so rank counts in the hundreds of
+		// thousands fit in ordinary heaps. Masters keep goroutine form —
+		// there is one per group and their protocol code stays readable
+		// that way.
 		for _, w := range g.workers {
-			w := w
-			if cfg.fsmWorkers() {
-				// The steady-state worker loop runs as a pooled state
-				// machine: a blocked worker is one struct, not a goroutine
-				// stack, so rank counts in the hundreds of thousands fit in
-				// ordinary heaps. Masters keep goroutine form — there is one
-				// per group and their protocol code stays readable that way.
-				world.SpawnFSM(w, fmt.Sprintf("worker%d", w),
-					&workerFSM{rt: rt, g: g, r: world.Rank(w)})
-				continue
-			}
-			world.Spawn(w, fmt.Sprintf("worker%d", w),
-				func(r *mpi.Rank) { rt.worker(r, g) })
+			world.SpawnFSM(w, fmt.Sprintf("worker%d", w),
+				&workerFSM{rt: rt, g: g, r: world.Rank(w)})
 		}
 	}
 	if err := sim.Run(); err != nil {
@@ -437,7 +431,7 @@ func (rt *runtime) report() (*Report, error) {
 	}
 	if rt.serve != nil {
 		rep.Queries = rt.serveQueryStats()
-		rt.serveEmitSpans(cfg.sink())
+		rt.serveEmitSpans(cfg.Sink)
 	}
 	if rt.ad != nil {
 		rep.Adaptive = rt.adaptReport()
@@ -567,7 +561,7 @@ func (rt *runtime) recordMetrics(rep *Report) {
 		m.FreezeWindows(rep.Overall)
 		rep.Windows = m.Windows()
 		if eng, err := tel.NewEngine(); err == nil && eng != nil {
-			rep.Alerts = eng.Evaluate(rep.Windows, rt.cfg.sink(), rt.flight)
+			rep.Alerts = eng.Evaluate(rep.Windows, rt.cfg.Sink, rt.flight)
 		}
 		rep.FlightDumps = rt.flight.Dumps()
 	}

@@ -35,7 +35,7 @@ func (rt *runtime) observeTime(name string, t des.Time) { rt.metrics.ObserveTime
 
 // pointf emits an instantaneous marker on the fault timeline.
 func (rt *runtime) pointf(format string, args ...any) {
-	if s := rt.cfg.sink(); s != nil {
+	if s := rt.cfg.Sink; s != nil {
 		s.Point("faults", fmt.Sprintf(format, args...), rt.sim.Now())
 	}
 }
@@ -83,7 +83,7 @@ func (rt *runtime) rworker(r *mpi.Rank, g *group, rejoined bool) {
 	}()
 	cfg := rt.cfg
 	pt := NewPhaseTimer(rt.sim)
-	pt.Trace(cfg.sink(), r.Proc().Name())
+	pt.Trace(cfg.Sink, r.Proc().Name())
 	rt.timers[r.Rank()] = pt
 	boss := g.masterRank
 
@@ -91,7 +91,10 @@ func (rt *runtime) rworker(r *mpi.Rank, g *group, rejoined bool) {
 	if !rejoined {
 		g.team.Bcast(r, boss, configMsgBytes, nil)
 	}
-	rt.workerLoadDatabase(r, pt)
+	if off, n := rt.dbLoadRange(r.Rank()); n > 0 {
+		pt.Switch(PhaseIO)
+		rt.dbFile.ReadAt(r, off, n)
+	}
 
 	st := &rworkerState{
 		g:        g,
@@ -426,7 +429,7 @@ func (rt *runtime) rwWrite(r *mpi.Rank, pt *PhaseTimer, st *rworkerState, om off
 		rt.stampFlush(r.Proc().Name(), g, om.Batch)
 		// Resilient in-run readback is always individual: a collective read
 		// round would wedge on taint or membership change mid-recovery.
-		rt.rbInRunWorker(r, pt, g, segs, false)
+		rt.rbInRunWorker(r, pt, segs)
 		return
 	}
 	if len(segs) == 0 {
@@ -438,5 +441,5 @@ func (rt *runtime) rwWrite(r *mpi.Rank, pt *PhaseTimer, st *rworkerState, om off
 		rt.file.Sync(r)
 	}
 	rt.stampFlush(r.Proc().Name(), g, om.Batch)
-	rt.rbInRunWorker(r, pt, g, segs, false)
+	rt.rbInRunWorker(r, pt, segs)
 }

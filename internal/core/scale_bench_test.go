@@ -39,14 +39,12 @@ func TestScaleWorkers10kSmoke(t *testing.T) {
 //	events/sec  — calendar throughput (virtual events per wall second)
 //	memB/rank   — peak sampled memory (heap + goroutine stacks) divided
 //	              by rank count, the per-rank footprint the FSM worker
-//	              engine exists to shrink (acceptance: 100k ranks within
-//	              ~2 GB). Stack memory is counted because under
-//	              ProcGoroutine it is the dominant per-rank cost and it
-//	              does not appear in HeapAlloc.
+//	              exists to shrink (acceptance: 100k ranks within ~2 GB).
+//	              Stack memory is counted because it does not appear in
+//	              HeapAlloc.
 //
 // The workload is generated once outside the timed region, so the numbers
-// are the simulation engine's alone. Compare ProcModel effects with
-// -benchtime against a copy run under ProcGoroutine.
+// are the simulation engine's alone.
 func BenchmarkScaleWorkers(b *testing.B) {
 	for _, ranks := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {

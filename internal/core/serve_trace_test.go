@@ -26,7 +26,7 @@ func serveTraceRun(t *testing.T) []trace.Event {
 	cfg.Strategy = WWColl
 	cfg.QuerySync = true
 	tr := trace.New()
-	cfg.Tracer = tr
+	cfg.Sink = tr
 	mustRun(t, cfg)
 	return tr.Events()
 }

@@ -136,27 +136,6 @@ func TestServeWWCollBurstsNoDeadlock(t *testing.T) {
 	}
 }
 
-// The FSM worker engine must reproduce the goroutine engine's serving
-// behavior exactly, including the Gate-based run-ahead check.
-func TestServeFSMMatchesGoroutineEngine(t *testing.T) {
-	for _, s := range Strategies {
-		cfg := serveConfig(2 * des.Millisecond)
-		cfg.Strategy = s
-		cfg.QuerySync = true
-		cfg.ProcModel = ProcGoroutine
-		want := mustRun(t, cfg)
-		cfg.ProcModel = ProcFSM
-		got := mustRun(t, cfg)
-		if !reflect.DeepEqual(got.Queries, want.Queries) {
-			t.Fatalf("%v: FSM query stats diverge from goroutine engine:\n got %+v\nwant %+v",
-				s, got.Queries, want.Queries)
-		}
-		if got.Overall != want.Overall {
-			t.Fatalf("%v: FSM overall %v, goroutine %v", s, got.Overall, want.Overall)
-		}
-	}
-}
-
 // Serving mode rejects configurations it cannot honor.
 func TestServeValidation(t *testing.T) {
 	bad := []func(*Config){

@@ -10,7 +10,7 @@ func TestTracerRecordsAllProcesses(t *testing.T) {
 	tr := trace.New()
 	cfg := tinyConfig()
 	cfg.Strategy = WWColl
-	cfg.Tracer = tr
+	cfg.Sink = tr
 	rep := mustRun(t, cfg)
 
 	procs := map[string]bool{}

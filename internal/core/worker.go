@@ -1,6 +1,7 @@
 package core
 
 import (
+	"s3asim/internal/causal"
 	"s3asim/internal/des"
 	"s3asim/internal/mpi"
 	"s3asim/internal/pvfs"
@@ -8,325 +9,738 @@ import (
 	"s3asim/internal/search"
 )
 
-// workerState is one worker's bookkeeping for Algorithm 2.
-type workerState struct {
-	g              *group
-	noMore         bool
+// workerFSM is the worker of Algorithm 2 — request work from the group
+// master, model the search, merge local results, ship scores (and results
+// under MW), and perform its share of the result I/O as offset lists arrive
+// — written as a resumable state machine for des.SpawnFSM. A blocked worker
+// is this one struct instead of a parked goroutine stack, which is what
+// makes 100k-worker configurations affordable. The control flow is one
+// loop flattened into explicit program counters: the main loop (pc), and
+// one counter per nested sub-machine: the drain loop (drainPC), a batch
+// write (writePC), and a task (taskPC). Every blocking composite runs
+// through an op struct (mpi.BcastOp, romio.WriteSegsOp, ...) whose Init arms
+// it and whose Step reports completion. The resilient worker (rworker.go)
+// is a separate goroutine process.
+type workerFSM struct {
+	rt *runtime
+	g  *group
+	r  *mpi.Rank
+	pt *PhaseTimer
+
+	pc      uint8
+	drainPC uint8
+	writePC uint8
+	taskPC  uint8
+
+	progress      bool
+	drainHandled  bool
+	tracksBatches bool
+
+	noMore         bool           // the master denied a work request
 	pending        []*mpi.Request // in-flight score sends
 	offReq         *mpi.Request   // posted receive for offset lists (WW)
 	tokReq         *mpi.Request   // posted receive for sync tokens (MW+sync)
 	batchesHandled int
 	mergeAcc       map[int]int64 // worker-local merged bytes per query
+
+	// Scratch ops, one of each kind: the worker runs at most one blocking
+	// composite at a time, so each op is reused across the whole run.
+	bcast   mpi.BcastOp
+	barrier mpi.BarrierOp
+	wait    mpi.WaitOp
+	waitAny mpi.WaitAnyOp
+	waitAll mpi.WaitAllOp
+	issue   pvfs.IssueOp
+	wsegs   romio.WriteSegsOp
+	coll    romio.CollWriteOp
+	rsegs   romio.ReadSegsOp
+	rcoll   romio.CollReadOp
+
+	waitSet  []*mpi.Request // scratch for waitAny arming
+	replyReq *mpi.Request
+
+	rbLeft int  // in-run readback rounds remaining for this batch
+	rbColl bool // current readback rounds are collective
+
+	t          task
+	taskBytes  int64
+	taskCount  int
+	om         offsetMsg
+	segs       []pvfs.Segment
+	sleepStart des.Time // causal start of an in-flight compute/merge sleep
 }
 
-// worker runs Algorithm 2: request work from its group master, model the
-// search, merge local results, ship scores (and results under MW), and
-// perform its share of the result I/O as offset lists arrive.
-func (rt *runtime) worker(r *mpi.Rank, g *group) {
-	cfg := rt.cfg
-	pt := NewPhaseTimer(rt.sim)
-	pt.Trace(cfg.sink(), r.Proc().Name())
-	rt.timers[r.Rank()] = pt
-	boss := g.masterRank
+// Main program counters (workerFSM.pc), in loop order.
+const (
+	wfStart       uint8 = iota // first step: timer setup, config broadcast
+	wfBcast                    // setup broadcast in flight
+	wfLoadDB                   // initial database read in flight
+	wfLoopHead                 // top of the main loop: done()/iteration start
+	wfSendReq                  // work-request send's wait in flight
+	wfReplyCheck               // reply posted: dispatch on its completion
+	wfReplyDrain               // drain running while awaiting the reply
+	wfReplyWait                // parked on reply (and sync token, MW+sync)
+	wfTask                     // task sub-machine running
+	wfRetire                   // retire completed sends, then tail drain
+	wfLoopDrain                // tail drain running
+	wfIdleAny                  // idle: parked on the next master notification
+	wfIdleAll                  // idle: draining the last score sends
+	wfFinalGather              // final WaitAll over in-flight sends
+	wfFinalSync                // end-of-application barrier
+)
 
-	// Step 1: receive input variables (broadcast from the group master).
-	pt.Switch(PhaseSetup)
-	g.team.Bcast(r, boss, configMsgBytes, nil)
+// Drain sub-machine counters (stepDrain).
+const (
+	drHead    uint8 = iota // check for an arrived offset list
+	drWrite                // batch write sub-machine running
+	drOffSync              // per-batch barrier after an offset write
+	drTokHead              // check for an arrived sync token
+	drTokSync              // per-batch barrier after a token
+)
 
-	// Input-I/O extension: load the sequence database (its share under
-	// database segmentation, the whole replica under query segmentation).
-	rt.workerLoadDatabase(r, pt)
+// Batch-write sub-machine counters (stepWrite).
+const (
+	wwFormat    uint8 = iota // result-formatting sleep in flight
+	wwRoute                  // dispatch on strategy
+	wwCollEntry              // two-phase gather barrier
+	wwColl                   // collective write in flight
+	wwSegs                   // individual noncontiguous write in flight
+	wwSync                   // post-write file sync in flight
+	wwRead                   // in-run readback: individual read in flight
+	wwRColl                  // in-run readback: collective read round in flight
+)
 
-	st := &workerState{g: g, mergeAcc: make(map[int]int64)}
-	// Adaptive workers always track offset lists: every batch sends one,
-	// whichever strategy its controller picked (MW batches send empty lists).
-	if rt.ad != nil || cfg.Strategy.WorkerWriting() {
-		st.offReq = r.Irecv(boss, tagOffsets)
-	} else if cfg.QuerySync {
-		st.tokReq = r.Irecv(boss, tagSyncToken)
+// Task sub-machine counters (stepTask).
+const (
+	tkGate      uint8 = iota // WW-Coll: check the batch-completion gate
+	tkGateWait               // WW-Coll: parked awaiting an offset list
+	tkGateDrain              // WW-Coll: drain after the gate wait
+	tkReread                 // query-seg overflow re-read in flight
+	tkCompute                // search compute sleep in flight
+	tkMerge                  // local merge sleep in flight
+)
+
+// Step advances the worker to its next park. It is the Machine contract's
+// entry point: called once per resumption from the kernel run loop.
+func (m *workerFSM) Step(p *des.Proc) {
+	for m.step() {
 	}
-	tracksBatches := st.offReq != nil || st.tokReq != nil
+}
 
-	done := func() bool {
-		if !st.noMore || len(st.pending) > 0 {
+// step runs the current main state; false means the worker parked (or
+// finished at wfFinalSync).
+func (m *workerFSM) step() bool {
+	rt, r, g := m.rt, m.r, m.g
+	cfg := rt.cfg
+	boss := g.masterRank
+	switch m.pc {
+	case wfStart:
+		m.pt = NewPhaseTimer(rt.sim)
+		m.pt.Trace(cfg.Sink, r.Proc().Name())
+		rt.timers[r.Rank()] = m.pt
+
+		// Step 1: receive input variables (broadcast from the group master).
+		m.pt.Switch(PhaseSetup)
+		m.bcast.Init(g.team, r, boss, configMsgBytes, nil)
+		m.pc = wfBcast
+	case wfBcast:
+		if !m.bcast.Step() {
 			return false
 		}
-		return !tracksBatches || st.batchesHandled == len(g.batches)
-	}
-
-	for !done() {
-		progress := false
-		if !st.noMore {
-			// Steps 3–4: request and receive work. The reply receive is
-			// blocking (Algorithm 2 step 4), except that MW sync tokens are
-			// honored while waiting so a request-blocked worker joins the
-			// post-write barrier without first taking another task.
-			pt.Switch(PhaseDataDist)
-			r.Send(boss, tagWorkRequest, requestMsgBytes, nil)
-			replyReq := r.Irecv(boss, tagWorkReply)
-			for !replyReq.Done() {
-				// Serving masters hold work requests across arrival gaps, so
-				// a request-blocked worker must also service offset lists or
-				// it would sit on pending writes until the next arrival.
-				// Adaptive runs drain here too: an MW batch's post-write
-				// notification must be honored before the next task, exactly
-				// as MW+sync tokens are.
-				if (st.tokReq != nil || rt.serve != nil || rt.ad != nil) && rt.workerDrainIO(r, pt, st) {
-					pt.Switch(PhaseDataDist)
-					continue
-				}
-				r.WaitAny(workerWaitSet(replyReq, st, rt.serve != nil || rt.ad != nil))
-			}
-			reply := replyReq.Message()
-			if reply.Payload == nil {
-				st.noMore = true
-			} else {
-				rt.workerTask(r, pt, st, reply.Payload.(task))
-			}
-			progress = true
+		// Input-I/O extension: load the sequence database.
+		if m.armLoadDatabase() {
+			m.pc = wfLoadDB
+			return true
 		}
+		m.initState()
+		m.pc = wfLoopHead
+	case wfLoadDB:
+		if !m.issue.Step() {
+			return false
+		}
+		m.initState()
+		m.pc = wfLoopHead
+	case wfLoopHead:
+		if m.done() {
+			m.pt.Switch(PhaseGather)
+			m.waitAll.Init(r, m.pending)
+			m.pc = wfFinalGather
+			return true
+		}
+		m.progress = false
+		if m.noMore {
+			m.pc = wfRetire
+			return true
+		}
+		// Steps 3–4: request and receive work. The reply receive is
+		// blocking (Algorithm 2 step 4), except that MW sync tokens are
+		// honored while waiting so a request-blocked worker joins the
+		// post-write barrier without first taking another task.
+		m.pt.Switch(PhaseDataDist)
+		m.wait.Init(r, r.Isend(boss, tagWorkRequest, requestMsgBytes, nil))
+		m.pc = wfSendReq
+	case wfSendReq:
+		if !m.wait.Step() {
+			return false
+		}
+		m.replyReq = r.Irecv(boss, tagWorkReply)
+		m.pc = wfReplyCheck
+	case wfReplyCheck:
+		if m.replyReq.Done() {
+			reply := m.replyReq.Message()
+			if reply.Payload == nil {
+				m.noMore = true
+				m.progress = true
+				m.pc = wfRetire
+				return true
+			}
+			m.startTask(reply.Payload.(task))
+			m.pc = wfTask
+			return true
+		}
+		// Serving masters hold work requests across arrival gaps, so a
+		// request-blocked worker must also service offset lists or it would
+		// sit on pending writes until the next arrival; adaptive runs drain
+		// here too so an MW batch's post-write notification is honored
+		// before the next task, exactly as MW+sync tokens are.
+		if m.tokReq != nil || m.rt.serve != nil || m.rt.ad != nil {
+			m.startDrain()
+			m.pc = wfReplyDrain
+			return true
+		}
+		m.armReplyWait()
+		m.pc = wfReplyWait
+	case wfReplyDrain:
+		if !m.stepDrain() {
+			return false
+		}
+		if m.drainHandled {
+			m.pt.Switch(PhaseDataDist)
+			m.pc = wfReplyCheck
+			return true
+		}
+		m.armReplyWait()
+		m.pc = wfReplyWait
+	case wfReplyWait:
+		if !m.waitAny.Step() {
+			return false
+		}
+		m.pc = wfReplyCheck
+	case wfTask:
+		if !m.stepTask() {
+			return false
+		}
+		m.progress = true
+		m.pc = wfRetire
+	case wfRetire:
 		// Step 15: retire completed score sends.
-		pt.Switch(PhaseGather)
-		kept := st.pending[:0]
-		for _, req := range st.pending {
+		m.pt.Switch(PhaseGather)
+		kept := m.pending[:0]
+		for _, req := range m.pending {
 			if !req.Done() {
 				kept = append(kept, req)
 			}
 		}
-		st.pending = kept
+		m.pending = kept
 		// Steps 16–19: handle any offset lists (or sync tokens) that have
-		// arrived, without blocking — this is what lets individual WW
-		// strategies keep computing while I/O instructions are pending.
-		if rt.workerDrainIO(r, pt, st) {
-			progress = true
+		// arrived, without blocking.
+		m.startDrain()
+		m.pc = wfLoopDrain
+	case wfLoopDrain:
+		if !m.stepDrain() {
+			return false
 		}
-		if !progress && !done() {
-			rt.workerIdleWait(r, pt, st)
+		if m.drainHandled {
+			m.progress = true
 		}
+		if !m.progress && !m.done() {
+			m.armIdleWait()
+			return true
+		}
+		m.pc = wfLoopHead
+	case wfIdleAny:
+		if !m.waitAny.Step() {
+			return false
+		}
+		m.pc = wfLoopHead
+	case wfIdleAll:
+		if !m.waitAll.Step() {
+			return false
+		}
+		m.pending = nil
+		m.pc = wfLoopHead
+	case wfFinalGather:
+		if !m.waitAll.Step() {
+			return false
+		}
+		// End-of-application synchronization.
+		m.pt.Switch(PhaseSync)
+		m.barrier.Init(rt.final, r)
+		m.pc = wfFinalSync
+	case wfFinalSync:
+		if !m.barrier.Step() {
+			return false
+		}
+		m.pt.Finish()
+		return false // machine returns unparked: the worker is done
 	}
-	pt.Switch(PhaseGather)
-	r.WaitAll(st.pending...)
-	// End-of-application synchronization.
-	pt.Switch(PhaseSync)
-	rt.final.Arrive(r)
-	pt.Finish()
+	return true
 }
 
-// workerTask models one (query, fragment) search: compute, local merge
-// (worker-writing only), and the score/result send to the master.
-func (rt *runtime) workerTask(r *mpi.Rank, pt *PhaseTimer, st *workerState, t task) {
-	cfg := rt.cfg
-	bytes := rt.wl.TaskBytes(t.Q, t.F)
-	count := rt.wl.TaskCount(t.Q, t.F)
-	strat := rt.taskStrat(t)
-
-	// Under WW-Coll a worker cannot begin an upcoming query until the
-	// collective I/O for all earlier batches has completed (§2.3: "the
-	// WW-Coll strategy cannot allow worker processes to begin upcoming
-	// queries until after the I/O operation"). The wait for the master's
-	// offset list bills to data distribution.
-	if strat == WWColl {
-		// Serving runs flush out of order, so the query index no longer
-		// implies how many rounds precede this task; the master tells us
-		// directly (task.Gate).
-		need := (t.Q - st.g.loQ) / cfg.QueriesPerWrite
-		if rt.serve != nil {
-			need = t.Gate
-		}
-		for st.batchesHandled < need {
-			pt.Switch(PhaseDataDist)
-			waitDone(r, st.offReq)
-			rt.workerDrainIO(r, pt, st)
-		}
+// done is the termination predicate: no more work, every score send
+// retired, and (when the worker tracks batches) every batch handled.
+func (m *workerFSM) done() bool {
+	if !m.noMore || len(m.pending) > 0 {
+		return false
 	}
-
-	// Query segmentation with a database larger than worker memory must
-	// re-read the overflow for every query — §1's "repeated I/O introduced
-	// by loading sequence data back and forth between the file system and
-	// the main memory".
-	if cfg.Segmentation == QuerySeg && cfg.DatabaseBytes > cfg.WorkerMemoryBytes {
-		pt.Switch(PhaseIO)
-		rt.dbFile.ReadAt(r, cfg.WorkerMemoryBytes, cfg.DatabaseBytes-cfg.WorkerMemoryBytes)
-	}
-
-	// Step 6: the search itself.
-	pt.Switch(PhaseCompute)
-	r.Compute(cfg.Compute.TaskTime(bytes, cfg.ComputeSpeed))
-
-	// Step 8: merge with previous results for this query (parallel I/O).
-	if strat.WorkerWriting() {
-		pt.Switch(PhaseMerge)
-		rt.mergeSleep(r, cfg.mergeTime(st.mergeAcc[t.Q], bytes))
-		st.mergeAcc[t.Q] += bytes
-	}
-
-	// Step 10: send ordered scores (and the result data itself under MW).
-	pt.Switch(PhaseGather)
-	wire := int64(count) * cfg.ScoreEntryBytes
-	if strat == MW {
-		wire += bytes
-	}
-	st.pending = append(st.pending,
-		r.Isend(st.g.masterRank, tagScores, wire,
-			scoreMsg{Task: t, Count: count, ResultBytes: bytes}))
+	return !m.tracksBatches || m.batchesHandled == len(m.g.batches)
 }
 
-// workerLoadDatabase models the initial database load from the parallel
-// file system (only when Config.DatabaseBytes is set). Under database
-// segmentation each worker reads its 1/W share once; under query
-// segmentation each worker reads up to its memory capacity of the full
-// replica (the remainder is re-read per query in workerTask).
-func (rt *runtime) workerLoadDatabase(r *mpi.Rank, pt *PhaseTimer) {
+// initState posts the long-lived receives once the database is loaded.
+func (m *workerFSM) initState() {
+	cfg, r, boss := m.rt.cfg, m.r, m.g.masterRank
+	m.mergeAcc = make(map[int]int64)
+	// Adaptive workers always track offset lists: every batch sends one,
+	// whichever strategy its controller picked (MW batches send empty lists).
+	if m.rt.ad != nil || cfg.Strategy.WorkerWriting() {
+		m.offReq = r.Irecv(boss, tagOffsets)
+	} else if cfg.QuerySync {
+		m.tokReq = r.Irecv(boss, tagSyncToken)
+	}
+	m.tracksBatches = m.offReq != nil || m.tokReq != nil
+}
+
+// armLoadDatabase starts the initial database read (dbLoadRange) and
+// reports whether one is in flight.
+func (m *workerFSM) armLoadDatabase() bool {
+	off, n := m.rt.dbLoadRange(m.r.Rank())
+	if n <= 0 {
+		return false
+	}
+	m.pt.Switch(PhaseIO)
+	m.rt.dbFile.StartReadAt(&m.issue, m.r, off, n)
+	return true
+}
+
+// dbLoadRange is the initial database load from the parallel file system
+// for worker rank (only when Config.DatabaseBytes is set; n == 0 means no
+// read). Under database segmentation each worker reads its 1/W share once;
+// under query segmentation each worker reads up to its memory capacity of
+// the full replica (the remainder is re-read per query, see stepTask).
+func (rt *runtime) dbLoadRange(rank int) (off, n int64) {
 	cfg := rt.cfg
 	if cfg.DatabaseBytes <= 0 {
-		return
+		return 0, 0
 	}
-	pt.Switch(PhaseIO)
 	if cfg.Segmentation == QuerySeg {
-		n := cfg.DatabaseBytes
-		if n > cfg.WorkerMemoryBytes {
-			n = cfg.WorkerMemoryBytes
-		}
-		rt.dbFile.ReadAt(r, 0, n)
-		return
+		return 0, min(cfg.DatabaseBytes, cfg.WorkerMemoryBytes)
 	}
 	share := cfg.DatabaseBytes / int64(rt.totalWorkers())
 	if share <= 0 {
-		return
+		return 0, 0
 	}
-	off := (share * int64(r.Rank())) % cfg.DatabaseBytes
-	rt.dbFile.ReadAt(r, off, share)
+	return (share * int64(rank)) % cfg.DatabaseBytes, share
 }
 
-// workerDrainIO handles every already-arrived offset list or sync token,
-// reposting the receive each time. Reports whether anything was handled.
-func (rt *runtime) workerDrainIO(r *mpi.Rank, pt *PhaseTimer, st *workerState) bool {
-	boss := st.g.masterRank
-	handled := false
-	for st.offReq != nil && st.offReq.Done() {
-		om := st.offReq.Message().Payload.(offsetMsg)
-		st.offReq = r.Irecv(boss, tagOffsets)
-		rt.workerWrite(r, pt, st.g, om)
-		st.batchesHandled++
-		if rt.cfg.QuerySync {
-			pt.Switch(PhaseSync)
-			st.g.querySyn.Arrive(r)
-		}
-		handled = true
+// armReplyWait parks the worker on the reply, plus the sync-token receive
+// under MW+sync — and, in serving and adaptive runs, the offset-list
+// receive: a serving reply may be an arrival gap away, and an adaptive MW
+// batch's notification must wake a request-blocked worker.
+func (m *workerFSM) armReplyWait() {
+	m.waitSet = append(m.waitSet[:0], m.replyReq)
+	if m.tokReq != nil {
+		m.waitSet = append(m.waitSet, m.tokReq)
 	}
-	for st.tokReq != nil && st.tokReq.Done() {
-		st.tokReq = r.Irecv(boss, tagSyncToken)
-		pt.Switch(PhaseSync)
-		st.g.querySyn.Arrive(r)
-		st.batchesHandled++
-		handled = true
+	if (m.rt.serve != nil || m.rt.ad != nil) && m.offReq != nil {
+		m.waitSet = append(m.waitSet, m.offReq)
 	}
-	return handled
+	m.waitAny.Init(m.r, m.waitSet)
 }
 
-// workerIdleWait blocks a worker that has nothing left to compute until the
-// next master notification (offset list or token) arrives. The paper bills
+// armIdleWait blocks a worker with nothing left to compute until the next
+// master notification (offset list or token) arrives. The paper bills
 // waiting-on-the-master to the data distribution phase.
-func (rt *runtime) workerIdleWait(r *mpi.Rank, pt *PhaseTimer, st *workerState) {
+func (m *workerFSM) armIdleWait() {
 	switch {
-	case st.offReq != nil:
-		pt.Switch(PhaseDataDist)
-		waitDone(r, st.offReq)
-	case st.tokReq != nil:
-		pt.Switch(PhaseDataDist)
-		waitDone(r, st.tokReq)
+	case m.offReq != nil:
+		m.pt.Switch(PhaseDataDist)
+		m.waitSet = append(m.waitSet[:0], m.offReq)
+		m.waitAny.Init(m.r, m.waitSet)
+		m.pc = wfIdleAny
+	case m.tokReq != nil:
+		m.pt.Switch(PhaseDataDist)
+		m.waitSet = append(m.waitSet[:0], m.tokReq)
+		m.waitAny.Init(m.r, m.waitSet)
+		m.pc = wfIdleAny
 	default:
-		pt.Switch(PhaseGather)
-		r.WaitAll(st.pending...)
-		st.pending = nil
+		m.pt.Switch(PhaseGather)
+		m.waitAll.Init(m.r, m.pending)
+		m.pc = wfIdleAll
 	}
 }
 
-// waitDone blocks until the request completes without consuming it, so the
-// normal drain path processes the message.
-func waitDone(r *mpi.Rank, req *mpi.Request) {
-	r.WaitAny([]*mpi.Request{req})
+// startDrain arms the drain sub-machine.
+func (m *workerFSM) startDrain() {
+	m.drainPC = drHead
+	m.drainHandled = false
 }
 
-// workerWaitSet lists the requests a worker may block on while awaiting a
-// work reply: the reply itself, plus the sync-token receive under MW+sync —
-// and, in serving and adaptive runs (offsets=true), the offset-list receive:
-// a serving reply may be an arrival gap away, and an adaptive MW batch's
-// notification must wake a request-blocked worker.
-func workerWaitSet(reply *mpi.Request, st *workerState, offsets bool) []*mpi.Request {
-	set := []*mpi.Request{reply}
-	if st.tokReq != nil {
-		set = append(set, st.tokReq)
+// stepDrain handles every already-arrived offset list or sync token,
+// reposting the receive each time; m.drainHandled reports whether anything
+// was handled. Returns false when the worker parked inside a handler.
+func (m *workerFSM) stepDrain() bool {
+	r := m.r
+	boss := m.g.masterRank
+	for {
+		switch m.drainPC {
+		case drHead:
+			if m.offReq != nil && m.offReq.Done() {
+				m.om = m.offReq.Message().Payload.(offsetMsg)
+				m.offReq = r.Irecv(boss, tagOffsets)
+				m.startWrite()
+				m.drainPC = drWrite
+				continue
+			}
+			m.drainPC = drTokHead
+		case drWrite:
+			if !m.stepWrite() {
+				return false
+			}
+			m.batchesHandled++
+			if m.rt.cfg.QuerySync {
+				m.pt.Switch(PhaseSync)
+				m.barrier.Init(m.g.querySyn, r)
+				m.drainPC = drOffSync
+				continue
+			}
+			m.drainHandled = true
+			m.drainPC = drHead
+		case drOffSync:
+			if !m.barrier.Step() {
+				return false
+			}
+			m.drainHandled = true
+			m.drainPC = drHead
+		case drTokHead:
+			if m.tokReq != nil && m.tokReq.Done() {
+				m.tokReq = r.Irecv(boss, tagSyncToken)
+				m.pt.Switch(PhaseSync)
+				m.barrier.Init(m.g.querySyn, r)
+				m.drainPC = drTokSync
+				continue
+			}
+			return true
+		case drTokSync:
+			if !m.barrier.Step() {
+				return false
+			}
+			m.batchesHandled++
+			m.drainHandled = true
+			m.drainPC = drTokHead
+		}
 	}
-	if offsets && st.offReq != nil {
-		set = append(set, st.offReq)
-	}
-	return set
 }
 
-// workerWrite performs this worker's share of a flushed batch using the
-// configured strategy.
-func (rt *runtime) workerWrite(r *mpi.Rank, pt *PhaseTimer, g *group, om offsetMsg) {
-	cfg := rt.cfg
-	strat := rt.batchStrat(om)
-	if rt.ad != nil && strat == MW {
+// startWrite arms the batch-write sub-machine for the offset list in m.om:
+// this worker's share of a flushed batch, written with the batch's strategy.
+func (m *workerFSM) startWrite() {
+	cfg := m.rt.cfg
+	if m.rt.ad != nil && m.om.Strat == MW {
 		// The master already wrote this batch; the (empty) offset list only
-		// tracks batch progress (the drain loop handles the sync barrier).
+		// tracks batch progress (stepWrite's route returns immediately).
+		m.segs = nil
+		m.writePC = wwRoute
 		return
 	}
-	segs := rt.placementsToSegments(om.Placements)
-	// Format this worker's share of the results before writing (under WW
-	// strategies each worker serializes its own output).
+	m.segs = m.rt.placementsToSegments(m.om.Placements)
 	var segBytes int64
-	for _, s := range segs {
+	for _, s := range m.segs {
 		segBytes += s.Length
 	}
 	if segBytes > 0 {
-		pt.Switch(PhaseIO)
-		rt.mergeSleep(r, des.BytesOver(segBytes, cfg.FormatBandwidth))
-	}
-	if strat == WWColl {
-		// Collective write: every group worker participates, with or
-		// without data — the inherent synchronization the paper measures.
-		// For two-phase, waiting for the last worker to become ready is
-		// billed to data distribution (paper §4: "while workers are
-		// waiting to do collective I/O ... which shows up in the data
-		// distribution time"); the collective operation itself is I/O.
-		// The list-sync collective has no entry synchronization: ranks
-		// write on arrival and synchronize only at the end.
-		if cfg.CollMethod == romio.TwoPhase {
-			pt.Switch(PhaseDataDist)
-			g.collEntry.Arrive(r)
-		}
-		pt.Switch(PhaseIO)
-		if rt.ad != nil {
-			g.collGroup.WriteAllHinted(r, segs, om.Hints)
-		} else {
-			g.collGroup.WriteAll(r, segs)
-		}
-		if cfg.SyncEveryWrite {
-			rt.file.Sync(r)
-		}
-		rt.stampFlush(r.Proc().Name(), g, om.Batch)
-		rt.rbInRunWorker(r, pt, g, segs, true)
+		// Format this worker's share of the results before writing (under
+		// WW strategies each worker serializes its own output).
+		m.pt.Switch(PhaseIO)
+		m.sleepStart = m.rt.sim.Now()
+		m.r.Proc().Sleep(des.BytesOver(segBytes, cfg.FormatBandwidth))
+		m.writePC = wwFormat
 		return
 	}
-	if len(segs) == 0 {
-		return
+	m.writePC = wwRoute
+}
+
+// stepWrite drives the batch write; false means the worker parked.
+func (m *workerFSM) stepWrite() bool {
+	rt, r := m.rt, m.r
+	cfg := rt.cfg
+	for {
+		switch m.writePC {
+		case wwFormat:
+			if r.Proc().Yielded() {
+				return false
+			}
+			m.billMerge()
+			m.writePC = wwRoute
+		case wwRoute:
+			strat := rt.batchStrat(m.om)
+			if rt.ad != nil && strat == MW {
+				return true
+			}
+			if strat == WWColl {
+				// Collective write: every group worker participates, with or
+				// without data. For two-phase, waiting for the last worker to
+				// become ready is billed to data distribution (paper §4); the
+				// collective operation itself is I/O.
+				if cfg.CollMethod == romio.TwoPhase {
+					m.pt.Switch(PhaseDataDist)
+					m.barrier.Init(m.g.collEntry, r)
+					m.writePC = wwCollEntry
+					continue
+				}
+				m.startColl()
+				continue
+			}
+			if len(m.segs) == 0 {
+				return true
+			}
+			// Individual noncontiguous write (POSIX or list I/O per hints;
+			// adaptive batches carry their hint vector in the offset message).
+			m.pt.Switch(PhaseIO)
+			if rt.ad != nil {
+				m.wsegs.InitHinted(rt.file, r, m.segs, m.om.Hints)
+			} else {
+				m.wsegs.Init(rt.file, r, m.segs)
+			}
+			m.writePC = wwSegs
+		case wwCollEntry:
+			if !m.barrier.Step() {
+				return false
+			}
+			m.startColl()
+		case wwColl:
+			if !m.coll.Step() {
+				return false
+			}
+			if cfg.SyncEveryWrite {
+				rt.file.StartSync(&m.issue, r)
+				m.writePC = wwSync
+				continue
+			}
+			rt.stampFlush(r.Proc().Name(), m.g, m.om.Batch)
+			if m.armReadback(true) {
+				continue
+			}
+			return true
+		case wwSegs:
+			if !m.wsegs.Step() {
+				return false
+			}
+			if cfg.SyncEveryWrite {
+				rt.file.StartSync(&m.issue, r)
+				m.writePC = wwSync
+				continue
+			}
+			rt.stampFlush(r.Proc().Name(), m.g, m.om.Batch)
+			if m.armReadback(false) {
+				continue
+			}
+			return true
+		case wwSync:
+			if !m.issue.Step() {
+				return false
+			}
+			rt.stampFlush(r.Proc().Name(), m.g, m.om.Batch)
+			if m.armReadback(rt.batchStrat(m.om) == WWColl) {
+				continue
+			}
+			return true
+		case wwRead:
+			if !m.rsegs.Step() {
+				return false
+			}
+			rt.rbVerify(r.Proc().Name(), m.segs, m.rsegs.Pieces())
+			m.rbLeft--
+			if m.rbLeft > 0 {
+				m.startReadback()
+				continue
+			}
+			return true
+		case wwRColl:
+			if !m.rcoll.Step() {
+				return false
+			}
+			rt.rbVerify(r.Proc().Name(), m.segs, m.rcoll.Pieces())
+			m.rbLeft--
+			if m.rbLeft > 0 {
+				m.startReadback()
+				continue
+			}
+			return true
+		}
 	}
-	// Individual noncontiguous write (POSIX or list I/O per hints; adaptive
-	// batches carry their decided hint vector in the offset message).
-	pt.Switch(PhaseIO)
-	if rt.ad != nil {
-		rt.file.WriteSegsHinted(r, segs, om.Hints)
+}
+
+// startColl arms the collective write round.
+func (m *workerFSM) startColl() {
+	m.pt.Switch(PhaseIO)
+	if m.rt.ad != nil {
+		m.coll.InitHinted(m.g.collGroup, m.r, m.segs, m.om.Hints)
 	} else {
-		rt.file.WriteSegs(r, segs)
+		m.coll.Init(m.g.collGroup, m.r, m.segs)
 	}
-	if cfg.SyncEveryWrite {
-		rt.file.Sync(r)
+	m.writePC = wwColl
+}
+
+// armReadback arms the first in-run verification read after a batch write
+// is stamped durable (DESIGN.md §14): the just-written segments are re-read
+// InRunReads times and each pass verified. collective marks a write that
+// went through the collective round, making a collective readback round
+// legal. False means readback is off or there is nothing to read
+// individually.
+func (m *workerFSM) armReadback(collective bool) bool {
+	rb := m.rt.rb
+	if rb == nil || rb.conf.InRunReads == 0 {
+		return false
 	}
-	rt.stampFlush(r.Proc().Name(), g, om.Batch)
-	rt.rbInRunWorker(r, pt, g, segs, false)
+	m.rbColl = collective && rb.conf.Collective
+	if !m.rbColl && len(m.segs) == 0 {
+		return false
+	}
+	m.rbLeft = rb.conf.InRunReads
+	m.startReadback()
+	return true
+}
+
+// startReadback arms one in-run readback round.
+func (m *workerFSM) startReadback() {
+	m.pt.Switch(PhaseIO)
+	if m.rbColl {
+		m.rcoll.Init(m.g.collGroup, m.r, m.segs)
+		m.writePC = wwRColl
+		return
+	}
+	m.rsegs.Init(m.rt.file, m.r, m.rt.rb.conf.Method, m.segs)
+	m.writePC = wwRead
+}
+
+// startTask arms the task sub-machine for t: one (query, fragment) search.
+func (m *workerFSM) startTask(t task) {
+	m.t = t
+	m.taskBytes = m.rt.wl.TaskBytes(t.Q, t.F)
+	m.taskCount = m.rt.wl.TaskCount(t.Q, t.F)
+	m.taskPC = tkGate
+}
+
+// stepTask models one (query, fragment) search; false means the worker
+// parked.
+func (m *workerFSM) stepTask() bool {
+	rt, r := m.rt, m.r
+	cfg := rt.cfg
+	for {
+		switch m.taskPC {
+		case tkGate:
+			// Under WW-Coll a worker cannot begin an upcoming query until the
+			// collective I/O for all earlier batches has completed (§2.3).
+			if rt.taskStrat(m.t) == WWColl {
+				// Serving runs flush out of order, so the query index no
+				// longer implies how many rounds precede this task; the
+				// master sends the gate directly (task.Gate).
+				need := (m.t.Q - m.g.loQ) / cfg.QueriesPerWrite
+				if rt.serve != nil {
+					need = m.t.Gate
+				}
+				if m.batchesHandled < need {
+					m.pt.Switch(PhaseDataDist)
+					m.waitSet = append(m.waitSet[:0], m.offReq)
+					m.waitAny.Init(r, m.waitSet)
+					m.taskPC = tkGateWait
+					continue
+				}
+			}
+			// Query segmentation with a database larger than worker memory
+			// must re-read the overflow for every query (§1's repeated I/O).
+			if cfg.Segmentation == QuerySeg && cfg.DatabaseBytes > cfg.WorkerMemoryBytes {
+				m.pt.Switch(PhaseIO)
+				rt.dbFile.StartReadAt(&m.issue, r,
+					cfg.WorkerMemoryBytes, cfg.DatabaseBytes-cfg.WorkerMemoryBytes)
+				m.taskPC = tkReread
+				continue
+			}
+			m.armCompute()
+		case tkGateWait:
+			if !m.waitAny.Step() {
+				return false
+			}
+			m.startDrain()
+			m.taskPC = tkGateDrain
+		case tkGateDrain:
+			if !m.stepDrain() {
+				return false
+			}
+			m.taskPC = tkGate
+		case tkReread:
+			if !m.issue.Step() {
+				return false
+			}
+			m.armCompute()
+		case tkCompute:
+			if r.Proc().Yielded() {
+				return false
+			}
+			if c := r.World().Causal(); c != nil {
+				c.Busy(r.Proc().Name(), causal.CatCompute, m.sleepStart, r.Now())
+			}
+			// Step 8: merge with previous results for this query.
+			if rt.taskStrat(m.t).WorkerWriting() {
+				m.pt.Switch(PhaseMerge)
+				m.sleepStart = rt.sim.Now()
+				r.Proc().Sleep(cfg.mergeTime(m.mergeAcc[m.t.Q], m.taskBytes))
+				m.taskPC = tkMerge
+				continue
+			}
+			m.taskSend()
+			return true
+		case tkMerge:
+			if r.Proc().Yielded() {
+				return false
+			}
+			m.billMerge()
+			m.mergeAcc[m.t.Q] += m.taskBytes
+			m.taskSend()
+			return true
+		}
+	}
+}
+
+// armCompute starts the search-compute sleep (step 6).
+func (m *workerFSM) armCompute() {
+	cfg := m.rt.cfg
+	m.pt.Switch(PhaseCompute)
+	m.sleepStart = m.rt.sim.Now()
+	m.r.Proc().Sleep(cfg.Compute.TaskTime(m.taskBytes, cfg.ComputeSpeed))
+	m.taskPC = tkCompute
+}
+
+// taskSend ships ordered scores (and the result data itself under MW) —
+// step 10, a nonblocking send retired later.
+func (m *workerFSM) taskSend() {
+	cfg := m.rt.cfg
+	m.pt.Switch(PhaseGather)
+	wire := int64(m.taskCount) * cfg.ScoreEntryBytes
+	if m.rt.taskStrat(m.t) == MW {
+		wire += m.taskBytes
+	}
+	m.pending = append(m.pending,
+		m.r.Isend(m.g.masterRank, tagScores, wire,
+			scoreMsg{Task: m.t, Count: m.taskCount, ResultBytes: m.taskBytes}))
+}
+
+// billMerge records a completed merge/format sleep for causal attribution,
+// mirroring runtime.mergeSleep.
+func (m *workerFSM) billMerge() {
+	if c := m.rt.cfg.Causal; c != nil {
+		c.Busy(m.r.Proc().Name(), causal.CatMerge, m.sleepStart, m.rt.sim.Now())
+	}
 }
 
 // stampFlush records when a batch's data last became durable: the latest

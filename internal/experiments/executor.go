@@ -72,12 +72,12 @@ func forEach(parallelism, n int, job func(i int) error) error {
 }
 
 // parallelism resolves the pool width for a suite: Options.Parallelism if
-// positive, else GOMAXPROCS. A shared Tracer in the base config is the one
-// piece of cross-cell mutable state, so tracing forces sequential runs.
-// Per-cell factories (CellSink/CellMetrics) hand every run private state
-// and therefore do not restrict parallelism.
+// positive, else GOMAXPROCS. A sink in the base config is the one piece of
+// cross-cell mutable state, so it forces sequential runs. Per-cell
+// factories (CellSink/CellMetrics) hand every run private state and
+// therefore do not restrict parallelism.
 func (o *Options) parallelism() int {
-	if o.Base.Tracer != nil {
+	if o.Base.Sink != nil {
 		return 1
 	}
 	if o.Parallelism > 0 {

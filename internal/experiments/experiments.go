@@ -46,8 +46,9 @@ type Options struct {
 	// cell owns a private DES kernel, so outer parallelism never perturbs
 	// results. 0 means GOMAXPROCS; 1 runs sequentially. A sweep produces
 	// bit-identical SweepResults at every parallelism (cells are keyed and
-	// collected independent of completion order). Setting Base.Tracer forces
-	// sequential execution: the tracer is shared mutable state.
+	// collected independent of completion order). Setting Base.Sink forces
+	// sequential execution: a sink shared by every run is cross-cell
+	// mutable state.
 	Parallelism int
 	// Progress, if non-nil, receives a line per completed cell. The sweep
 	// may run cells concurrently, but Progress calls are serialized through
@@ -57,10 +58,11 @@ type Options struct {
 	Progress func(string)
 	// CellSink, if non-nil, supplies a timeline sink for each (cell,
 	// repetition) run (return nil to skip a run). Every run receives
-	// private observer state, so — unlike the shared Base.Tracer — per-cell
+	// private observer state, so — unlike the shared Base.Sink — per-cell
 	// sinks do NOT force sequential execution: the sweep stays bit-identical
 	// at any Parallelism. The factory may be called from several goroutines
 	// at once; returning a distinct sink per call is all it takes to be safe.
+	// A Base.Sink, if also set, receives every run's events as well.
 	CellSink func(key CellKey, rep int) obs.Sink
 	// CellMetrics, if non-nil, likewise supplies a per-run metrics registry.
 	// Each run's snapshot lands in its Report and is merged into
@@ -241,7 +243,7 @@ func runMatrix(opts Options, kind string, xs []float64, setX func(*core.Config, 
 	cache := search.NewCache()
 	prep := func(cell, rep int, cfg *core.Config) {
 		if opts.CellSink != nil {
-			cfg.Sink = opts.CellSink(keys[cell], rep)
+			cfg.Sink = obs.Multi(opts.Base.Sink, opts.CellSink(keys[cell], rep))
 		}
 		if opts.CellMetrics != nil {
 			cfg.Metrics = opts.CellMetrics(keys[cell], rep)

@@ -35,8 +35,8 @@ func newExtExec(base *core.Config, parallelism []int) extExec {
 	if len(parallelism) > 0 {
 		par = parallelism[0]
 	}
-	if base.Tracer != nil {
-		par = 1 // the tracer is shared mutable state
+	if base.Sink != nil {
+		par = 1 // the sink is shared mutable state
 	}
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)

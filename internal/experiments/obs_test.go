@@ -52,7 +52,7 @@ func (s *cellSpool) events() map[CellKey]map[int][]trace.Event {
 // TestCellSinkParallelMatchesSequential is the per-cell determinism
 // regression for the tentpole: a sweep with per-run tracers must produce the
 // same SweepResult AND the same per-cell timelines at any parallelism —
-// unlike Options.Base.Tracer, the factories do not force sequential runs.
+// unlike Options.Base.Sink, the factories do not force sequential runs.
 func TestCellSinkParallelMatchesSequential(t *testing.T) {
 	run := func(parallelism int) (*SweepResult, map[CellKey]map[int][]trace.Event) {
 		opts := QuickOptions()
@@ -152,7 +152,7 @@ func TestCellMetricsAndSweepSnapshot(t *testing.T) {
 }
 
 // TestCellFactoriesDoNotForceSequential pins the contract documented on
-// Options: unlike Base.Tracer, per-cell factories leave Parallelism alone.
+// Options: unlike Base.Sink, per-cell factories leave Parallelism alone.
 func TestCellFactoriesDoNotForceSequential(t *testing.T) {
 	opts := QuickOptions()
 	opts.Parallelism = 4
@@ -161,9 +161,43 @@ func TestCellFactoriesDoNotForceSequential(t *testing.T) {
 	if got := opts.parallelism(); got != 4 {
 		t.Fatalf("parallelism = %d, want 4", got)
 	}
-	opts.Base.Tracer = trace.New()
+	opts.Base.Sink = trace.New()
 	if got := opts.parallelism(); got != 1 {
 		t.Fatalf("a shared tracer must still force sequential, got %d", got)
+	}
+}
+
+// TestBaseSinkAndCellSinkBothReceive is the regression for a shared
+// Base.Sink combined with per-cell sinks: every run's timeline must reach
+// both, and the shared tracer must not be driven by concurrent cells (run
+// under -race, a parallel sweep would trip on it).
+func TestBaseSinkAndCellSinkBothReceive(t *testing.T) {
+	opts := QuickOptions()
+	opts.Procs = []int{2, 4}
+	opts.Strategies = []core.Strategy{core.WWList, core.MW}
+	opts.Parallelism = 4
+	shared := trace.New()
+	opts.Base.Sink = shared
+	spool := newCellSpool()
+	opts.CellSink = spool.factory()
+	sr, err := RunProcessSweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Perf.Parallelism != 1 {
+		t.Fatalf("sweep ran at parallelism %d with a shared sink, want 1", sr.Perf.Parallelism)
+	}
+	perCell := 0
+	for key, reps := range spool.events() {
+		for rep, evs := range reps {
+			if len(evs) == 0 {
+				t.Fatalf("cell %+v rep %d: per-cell sink saw no events", key, rep)
+			}
+			perCell += len(evs)
+		}
+	}
+	if got := len(shared.Events()); got == 0 || got != perCell {
+		t.Fatalf("shared sink saw %d events, per-cell sinks %d in total", got, perCell)
 	}
 }
 

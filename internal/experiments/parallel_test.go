@@ -120,17 +120,24 @@ func TestSweepWorkloadGeneratedOncePerSpec(t *testing.T) {
 }
 
 // TestTracerForcesSequential pins the guard for the one piece of cross-cell
-// mutable state: a shared Tracer disables outer parallelism.
+// mutable state: a tracer shared as Base.Sink disables outer parallelism,
+// in the figure sweeps and in the extension studies alike.
 func TestTracerForcesSequential(t *testing.T) {
 	opts := QuickOptions()
 	opts.Parallelism = 8
-	opts.Base.Tracer = trace.New()
+	opts.Base.Sink = trace.New()
 	if got := opts.parallelism(); got != 1 {
 		t.Fatalf("parallelism with tracer = %d, want 1", got)
 	}
-	opts.Base.Tracer = nil
+	if got := newExtExec(&opts.Base, []int{8}).par; got != 1 {
+		t.Fatalf("extension parallelism with tracer = %d, want 1", got)
+	}
+	opts.Base.Sink = nil
 	if got := opts.parallelism(); got != 8 {
 		t.Fatalf("parallelism = %d, want 8", got)
+	}
+	if got := newExtExec(&opts.Base, []int{8}).par; got != 8 {
+		t.Fatalf("extension parallelism = %d, want 8", got)
 	}
 }
 

@@ -89,8 +89,8 @@ func ScaleTable(points []ScalePoint) *stats.Table {
 }
 
 // samplePeakMem polls HeapAlloc+StackSys until stop closes, tracking the
-// maximum in peak. Stack memory is counted because under ProcGoroutine it
-// is the dominant per-rank cost and never appears in HeapAlloc.
+// maximum in peak. Stack memory is counted because goroutine processes
+// (masters, and any goroutine-backed rank) keep it outside HeapAlloc.
 func samplePeakMem(peak *atomic.Uint64, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	tick := time.NewTicker(10 * time.Millisecond)

@@ -17,10 +17,9 @@ import (
 //   - on an FSM process (des.SpawnFSM) each Step advances to the next park
 //     and returns false, and the parent machine re-enters it on resume.
 //
-// One implementation serves both process kinds, which is what keeps the FSM
-// engine event-for-event identical to the goroutine engine: the waiter
-// enqueues, calendar pushes, and causal records happen in exactly the same
-// order either way.
+// One implementation serves both process kinds: the waiter enqueues,
+// calendar pushes, and causal records happen in exactly the same order
+// either way.
 
 // SpawnFSM starts rank i's program as a resumable state machine on the
 // simulation kernel — the scale path that backs a blocked rank with one

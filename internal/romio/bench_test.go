@@ -54,7 +54,7 @@ func BenchmarkCollRead(b *testing.B) {
 				b.ResetTimer()
 			}
 			for i := 0; i < b.N; i++ {
-				if !allPieces(perRank[rk], g.ReadAll(r, perRank[rk])) {
+				if !allPieces(perRank[rk], readAll(g, r, perRank[rk])) {
 					b.Fatal("read pieces not placed")
 				}
 			}

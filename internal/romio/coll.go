@@ -128,14 +128,6 @@ func (g *Group) WriteAll(r *mpi.Rank, segs []pvfs.Segment) {
 	op.Step()
 }
 
-// WriteAllHinted is WriteAll with a per-round hint override (see
-// CollWriteOp.InitHinted for the first-arriver-stamps-the-round rule).
-func (g *Group) WriteAllHinted(r *mpi.Rank, segs []pvfs.Segment, h Hints) {
-	var op CollWriteOp
-	op.InitHinted(g, r, segs, h)
-	op.Step()
-}
-
 // buildPlan computes the aggregate extent, file domains, and the
 // contributor->aggregator piece matrix. Runs once per round, after the
 // entry barrier, so every member's data is registered.

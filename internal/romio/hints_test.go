@@ -135,7 +135,7 @@ func TestSieveZeroBufferTerminates(t *testing.T) {
 		e := newEnv(t, 1, DefaultHints())
 		const segSize = 64
 		e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-			e.f.WriteSegsHinted(r, []pvfs.Segment{
+			writeSegsHinted(e.f, r, []pvfs.Segment{
 				placed(0, segSize),
 				placed(2*segSize, segSize),
 			}, Hints{IndWriteMethod: DataSieve, SieveBufferSize: size})
@@ -175,7 +175,7 @@ func TestWriteSegsHintedOverridesMethod(t *testing.T) {
 	ePosix := newEnv(t, 1, DefaultHints())
 	var tPosix des.Time
 	ePosix.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		ePosix.f.WriteSegsHinted(r, segs(), Hints{IndWriteMethod: Posix})
+		writeSegsHinted(ePosix.f, r, segs(), Hints{IndWriteMethod: Posix})
 		tPosix = r.Now()
 	})
 	if err := ePosix.sim.Run(); err != nil {
@@ -199,7 +199,7 @@ func TestWriteAllHintedCBNodesOverride(t *testing.T) {
 		rk := rk
 		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
 			off := int64(rk) * segSize
-			g.WriteAllHinted(r, []pvfs.Segment{
+			writeAllHinted(g, r, []pvfs.Segment{
 				placed(off, segSize),
 			}, h)
 		})

@@ -13,8 +13,8 @@ import (
 // mirror of the write side in op.go: the individual noncontiguous read
 // (ReadSegsOp, with POSIX / list / data-sieving ADIO methods) and the
 // collective read (CollReadOp, two-phase or list-sync). Both serve
-// goroutine and FSM processes identically; the blocking File.ReadSegs and
-// Group.ReadAll wrappers are Init + one Step.
+// goroutine and FSM processes identically; the blocking File.ReadSegs
+// wrapper is Init + one Step.
 
 // collReadTagBase keeps collective-read exchange tags disjoint from the
 // collective-write tag space, so interleaved read and write rounds can
@@ -198,13 +198,13 @@ func (f *File) ReadSegs(r *mpi.Rank, method Method, segs []pvfs.Segment) [][]pvf
 	return op.Pieces()
 }
 
-// CollReadOp is Group.ReadAll as a resumable operation: one collective read
-// round using the group's collective method. Two-phase runs the write
-// algorithm in reverse — entry synchronization, union-pattern processing,
-// aggregators list-read their file domains, redistribution of the data from
-// aggregators back to contributors, exit synchronization. ListSync reads
-// each rank's own segments with native list I/O and synchronizes only at
-// the end. Read rounds use their own round state and tag space, so they
+// CollReadOp is one collective read round (MPI_File_read_all) as a
+// resumable operation, using the group's collective method. Two-phase runs
+// the write algorithm in reverse — entry synchronization, union-pattern
+// processing, aggregators list-read their file domains, redistribution of
+// the data from aggregators back to contributors, exit synchronization.
+// ListSync reads each rank's own segments with native list I/O and
+// synchronizes only at the end. Read rounds use their own round state and tag space, so they
 // interleave safely with write rounds.
 type CollReadOp struct {
 	g      *Group
@@ -441,17 +441,6 @@ func (op *CollReadOp) startExchange() {
 // ReadSegsOp.Pieces). Entries are nil unless the file system captures
 // content. Valid only after Step has returned true.
 func (op *CollReadOp) Pieces() [][]pvfs.Segment { return op.pieces }
-
-// ReadAll performs one collective read round from rank r, returning the
-// per-segment pieces (nil entries unless the file system captures
-// content). Blocks until the round's exit synchronization; the round itself
-// lives in CollReadOp so FSM processes can run it resumably.
-func (g *Group) ReadAll(r *mpi.Rank, segs []pvfs.Segment) [][]pvfs.Segment {
-	var op CollReadOp
-	op.Init(g, r, segs)
-	op.Step()
-	return op.Pieces()
-}
 
 // sortedContributors returns the plan's contributor ranks in ascending
 // order, for deterministic iteration over the sendPieces map.

@@ -115,7 +115,7 @@ func TestCollectiveReadImage(t *testing.T) {
 			rk := rk
 			e.w.Spawn(rk, "r", func(r *mpi.Rank) {
 				g.WriteAll(r, perRank[rk])
-				got[rk] = g.ReadAll(r, perRank[rk])
+				got[rk] = readAll(g, r, perRank[rk])
 			})
 		}
 		if err := e.sim.Run(); err != nil {
@@ -148,7 +148,7 @@ func TestCollectiveReadEmptyContributor(t *testing.T) {
 				segs = []pvfs.Segment{seg}
 			}
 			g.WriteAll(r, segs)
-			res := g.ReadAll(r, segs)
+			res := readAll(g, r, segs)
 			if rk == 1 {
 				got = res
 			}
@@ -183,7 +183,7 @@ func TestInterleavedWriteReadRounds(t *testing.T) {
 				off := int64(round*n+rk) * segSize
 				segs := []pvfs.Segment{placed(off, segSize)}
 				g.WriteAll(r, segs)
-				got := g.ReadAll(r, segs)
+				got := readAll(g, r, segs)
 				if len(got) != 1 || !pvfs.AllPlaced(got[0], off, segSize) {
 					mismatches++
 				}
@@ -285,7 +285,7 @@ func TestDescriptorsStayPlaced(t *testing.T) {
 			rk := rk
 			e.w.Spawn(rk, "r", func(r *mpi.Rank) {
 				g.WriteAll(r, perRank[rk])
-				reads[rk] = g.ReadAll(r, perRank[rk])
+				reads[rk] = readAll(g, r, perRank[rk])
 			})
 		}
 		if err := e.sim.Run(); err != nil {

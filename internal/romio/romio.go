@@ -206,15 +206,6 @@ func (f *File) WriteSegs(r *mpi.Rank, segs []pvfs.Segment) {
 	op.Step()
 }
 
-// WriteSegsHinted is WriteSegs with a per-call hint override — the adaptive
-// controller's path, where the individual-write method and sieve window vary
-// per batch instead of being fixed at Open.
-func (f *File) WriteSegsHinted(r *mpi.Rank, segs []pvfs.Segment, h Hints) {
-	var op WriteSegsOp
-	op.InitHinted(f, r, segs, h)
-	op.Step()
-}
-
 // Sync flushes the file from rank r (MPI_File_sync).
 func (f *File) Sync(r *mpi.Rank) {
 	f.pv.Sync(r.Proc(), f.port(r))

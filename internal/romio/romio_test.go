@@ -80,6 +80,34 @@ func bytesOf(pieces []pvfs.Segment) []byte { return pvfs.Bytes(pieces, fillPatte
 // placed returns a segment carrying the content of its own offset.
 func placed(off, n int64) pvfs.Segment { return pvfs.Segment{Offset: off, Length: n, Src: off} }
 
+// The helpers below drive a resumable op to completion from a goroutine
+// process — Init arms it, and one Step blocks the caller until it is done,
+// exactly as the blocking File.WriteSegs and Group.WriteAll wrappers do.
+
+// writeSegsHinted is one individual noncontiguous write with a per-call
+// hint override.
+func writeSegsHinted(f *File, r *mpi.Rank, segs []pvfs.Segment, h Hints) {
+	var op WriteSegsOp
+	op.InitHinted(f, r, segs, h)
+	op.Step()
+}
+
+// writeAllHinted is one collective write round with a per-round hint
+// override.
+func writeAllHinted(g *Group, r *mpi.Rank, segs []pvfs.Segment, h Hints) {
+	var op CollWriteOp
+	op.InitHinted(g, r, segs, h)
+	op.Step()
+}
+
+// readAll is one collective read round, returning the per-segment pieces.
+func readAll(g *Group, r *mpi.Rank, segs []pvfs.Segment) [][]pvfs.Segment {
+	var op CollReadOp
+	op.Init(g, r, segs)
+	op.Step()
+	return op.Pieces()
+}
+
 func TestWriteAtStoresData(t *testing.T) {
 	e := newEnv(t, 1, DefaultHints())
 	e.w.Spawn(0, "r0", func(r *mpi.Rank) {

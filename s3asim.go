@@ -420,7 +420,7 @@ type (
 )
 
 // Tracer records a phase timeline in memory; TraceEvent is one interval or
-// marker of it. Attach via Config.Tracer, render with TraceGantt or export
+// marker of it. Attach via Config.Sink, render with TraceGantt or export
 // with WritePerfetto.
 type (
 	Tracer     = trace.Tracer
