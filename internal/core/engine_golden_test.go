@@ -3,10 +3,12 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/fault"
 	"s3asim/internal/romio"
 )
 
@@ -147,5 +149,117 @@ func TestWorkerGoldenBehavior(t *testing.T) {
 				t.Errorf("calendar events = %d, pinned %d", rep.Events, ec.events)
 			}
 		})
+	}
+}
+
+// This block pins the resilient master (DESIGN.md §9) beyond the kernel
+// matrix's single faulted WW-List cell: every strategy under a crash with
+// restart, the MW sync-token path, WW-Coll's taint-and-fallback, a
+// permanent crash (scored-result requeue and recovery waves) and a
+// drop-heavy plan (reply replay, lease requeue). The fingerprint adds the
+// run's fault.* counters, so a change in the order the master handles
+// expiries shows even when the phase totals do not move.
+
+// resilientFingerprint is engineFingerprint extended with every fault.*
+// counter in Report.Metrics, in name order.
+func resilientFingerprint(rep *Report) string {
+	var names []string
+	for k := range rep.Metrics.Counters {
+		if strings.HasPrefix(k, "fault.") {
+			names = append(names, k)
+		}
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString(engineFingerprint(rep))
+	for _, k := range names {
+		fmt.Fprintf(&b, "\n%s=%d", k, rep.Metrics.Counters[k])
+	}
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
+}
+
+// crashPlan crashes rank 5 at the given time; restart 0 leaves it dead
+// for good.
+func crashPlan(at, restart des.Time) *fault.Plan {
+	return &fault.Plan{Seed: 7, Events: []fault.Event{
+		{Kind: fault.Crash, At: at, Rank: 5, Server: -1, Restart: restart},
+	}}
+}
+
+// restartPlan crashes rank 5 at 1.2s and restarts it 300ms later.
+var restartPlan = crashPlan(1200*des.Millisecond, 300*des.Millisecond)
+
+// resilientCell is goldenConfig under strategy s and plan p, with a 2ms
+// detector sweep and a 200ms lease: short enough against the ~7s run that
+// lease extensions and offset resends happen.
+func resilientCell(s Strategy, p *fault.Plan, mutate func(c *Config)) func() Config {
+	return func() Config {
+		cfg := goldenConfig()
+		cfg.Strategy = s
+		cfg.FaultPlan = p
+		cfg.DetectInterval = 2 * des.Millisecond
+		cfg.LeaseTimeout = 200 * des.Millisecond
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		return cfg
+	}
+}
+
+var resilientCases = []engineCase{
+	{name: "crash-restart_MW", hash: "17d23efd0e73c6c3f212c0affa582f24d10a2f7898c50de942501c651e765663", events: 14025,
+		config: resilientCell(MW, restartPlan, nil)},
+	{name: "crash-restart_WW-POSIX", hash: "034b8ddc39913e0869ac7c532fb3f9fadd23b93d08029a9853865398fbef6711", events: 33304,
+		config: resilientCell(WWPosix, restartPlan, nil)},
+	{name: "crash-restart_WW-List", hash: "079180421cb1c09981c5a35a3428961dca540a89ac81926bc99fc788e9501f1a", events: 24713,
+		config: resilientCell(WWList, restartPlan, nil)},
+	{name: "crash-restart_WW-Coll", hash: "7059768149dd783850ee86674b04c59eed913590bd8b275bcfe64831b16a617f", events: 26348,
+		config: resilientCell(WWColl, restartPlan, nil)},
+	{name: "MW_sync_crash-restart", hash: "2bceda932f8b7b55b5689cfc5d5a3c97074952792f97424ee3f9a287b6482aac", events: 14349,
+		config: resilientCell(MW, restartPlan,
+			func(c *Config) { c.QuerySync = true })},
+	{name: "WW-Coll_two-phase_sync_crash", hash: "148fa1d74bf6ccafd93dd3438cae97b9e79a1d96c10306e29b2a3df439dc9c74", events: 25750,
+		config: resilientCell(WWColl, crashPlan(1200*des.Millisecond, 0),
+			func(c *Config) { c.CollMethod = romio.TwoPhase; c.QuerySync = true })},
+	{name: "permanent-crash_WW-List", hash: "6b9c9ef7c63f27b29772b34383f6013eabf89e09e1298a31bcd6f11738c03dc8", events: 24659,
+		config: resilientCell(WWList, crashPlan(2400*des.Millisecond, 0), nil)},
+	// A lossy run plus a 20x straggler: replayed replies, lost scores
+	// re-dispatched on the next request, and a lease that runs out of
+	// extensions.
+	{name: "drop-heavy_WW-POSIX", hash: "5e7c1b1b943e203a203bff22fcf63ffec2776cac23b519db1f7911d59745dce1", events: 36289,
+		config: resilientCell(WWPosix, &fault.Plan{Seed: 11, Events: []fault.Event{
+			{Kind: fault.Drop, Rank: -1, Server: -1, Prob: 0.15},
+			{Kind: fault.Slow, For: 3 * des.Second, Rank: 3, Server: -1, Factor: 20},
+		}}, nil)},
+}
+
+// TestResilientGoldenBehavior checks every resilientCases run against its
+// pinned fingerprint and calendar-event count, then reruns it on the same
+// reused kernel and requires the same fingerprint. Across the cells, lease
+// extensions and offset resends must both occur.
+func TestResilientGoldenBehavior(t *testing.T) {
+	var extensions, resends int64
+	for _, ec := range resilientCases {
+		t.Run(ec.name, func(t *testing.T) {
+			cfg := ec.config()
+			cfg.Sim = des.New()
+			rep := mustRun(t, cfg)
+			got := resilientFingerprint(rep)
+			if got != ec.hash {
+				t.Errorf("virtual-time fingerprint drifted:\n got %s\nwant %s", got, ec.hash)
+			}
+			if rep.Events != ec.events {
+				t.Errorf("calendar events = %d, pinned %d", rep.Events, ec.events)
+			}
+			if again := resilientFingerprint(mustRun(t, cfg)); again != got {
+				t.Errorf("rerun on the reused kernel: fingerprint %s, first run %s", again, got)
+			}
+			extensions += rep.Metrics.Counters["fault.lease_extensions"]
+			resends += rep.Metrics.Counters["fault.offset_resends"]
+		})
+	}
+	if extensions == 0 || resends == 0 {
+		t.Errorf("lease extensions = %d, offset resends = %d across the cells; both paths must be covered",
+			extensions, resends)
 	}
 }
