@@ -43,11 +43,15 @@ bench-quick:
 # Kernel fast-path micro-benchmarks (DESIGN.md §11): calendar throughput,
 # process switches, Signal wake/broadcast, timed-wait re-arm, the MPI
 # layer riding on them, the adaptive controller's decision path
-# (DESIGN.md §16), payload fill throughput, and the capture path's
-# descriptor store, in-place verifier and romio read ops (DESIGN.md §14).
-# The steady-state paths must stay 0 allocs/op.
+# (DESIGN.md §16), payload fill throughput, the capture path's
+# descriptor store, in-place verifier and romio read ops (DESIGN.md §14),
+# and one resilient-master wake with nothing due (DESIGN.md §9). The core
+# pattern names that one benchmark: internal/core also holds the
+# minute-long BenchmarkScaleWorkers. The steady-state paths must stay
+# 0 allocs/op.
 bench-kernel:
 	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/ ./internal/pvfs/ ./internal/romio/
+	$(GO) test -run '^$$' -bench '^BenchmarkRMasterIdleWake$$' -benchmem -benchtime=1s ./internal/core/
 
 # Rank-scaling benchmark (DESIGN.md §12): 1k/10k/100k-rank cells on the
 # FSM worker engine, reporting events/sec and peak memory per rank. The

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"s3asim/internal/des"
@@ -39,31 +42,42 @@ type rlease struct {
 	extends  int // lease extensions granted while the worker stayed live
 }
 
-// rdebt is one owed write acknowledgement: the offset message sent and when
-// to act if the ack has not arrived.
-type rdebt struct {
-	msg      offsetMsg
-	bytes    int64
-	deadline des.Time
-	dead     bool // owner died; deadline is now the ack grace period
-}
-
 // debtKey identifies one owed ack: a rank can owe several waves of the same
 // batch at once (an un-acked wave 0 plus a recovery wave it now owns).
 type debtKey struct {
 	rank, wave int
 }
 
+// rdebt is one owed write acknowledgement: the offset message sent and when
+// to act if the ack has not arrived.
+type rdebt struct {
+	debtKey
+	msg      offsetMsg
+	bytes    int64
+	deadline des.Time
+	dead     bool // owner died; deadline is now the ack grace period
+}
+
 // rbatch tracks one batch's durability in the resilient protocol.
 type rbatch struct {
 	sent     bool
 	durable  bool
-	wave     int               // highest wave sent so far
-	owed     map[debtKey]rdebt // outstanding acks
-	recovery map[task]bool     // re-dispatched tasks this sent batch still needs
+	wave     int           // highest wave sent so far
+	owed     []rdebt       // outstanding acks, in (rank, wave) order
+	recovery map[task]bool // re-dispatched tasks this sent batch still needs
 }
 
-// rmasterState is the resilient master's bookkeeping.
+// debtAt locates debt k in owed, or the position that keeps owed in
+// (rank, wave) order.
+func (b *rbatch) debtAt(k debtKey) (int, bool) {
+	return slices.BinarySearchFunc(b.owed, k, func(d rdebt, k debtKey) int {
+		return cmp.Or(cmp.Compare(d.rank, k.rank), cmp.Compare(d.wave, k.wave))
+	})
+}
+
+// rmasterState is the resilient master's bookkeeping. Per-worker state is
+// held in slices indexed by slot (rank minus base), so a range visits ranks
+// in ascending order without sorting.
 type rmasterState struct {
 	g  *group
 	pt *PhaseTimer
@@ -82,15 +96,17 @@ type rmasterState struct {
 	retryQ  []task
 	retries map[task]int
 
-	live        map[int]bool
-	incarn      map[int]int
-	idle        map[int]bool
-	syncMember  map[int]bool
-	pendingJoin []int
+	base        int // rank of the group's first worker: slot 0
+	live        []bool
+	nLive       int
+	incarn      []int
+	idle        []bool
+	syncMember  []bool
+	pendingJoin []int // ranks
 
-	leases    map[int]*rlease
-	lastSeq   map[int]int
-	lastReply map[int]workReplyMsg
+	leases    []*rlease // nil: no task outstanding
+	lastSeq   []int
+	lastReply []workReplyMsg
 
 	batches     []*rbatch
 	flushedInit int
@@ -104,6 +120,67 @@ type rmasterState struct {
 
 	sends     []*mpi.Request
 	nextSweep des.Time
+	// due is at or before every lease and ack deadline: rmNextDeadline sets
+	// it to the exact minimum and arm lowers it for each deadline set since,
+	// so the expiry passes can return at once while now < due.
+	due des.Time
+}
+
+// newRMasterState builds group g's master bookkeeping with every worker
+// live and nothing dispatched.
+func (rt *runtime) newRMasterState(g *group, pt *PhaseTimer) *rmasterState {
+	cfg := rt.cfg
+	n := len(g.workers)
+	m := &rmasterState{
+		g:          g,
+		pt:         pt,
+		totalTasks: (g.hiQ - g.loQ) * cfg.Workload.NumFragments,
+		nextQ:      g.loQ,
+		remaining:  make(map[int]int),
+		assigned:   make(map[int][]int),
+		mergeAcc:   make(map[int]int64),
+		complete:   make(map[int]bool),
+		taskDone:   make(map[task]bool),
+		retries:    make(map[task]int),
+		base:       g.masterRank + 1,
+		live:       make([]bool, n),
+		nLive:      n,
+		incarn:     make([]int, n),
+		idle:       make([]bool, n),
+		syncMember: make([]bool, n),
+		leases:     make([]*rlease, n),
+		lastSeq:    make([]int, n),
+		lastReply:  make([]workReplyMsg, n),
+	}
+	for q := g.loQ; q < g.hiQ; q++ {
+		m.remaining[q] = cfg.Workload.NumFragments
+		m.assigned[q] = make([]int, cfg.Workload.NumFragments)
+	}
+	for i := range m.live {
+		m.live[i] = true
+		m.syncMember[i] = cfg.QuerySync
+	}
+	m.batches = make([]*rbatch, len(g.batches))
+	for i := range m.batches {
+		m.batches[i] = &rbatch{recovery: make(map[task]bool)}
+	}
+	return m
+}
+
+// slot maps a worker rank to its index in the per-worker slices.
+func (m *rmasterState) slot(w int) int { return w - m.base }
+
+// arm notes a lease or ack deadline set after rmNextDeadline ran.
+func (m *rmasterState) arm(d des.Time) { m.due = min(m.due, d) }
+
+// owe records an ack debt in rb, keeping owed in (rank, wave) order.
+func (m *rmasterState) owe(rb *rbatch, d rdebt) {
+	if i, found := rb.debtAt(d.debtKey); found {
+		rb.owed[i] = d
+	} else {
+		rb.owed = slices.Insert(rb.owed, i, d)
+	}
+	m.arm(d.deadline)
 }
 
 // rmaster is the resilient Algorithm 1: the original task distribution and
@@ -123,37 +200,7 @@ func (rt *runtime) rmaster(r *mpi.Rank, g *group) {
 	}
 	g.team.Bcast(r, g.masterRank, configMsgBytes, "input-variables")
 
-	m := &rmasterState{
-		g:          g,
-		pt:         pt,
-		totalTasks: (g.hiQ - g.loQ) * cfg.Workload.NumFragments,
-		nextQ:      g.loQ,
-		remaining:  make(map[int]int),
-		assigned:   make(map[int][]int),
-		mergeAcc:   make(map[int]int64),
-		complete:   make(map[int]bool),
-		taskDone:   make(map[task]bool),
-		retries:    make(map[task]int),
-		live:       make(map[int]bool),
-		incarn:     make(map[int]int),
-		idle:       make(map[int]bool),
-		syncMember: make(map[int]bool),
-		leases:     make(map[int]*rlease),
-		lastSeq:    make(map[int]int),
-		lastReply:  make(map[int]workReplyMsg),
-	}
-	for q := g.loQ; q < g.hiQ; q++ {
-		m.remaining[q] = cfg.Workload.NumFragments
-		m.assigned[q] = make([]int, cfg.Workload.NumFragments)
-	}
-	for _, w := range g.workers {
-		m.live[w] = true
-		m.syncMember[w] = cfg.QuerySync
-	}
-	m.batches = make([]*rbatch, len(g.batches))
-	for i := range m.batches {
-		m.batches[i] = &rbatch{owed: make(map[debtKey]rdebt), recovery: make(map[task]bool)}
-	}
+	m := rt.newRMasterState(g, pt)
 	m.workReq = r.Irecv(mpi.AnySource, tagWorkRequest)
 	m.scoreReq = r.Irecv(mpi.AnySource, tagScores)
 	m.ackReq = r.Irecv(mpi.AnySource, tagWriteAck)
@@ -207,25 +254,21 @@ func (rt *runtime) rmDone(m *rmasterState) bool {
 }
 
 // rmNextDeadline picks the earliest of the detector sweep, lease expiries,
-// and ack-debt expiries — the master's next forced wake-up.
+// and ack-debt expiries — the master's next forced wake-up — and caches the
+// earliest lease or debt deadline in m.due.
 func (rt *runtime) rmNextDeadline(m *rmasterState) des.Time {
-	d := m.nextSweep
-	for _, w := range sortedKeysLease(m.leases) {
-		if l := m.leases[w]; l.deadline < d {
-			d = l.deadline
+	m.due = math.MaxInt64
+	for _, l := range m.leases {
+		if l != nil {
+			m.arm(l.deadline)
 		}
 	}
 	for _, b := range m.batches {
-		if !b.sent || b.durable {
-			continue
-		}
-		for _, k := range sortedDebtKeys(b.owed) {
-			if dd := b.owed[k].deadline; dd < d {
-				d = dd
-			}
+		for _, d := range b.owed {
+			m.arm(d.deadline)
 		}
 	}
-	return d
+	return min(m.nextSweep, m.due)
 }
 
 // rmDrainOne consumes at most one completed persistent receive, in fixed
@@ -257,59 +300,63 @@ func (rt *runtime) rmDrainOne(r *mpi.Rank, m *rmasterState) bool {
 // (resent) request replay, lost-score recovery, and task assignment.
 func (rt *runtime) rmHandleWorkReq(r *mpi.Rank, m *rmasterState, msg *mpi.Message) {
 	w := msg.Source
+	i := m.slot(w)
 	rq := msg.Payload.(workReqMsg)
-	if rq.Inc < m.incarn[w] {
+	if rq.Inc < m.incarn[i] {
 		// In-flight leftover from an incarnation already superseded; ignore.
 		return
 	}
-	if rq.Inc > m.incarn[w] {
+	if rq.Inc > m.incarn[i] {
 		// A restarted worker whose death we may never have observed:
 		// retire the old incarnation's state first, then welcome it back.
-		if m.live[w] {
+		if m.live[i] {
 			rt.rmDeclareDead(r, m, w, r.Now())
 		}
-		m.incarn[w] = rq.Inc
-		m.live[w] = true
-		delete(m.idle, w)
-		m.lastSeq[w] = 0
-		delete(m.lastReply, w)
-		if rt.cfg.QuerySync && !m.syncMember[w] {
+		m.incarn[i] = rq.Inc
+		m.live[i] = true
+		m.nLive++
+		m.idle[i] = false
+		m.lastSeq[i] = 0
+		m.lastReply[i] = workReplyMsg{}
+		if rt.cfg.QuerySync && !m.syncMember[i] {
 			m.pendingJoin = append(m.pendingJoin, w)
 		}
 		rt.count("fault.workers_rejoined", 1)
 	}
-	if !m.live[w] {
+	if !m.live[i] {
 		// A message from a dead incarnation still in flight; ignore.
 		return
 	}
-	if rq.Seq == m.lastSeq[w] {
+	if rq.Seq == m.lastSeq[i] {
 		// Resent request (our reply was lost): replay the same reply and
 		// refresh the lease.
-		if l := m.leases[w]; l != nil {
+		if l := m.leases[i]; l != nil {
 			l.deadline = r.Now() + rt.cfg.effLease()
+			m.arm(l.deadline)
 		}
-		rt.rmSendReply(r, m, w, m.lastReply[w])
+		rt.rmSendReply(r, m, w, m.lastReply[i])
 		return
 	}
-	if l := m.leases[w]; l != nil {
+	if l := m.leases[i]; l != nil {
 		// New request while a task lease is outstanding: the score was
 		// lost in flight. Re-dispatch the leased task.
-		delete(m.leases, w)
+		m.leases[i] = nil
 		if !m.taskDone[l.t] {
 			rt.rmRequeue(r, m, l.t)
 		}
 	}
-	delete(m.idle, w)
+	m.idle[i] = false
 	rep := workReplyMsg{Seq: rq.Seq, Flushed: m.flushedInit}
 	if t, ok := rt.rmAssignNext(m); ok {
 		rep.Has = true
 		rep.T = t
-		m.leases[w] = &rlease{t: t, seq: rq.Seq, deadline: r.Now() + rt.cfg.effLease()}
+		m.leases[i] = &rlease{t: t, seq: rq.Seq, deadline: r.Now() + rt.cfg.effLease()}
+		m.arm(m.leases[i].deadline)
 	} else {
-		m.idle[w] = true
+		m.idle[i] = true
 	}
-	m.lastSeq[w] = rq.Seq
-	m.lastReply[w] = rep
+	m.lastSeq[i] = rq.Seq
+	m.lastReply[i] = rep
 	rt.rmSendReply(r, m, w, rep)
 }
 
@@ -347,8 +394,8 @@ func (rt *runtime) rmHandleScore(r *mpi.Rank, m *rmasterState, msg *mpi.Message)
 	sm := msg.Payload.(scoreMsg)
 	w := msg.Source
 	t := sm.Task
-	if l := m.leases[w]; l != nil && l.t == t {
-		delete(m.leases, w)
+	if i := m.slot(w); m.leases[i] != nil && m.leases[i].t == t {
+		m.leases[i] = nil
 	}
 	if m.taskDone[t] {
 		rt.count("fault.tasks_duplicate", 1)
@@ -385,7 +432,10 @@ func (rt *runtime) rmHandleAck(m *rmasterState, msg *mpi.Message) {
 	if am.Batch < 0 || am.Batch >= len(m.batches) {
 		return
 	}
-	delete(m.batches[am.Batch].owed, debtKey{rank: w, wave: am.Wave})
+	b := m.batches[am.Batch]
+	if i, found := b.debtAt(debtKey{rank: w, wave: am.Wave}); found {
+		b.owed = slices.Delete(b.owed, i, i+1)
+	}
 }
 
 // rmSweep is the failure-detector pass: observe effected crashes.
@@ -393,9 +443,9 @@ func (rt *runtime) rmSweep(r *mpi.Rank, m *rmasterState) {
 	if rt.faults == nil {
 		return
 	}
-	for _, w := range sortedLive(m.live) {
-		if diedAt, dead := rt.faults.DeadAt(w); dead {
-			rt.rmDeclareDead(r, m, w, diedAt)
+	for i, ok := range m.live {
+		if diedAt, dead := rt.faults.DeadAt(m.base + i); ok && dead {
+			rt.rmDeclareDead(r, m, m.base+i, diedAt)
 		}
 	}
 }
@@ -404,17 +454,19 @@ func (rt *runtime) rmSweep(r *mpi.Rank, m *rmasterState) {
 // deregistration, WW-Coll taint, and ack-grace arming for its debts.
 func (rt *runtime) rmDeclareDead(r *mpi.Rank, m *rmasterState, w int, diedAt des.Time) {
 	cfg := rt.cfg
-	if !m.live[w] {
+	i := m.slot(w)
+	if !m.live[i] {
 		return
 	}
-	m.live[w] = false
-	delete(m.idle, w)
+	m.live[i] = false
+	m.nLive--
+	m.idle[i] = false
 	rt.count("fault.workers_detected", 1)
 	rt.observeTime("fault.detection_latency", r.Now()-diedAt)
 	rt.pointf("detected-dead rank=%d", w)
-	if m.syncMember[w] {
+	if m.syncMember[i] {
 		m.g.querySyn.Deregister()
-		delete(m.syncMember, w)
+		m.syncMember[i] = false
 	}
 	if cfg.Strategy == WWColl {
 		if !m.collTainted {
@@ -426,8 +478,8 @@ func (rt *runtime) rmDeclareDead(r *mpi.Rank, m *rmasterState, w int, diedAt des
 		}
 		m.g.collGroup.Deregister(w)
 	}
-	if l := m.leases[w]; l != nil {
-		delete(m.leases, w)
+	if l := m.leases[i]; l != nil {
+		m.leases[i] = nil
 		if !m.taskDone[l.t] {
 			rt.rmRequeue(r, m, l.t)
 		}
@@ -437,17 +489,12 @@ func (rt *runtime) rmDeclareDead(r *mpi.Rank, m *rmasterState, w int, diedAt des
 	// the grace implies the wave was never written.
 	grace := r.Now() + cfg.effLease()
 	for _, b := range m.batches {
-		if !b.sent || b.durable {
-			continue
-		}
-		for _, k := range sortedDebtKeys(b.owed) {
-			if k.rank != w {
-				continue
+		for j := range b.owed {
+			if d := &b.owed[j]; d.rank == w {
+				d.dead = true
+				d.deadline = grace
+				m.arm(grace)
 			}
-			d := b.owed[k]
-			d.dead = true
-			d.deadline = grace
-			b.owed[k] = d
 		}
 	}
 	// Scored results for batches whose offset lists were never sent died
@@ -509,9 +556,11 @@ func (rt *runtime) rmNudgeIdle(r *mpi.Rank, m *rmasterState) {
 	if len(m.retryQ) == 0 && m.nextQ >= m.g.hiQ {
 		return
 	}
-	for _, w := range sortedKeysBool(m.idle) {
-		m.sends = append(m.sends, r.Isend(w, tagControl, ctlMsgBytes, ctlMsg{}))
-		delete(m.idle, w)
+	for i, idle := range m.idle {
+		if idle {
+			m.sends = append(m.sends, r.Isend(m.base+i, tagControl, ctlMsgBytes, ctlMsg{}))
+			m.idle[i] = false
+		}
 	}
 }
 
@@ -525,18 +574,21 @@ func (rt *runtime) rmNudgeIdle(r *mpi.Rank, m *rmasterState) {
 func (rt *runtime) rmExpireLeases(r *mpi.Rank, m *rmasterState) {
 	cfg := rt.cfg
 	now := r.Now()
-	for _, w := range sortedKeysLease(m.leases) {
-		l := m.leases[w]
-		if l.deadline > now {
+	if now < m.due {
+		return
+	}
+	for i, l := range m.leases {
+		if l == nil || l.deadline > now {
 			continue
 		}
-		if m.live[w] && l.extends < cfg.effRetries() {
+		if m.live[i] && l.extends < cfg.effRetries() {
 			l.extends++
 			l.deadline = now + cfg.effLease()<<l.extends
+			m.arm(l.deadline)
 			rt.count("fault.lease_extensions", 1)
 			continue
 		}
-		delete(m.leases, w)
+		m.leases[i] = nil
 		if !m.taskDone[l.t] {
 			rt.count("fault.lease_expirations", 1)
 			rt.rmRequeue(r, m, l.t)
@@ -550,25 +602,26 @@ func (rt *runtime) rmExpireLeases(r *mpi.Rank, m *rmasterState) {
 func (rt *runtime) rmExpireAcks(r *mpi.Rank, m *rmasterState) {
 	cfg := rt.cfg
 	now := r.Now()
+	if now < m.due {
+		return
+	}
 	for _, b := range m.batches {
-		if !b.sent || b.durable {
-			continue
-		}
-		for _, k := range sortedDebtKeys(b.owed) {
-			d := b.owed[k]
+		for j := 0; j < len(b.owed); j++ {
+			d := b.owed[j]
 			if d.deadline > now {
 				continue
 			}
-			if d.dead || !m.live[k.rank] || d.msg.Inc != m.incarn[k.rank] {
-				delete(b.owed, k)
+			if i := m.slot(d.rank); d.dead || !m.live[i] || d.msg.Inc != m.incarn[i] {
+				b.owed = slices.Delete(b.owed, j, j+1)
+				j--
 				for _, t := range placementTasks(d.msg.Placements) {
 					rt.rmRequeueScored(r, m, t)
 				}
 				continue
 			}
-			d.deadline = now + cfg.effLease()
-			b.owed[k] = d
-			m.sends = append(m.sends, r.Isend(k.rank, tagOffsets,
+			b.owed[j].deadline = now + cfg.effLease()
+			m.arm(b.owed[j].deadline)
+			m.sends = append(m.sends, r.Isend(d.rank, tagOffsets,
 				int64(offsetHdrBytes)+int64(len(d.msg.Placements))*offsetPerResult, d.msg))
 			rt.count("fault.offset_resends", 1)
 		}
@@ -619,7 +672,7 @@ func (rt *runtime) rmFlush(r *mpi.Rank, m *rmasterState) {
 			continue
 		}
 		allBack := true
-		for _, t := range sortedTasks(rb.recovery) {
+		for t := range rb.recovery {
 			if !m.taskDone[t] {
 				allBack = false
 				break
@@ -648,9 +701,9 @@ func (rt *runtime) rmFlushInitial(r *mpi.Rank, m *rmasterState, bi int) {
 	// between epochs.
 	if cfg.QuerySync && len(m.pendingJoin) > 0 && g.querySyn.Idle() {
 		for _, w := range m.pendingJoin {
-			if m.live[w] && !m.syncMember[w] {
+			if i := m.slot(w); m.live[i] && !m.syncMember[i] {
 				g.querySyn.Register()
-				m.syncMember[w] = true
+				m.syncMember[i] = true
 			}
 		}
 		m.pendingJoin = nil
@@ -665,41 +718,47 @@ func (rt *runtime) rmFlushInitial(r *mpi.Rank, m *rmasterState, bi int) {
 		rt.flushTimes[g.batchBase+bi] = rt.sim.Now()
 		pt.Switch(PhaseGather)
 		if cfg.QuerySync {
-			for _, w := range sortedLive(m.live) {
-				tk := tokMsg{Batch: bi, Inc: m.incarn[w], Sync: m.syncMember[w]}
-				m.sends = append(m.sends, r.Isend(w, tagSyncToken, tokenMsgBytes, tk))
+			for i, ok := range m.live {
+				if ok {
+					tk := tokMsg{Batch: bi, Inc: m.incarn[i], Sync: m.syncMember[i]}
+					m.sends = append(m.sends, r.Isend(m.base+i, tagSyncToken, tokenMsgBytes, tk))
+				}
 			}
 		}
 		rb.sent = true
 		rb.durable = true
 		return
 	}
-	perWorker := make(map[int][]search.Result, len(g.workers))
+	perWorker := make([][]search.Result, len(m.live))
 	for q := b.LoQ; q < b.HiQ; q++ {
 		qry := &rt.wl.Queries[q]
 		for _, res := range qry.Results {
-			w := m.assigned[q][res.Fragment]
-			perWorker[w] = append(perWorker[w], res)
+			i := m.slot(m.assigned[q][res.Fragment])
+			perWorker[i] = append(perWorker[i], res)
 		}
 	}
 	pt.Switch(PhaseGather)
 	deadline := r.Now() + cfg.effLease()
-	for _, w := range sortedLive(m.live) {
+	for i, ok := range m.live {
+		if !ok {
+			continue
+		}
+		w := m.base + i
 		msg := offsetMsg{
 			Batch:      bi,
-			Placements: perWorker[w],
+			Placements: perWorker[i],
 			Wave:       0,
-			Inc:        m.incarn[w],
+			Inc:        m.incarn[i],
 			Fallback:   m.collTainted,
-			Sync:       cfg.QuerySync && m.syncMember[w],
+			Sync:       cfg.QuerySync && m.syncMember[i],
 		}
 		var bytes int64
-		for _, res := range perWorker[w] {
+		for _, res := range perWorker[i] {
 			bytes += res.Size
 		}
-		wire := int64(offsetHdrBytes) + int64(len(perWorker[w]))*offsetPerResult
+		wire := int64(offsetHdrBytes) + int64(len(perWorker[i]))*offsetPerResult
 		m.sends = append(m.sends, r.Isend(w, tagOffsets, wire, msg))
-		rb.owed[debtKey{rank: w, wave: 0}] = rdebt{msg: msg, bytes: bytes, deadline: deadline}
+		m.owe(rb, rdebt{debtKey: debtKey{rank: w, wave: 0}, msg: msg, bytes: bytes, deadline: deadline})
 	}
 	rb.sent = true
 }
@@ -712,34 +771,38 @@ func (rt *runtime) rmSendRecoveryWave(r *mpi.Rank, m *rmasterState, bi int) {
 	rb := m.batches[bi]
 	b := g.batches[bi]
 	rb.wave++
-	perWorker := make(map[int][]search.Result)
+	perWorker := make([][]search.Result, len(m.live))
 	for q := b.LoQ; q < b.HiQ; q++ {
 		qry := &rt.wl.Queries[q]
 		for _, res := range qry.Results {
 			if !rb.recovery[task{Q: q, F: res.Fragment}] {
 				continue
 			}
-			w := m.assigned[q][res.Fragment]
-			perWorker[w] = append(perWorker[w], res)
+			i := m.slot(m.assigned[q][res.Fragment])
+			perWorker[i] = append(perWorker[i], res)
 		}
 	}
 	deadline := r.Now() + cfg.effLease()
-	for _, w := range sortedKeysResults(perWorker) {
+	for i, placements := range perWorker {
+		if len(placements) == 0 {
+			continue
+		}
+		w := m.base + i
 		msg := offsetMsg{
 			Batch:      bi,
-			Placements: perWorker[w],
+			Placements: placements,
 			Wave:       rb.wave,
-			Inc:        m.incarn[w],
+			Inc:        m.incarn[i],
 			Fallback:   cfg.Strategy == WWColl,
 			Sync:       false,
 		}
 		var bytes int64
-		for _, res := range perWorker[w] {
+		for _, res := range placements {
 			bytes += res.Size
 		}
-		wire := int64(offsetHdrBytes) + int64(len(perWorker[w]))*offsetPerResult
+		wire := int64(offsetHdrBytes) + int64(len(placements))*offsetPerResult
 		m.sends = append(m.sends, r.Isend(w, tagOffsets, wire, msg))
-		rb.owed[debtKey{rank: w, wave: rb.wave}] = rdebt{msg: msg, bytes: bytes, deadline: deadline}
+		m.owe(rb, rdebt{debtKey: debtKey{rank: w, wave: rb.wave}, msg: msg, bytes: bytes, deadline: deadline})
 		rt.count("fault.bytes_rewritten", bytes)
 	}
 	rb.recovery = make(map[task]bool)
@@ -762,7 +825,7 @@ func (rt *runtime) rmCheckStuck(r *mpi.Rank, m *rmasterState) {
 	if rt.runErr != nil || rt.rmDone(m) {
 		return
 	}
-	if len(sortedLive(m.live)) > 0 {
+	if m.nLive > 0 {
 		return
 	}
 	if rt.faults != nil && rt.faults.RestartPending() {
@@ -779,39 +842,40 @@ func (rt *runtime) rmShutdown(r *mpi.Rank, m *rmasterState) {
 	m.pt.Switch(PhaseSync)
 	rt.groupShutdown[m.g.index] = true
 	m.finReq = r.Irecv(mpi.AnySource, tagFin)
-	finWait := make(map[int]bool)
-	for _, w := range sortedLive(m.live) {
-		m.sends = append(m.sends, r.Isend(w, tagControl, ctlMsgBytes, ctlMsg{Shutdown: true}))
-		finWait[w] = true
+	finWait := slices.Clone(m.live) // slots that still owe a fin
+	for i, ok := range m.live {
+		if ok {
+			m.sends = append(m.sends, r.Isend(m.base+i, tagControl, ctlMsgBytes, ctlMsg{Shutdown: true}))
+		}
 	}
 	if rt.runErr != nil {
 		// Aborting: order survivors down best-effort but do not wait for
 		// fins — a worker wedged behind a dead peer would never send one.
-		finWait = nil
+		clear(finWait)
 	}
-	for len(finWait) > 0 {
+	for slices.Contains(finWait, true) {
 		r.WaitAnyUntil([]*mpi.Request{m.finReq, m.workReq}, r.Now()+cfg.effDetect())
 		for m.finReq.Done() {
 			src := m.finReq.Message().Source
 			m.finReq = r.Irecv(mpi.AnySource, tagFin)
-			delete(finWait, src)
+			finWait[m.slot(src)] = false
 		}
 		for m.workReq.Done() {
 			// A late revival: order it down too; it fins before exiting.
 			msg := m.workReq.Message()
 			m.workReq = r.Irecv(mpi.AnySource, tagWorkRequest)
 			rq := msg.Payload.(workReqMsg)
-			if rq.Inc > m.incarn[msg.Source] {
-				m.incarn[msg.Source] = rq.Inc
-				finWait[msg.Source] = true
+			if i := m.slot(msg.Source); rq.Inc > m.incarn[i] {
+				m.incarn[i] = rq.Inc
+				finWait[i] = true
 				m.sends = append(m.sends,
 					r.Isend(msg.Source, tagControl, ctlMsgBytes, ctlMsg{Shutdown: true}))
 			}
 		}
 		if rt.faults != nil {
-			for _, w := range sortedKeysBool(finWait) {
-				if _, dead := rt.faults.DeadAt(w); dead {
-					delete(finWait, w)
+			for i := range finWait {
+				if _, dead := rt.faults.DeadAt(m.base + i); dead {
+					finWait[i] = false
 				}
 			}
 		}
@@ -822,72 +886,4 @@ func (rt *runtime) rmShutdown(r *mpi.Rank, m *rmasterState) {
 	r.Cancel(m.scoreReq)
 	r.Cancel(m.ackReq)
 	r.Cancel(m.finReq)
-}
-
-// Deterministic map-key iteration helpers.
-
-func sortedLive(live map[int]bool) []int {
-	out := make([]int, 0, len(live))
-	for w, ok := range live {
-		if ok {
-			out = append(out, w)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedKeysBool(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedKeysLease(m map[int]*rlease) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedDebtKeys(m map[debtKey]rdebt) []debtKey {
-	out := make([]debtKey, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].rank != out[j].rank {
-			return out[i].rank < out[j].rank
-		}
-		return out[i].wave < out[j].wave
-	})
-	return out
-}
-
-func sortedKeysResults(m map[int][]search.Result) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedTasks(m map[task]bool) []task {
-	out := make([]task, 0, len(m))
-	for t := range m {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Q != out[j].Q {
-			return out[i].Q < out[j].Q
-		}
-		return out[i].F < out[j].F
-	})
-	return out
 }
