@@ -22,6 +22,7 @@ func BenchmarkPingPong(b *testing.B) {
 			r.Send(0, 1, 64, nil)
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := sim.Run(); err != nil {
 		b.Fatal(err)

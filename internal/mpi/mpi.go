@@ -96,6 +96,8 @@ type World struct {
 	bytesSent  uint64
 	msgsSent   uint64
 	msgsToDead uint64
+
+	free []*transfer // idle transfers (see newTransfer)
 }
 
 // NewWorld creates a world of n ranks over ceil(n/ProcsPerNode) nodes.

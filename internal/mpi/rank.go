@@ -128,7 +128,7 @@ func (r *Rank) Isend(dest, tag int, bytes int64, payload any) *Request {
 		protoPanic("Isend", dest, "destination outside world")
 	}
 	w := r.w
-	cfg := w.cfg
+	cfg := &w.cfg
 	m := &Message{Source: r.rank, Dest: dest, Tag: tag, Bytes: bytes, Payload: payload}
 	req := &Request{owner: r}
 	w.msgsSent++
@@ -141,49 +141,106 @@ func (r *Rank) Isend(dest, tag int, bytes int64, payload any) *Request {
 		m.id = w.msgsSent
 	}
 
-	var lost bool
-	var extra des.Time
+	t := w.newTransfer()
+	t.w, t.dst, t.m, t.req = w, w.ranks[dest], m, req
+	t.eager = bytes <= cfg.EagerLimit
 	if w.fate != nil {
-		lost, extra = w.fate.MessageFate(r.rank, dest, tag, bytes)
+		t.lost, t.extra = w.fate.MessageFate(r.rank, dest, tag, bytes)
 	}
+	t.stage = xferSent
+	r.node.send.Submit(cfg.PerMessageCPU+des.BytesOver(bytes, cfg.Bandwidth), t.fire)
+	return req
+}
 
-	eager := bytes <= cfg.EagerLimit
-	sendCost := cfg.PerMessageCPU + des.BytesOver(bytes, cfg.Bandwidth)
-	dstRank := w.ranks[dest]
-	r.node.send.Submit(sendCost, func() {
-		if eager {
+// transfer is one in-flight message stepping through the network: sender
+// NIC, wire latency plus fault delay, receiver NIC, delivery. It holds
+// exactly one pending event at a time, so a single pre-bound callback (fire,
+// the method value t.step) serves every stage and no stage allocates.
+// Transfers are pooled on the World and return there after their last
+// stage; the Message and Request they carry belong to the callers.
+type transfer struct {
+	w     *World
+	dst   *Rank
+	m     *Message
+	req   *Request
+	eager bool
+	lost  bool
+	extra des.Time
+	stage xferStage
+	fire  func()
+}
+
+// xferStage is the network point a transfer's pending event leads to.
+type xferStage uint8
+
+const (
+	xferSent      xferStage = iota // cleared the sender NIC
+	xferArrived                    // crossed the wire
+	xferDelivered                  // cleared the receiver NIC
+)
+
+// newTransfer takes a transfer from the world's pool.
+func (w *World) newTransfer() *transfer {
+	if n := len(w.free); n > 0 {
+		t := w.free[n-1]
+		w.free = w.free[:n-1]
+		return t
+	}
+	t := &transfer{}
+	t.fire = t.step
+	return t
+}
+
+// step advances the transfer past the stage its pending event completes.
+func (t *transfer) step() {
+	w := t.w
+	cfg := &w.cfg
+	req := t.req
+	switch t.stage {
+	case xferSent:
+		if t.eager {
 			req.complete(nil) // send requests carry no message
 		}
-		w.sim.After(cfg.Latency+extra, func() {
-			// A message lost on the wire never reaches the receiver NIC; a
-			// rendezvous send still completes (the transport gave up), with
-			// the loss surfaced via Dropped.
-			if lost {
-				req.dropped = true
-				if !eager {
-					req.complete(nil)
-				}
-				return
+		t.stage = xferArrived
+		w.sim.After(cfg.Latency+t.extra, t.fire)
+	case xferArrived:
+		// A message lost on the wire never reaches the receiver NIC; a
+		// rendezvous send still completes (the transport gave up), with
+		// the loss surfaced via Dropped.
+		if t.lost {
+			req.dropped = true
+			if !t.eager {
+				req.complete(nil)
 			}
-			recvCost := cfg.PerMessageCPU + des.BytesOver(bytes, cfg.Bandwidth)
-			dstRank.node.recv.Submit(recvCost, func() {
-				if dstRank.dead {
-					req.dropped = true
-					r.w.msgsToDead++
-				} else {
-					if c := w.causal; c != nil && c.CapturesFlows() && dstRank.proc != nil {
-						c.Flow(m.id, fmt.Sprintf("msg.%d", m.Tag), m.sentBy,
-							dstRank.proc.Name(), m.sentAt, w.sim.Now())
-					}
-					dstRank.deliver(m)
-				}
-				if !eager {
-					req.complete(nil)
-				}
-			})
-		})
-	})
-	return req
+			w.release(t)
+			return
+		}
+		t.stage = xferDelivered
+		t.dst.node.recv.Submit(cfg.PerMessageCPU+des.BytesOver(t.m.Bytes, cfg.Bandwidth), t.fire)
+	case xferDelivered:
+		dst, m := t.dst, t.m
+		if dst.dead {
+			req.dropped = true
+			w.msgsToDead++
+		} else {
+			if c := w.causal; c != nil && c.CapturesFlows() && dst.proc != nil {
+				c.Flow(m.id, fmt.Sprintf("msg.%d", m.Tag), m.sentBy,
+					dst.proc.Name(), m.sentAt, w.sim.Now())
+			}
+			dst.deliver(m)
+		}
+		if !t.eager {
+			req.complete(nil)
+		}
+		w.release(t)
+	}
+}
+
+// release returns a finished transfer to the pool, keeping its bound
+// callback.
+func (w *World) release(t *transfer) {
+	*t = transfer{fire: t.fire}
+	w.free = append(w.free, t)
 }
 
 // Send is a blocking standard-mode send: Isend followed by Wait.

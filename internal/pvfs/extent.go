@@ -16,7 +16,9 @@ import "sort"
 // extentMap maintains sorted, non-overlapping extents (stored as Segments:
 // each extent's Src is the stream offset of its first byte, or Zero) with
 // overwrite semantics, and counts bytes that were ever written more than
-// once.
+// once. No two adjacent extents continue each other (Segment.Continues):
+// write coalesces them, so the map holds as few extents as its content
+// allows.
 type extentMap struct {
 	exts        []Segment
 	overlapped  int64 // total bytes written over already-written bytes
@@ -36,6 +38,15 @@ type extentMap struct {
 // amortized append growth), which keeps a W-write file at O(W) total
 // allocation. A right remnant keeps the content it held: its Src advances
 // with its offset (Segment.Sub).
+//
+// Before the splice, the new extent absorbs whatever it continues or is
+// continued by on either side: the left remnant or, when there is none, the
+// neighbour ending at off; the right remnant or the neighbour starting at
+// end. These are the only boundaries the write creates, so the map keeps
+// its no-continuing-neighbours invariant. Merging changes no answer: read
+// already merges continuing pieces, an extent that continues another is
+// Placed exactly when that one is, and coverage and overlap are counted
+// before it.
 func (m *extentMap) write(off, n, src int64) {
 	if n <= 0 {
 		return
@@ -72,6 +83,19 @@ func (m *extentMap) write(off, n, src int64) {
 		}
 	}
 
+	if haveLeft && left.Continues(newExt) {
+		newExt, haveLeft = join(left, newExt), false
+	} else if !haveLeft && i > 0 && m.exts[i-1].Continues(newExt) {
+		i--
+		newExt = join(m.exts[i], newExt)
+	}
+	if haveRight && newExt.Continues(right) {
+		newExt, haveRight = join(newExt, right), false
+	} else if !haveRight && j < len(m.exts) && newExt.Continues(m.exts[j]) {
+		newExt = join(newExt, m.exts[j])
+		j++
+	}
+
 	repl := 1
 	if haveLeft {
 		repl++
@@ -99,6 +123,11 @@ func (m *extentMap) write(off, n, src int64) {
 	if haveRight {
 		m.exts[i+1] = right
 	}
+}
+
+// join returns the one extent that a and b describe when b continues a.
+func join(a, b Segment) Segment {
+	return Segment{Offset: a.Offset, Length: a.Length + b.Length, Src: a.Src}
 }
 
 // coverage returns the number of distinct bytes ever written.

@@ -205,3 +205,70 @@ func TestBytesExport(t *testing.T) {
 		t.Fatalf("Bytes = %v, want %v", got, want)
 	}
 }
+
+// TestExtentMapCoalesces pins write's coalescing: pieces whose content
+// continues each other end up as one extent, in any write order, including
+// when an overwrite leaves a remnant the new extent continues; pieces that
+// do not continue each other stay apart.
+func TestExtentMapCoalesces(t *testing.T) {
+	const pieces, size = 64, 100
+	whole := []Segment{seg(0, pieces*size, 5000)}
+	for _, c := range []struct {
+		name  string
+		order func(k int) int
+	}{
+		{"in order", func(k int) int { return k }},
+		{"reversed", func(k int) int { return pieces - 1 - k }},
+		{"evens then odds", func(k int) int { return (2*k)%pieces + 2*k/pieces }},
+	} {
+		m := extentMap{capture: true}
+		for k := 0; k < pieces; k++ {
+			i := int64(c.order(k))
+			m.write(i*size, size, 5000+i*size)
+		}
+		if len(m.exts) != 1 {
+			t.Errorf("%s: %d extents, want 1", c.name, len(m.exts))
+		}
+		if got := m.read(0, pieces*size, nil); !reflect.DeepEqual(got, whole) {
+			t.Errorf("%s: read = %v, want %v", c.name, got, whole)
+		}
+		if m.coverage() != pieces*size || m.overlapped != 0 {
+			t.Errorf("%s: coverage %d overlapped %d, want %d and 0", c.name, m.coverage(), m.overlapped, pieces*size)
+		}
+	}
+
+	// Overwrites whose content continues the remnants they leave.
+	for _, c := range []struct {
+		name           string
+		first, second  Segment
+		want           []Segment
+		wantOverlapped int64
+	}{
+		{"both remnants", seg(0, 100, 1000), seg(40, 30, 1040), []Segment{seg(0, 100, 1000)}, 30},
+		{"left remnant", seg(0, 100, 1000), seg(50, 80, 1050), []Segment{seg(0, 130, 1000)}, 50},
+		{"right remnant", seg(100, 100, 2000), seg(60, 50, 1960), []Segment{seg(60, 140, 1960)}, 10},
+		{"placed over placed", seg(0, 100, 0), seg(30, 40, 30), []Segment{seg(0, 100, 0)}, 40},
+		{"zero over zero", z(0, 100), z(90, 20), []Segment{z(0, 110)}, 10},
+		{"not continuing", seg(0, 100, 1000), seg(40, 30, 40), []Segment{seg(0, 40, 1000), seg(40, 30, 40), seg(70, 30, 1070)}, 30},
+		{"zero next to content", seg(0, 100, 0), z(100, 20), []Segment{seg(0, 100, 0), z(100, 20)}, 0},
+	} {
+		m := extentMap{capture: true}
+		m.write(c.first.Offset, c.first.Length, c.first.Src)
+		m.write(c.second.Offset, c.second.Length, c.second.Src)
+		if !reflect.DeepEqual(m.exts, c.want) {
+			t.Errorf("%s: extents %v, want %v", c.name, m.exts, c.want)
+		}
+		if m.overlapped != c.wantOverlapped {
+			t.Errorf("%s: overlapped %d, want %d", c.name, m.overlapped, c.wantOverlapped)
+		}
+	}
+
+	// Without capture every extent is Zero, so adjacent writes always merge.
+	m := extentMap{}
+	for i := int64(pieces - 1); i >= 0; i-- {
+		m.write(i*size, size, i*size)
+	}
+	if len(m.exts) != 1 || !m.covers(pieces*size) {
+		t.Errorf("no capture: extents %v, want one covering [0, %d)", m.exts, pieces*size)
+	}
+}

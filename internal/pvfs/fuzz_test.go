@@ -45,6 +45,12 @@ func FuzzExtentMap(f *testing.F) {
 				covered[j] = true
 			}
 		}
+		// Coalescing: no two adjacent stored extents continue each other.
+		for k := 1; k < len(m.exts); k++ {
+			if m.exts[k-1].Continues(m.exts[k]) {
+				t.Fatalf("extents %d %v and %d %v continue each other but were not merged", k-1, m.exts[k-1], k, m.exts[k])
+			}
+		}
 		check := func(off, n int64) {
 			pieces := m.read(off, n, nil)
 			pos := off

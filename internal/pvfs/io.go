@@ -20,39 +20,91 @@ const (
 	opSync
 )
 
-// serverRequest is one request bound for one server's FCFS queue.
+// serverRequest is one request bound for one server's FCFS queue. It
+// steps itself through the pipeline — client send NIC, wire, lock units,
+// server queue, wire, client recv NIC, gate — holding exactly one pending
+// event at a time, so a single pre-bound callback (fire, the method value
+// r.step) serves every stage and no stage allocates. Requests are pooled on
+// the FileSystem: taken when an op is armed, returned after the last stage.
 type serverRequest struct {
 	server int
 	kind   opKind
 	segs   []Segment // pieces on this server (write/read)
 	bytes  int64
 	nsegs  int
+
+	// Pipeline state, fixed at launch. A request keeps the op, file, port
+	// and gate it was launched with, even if its op is re-armed meanwhile.
+	op       *IssueOp
+	f        *File
+	port     *Port
+	gate     *des.Gate
+	srv      *server
+	locks    []*des.Resource
+	cost     des.Time
+	submitAt des.Time
+	doneAt   des.Time
+	stage    reqStage
+	fire     func()
 }
 
-// groupByServer coalesces pieces into one request per server, preserving
-// per-server piece order.
-func groupRequests(pieces []serverPiece, kind opKind, contiguous bool) []*serverRequest {
-	byServer := map[int]*serverRequest{}
-	var order []*serverRequest
+// reqStage is the pipeline point a request's pending event leads to.
+type reqStage uint8
+
+const (
+	reqSent   reqStage = iota // cleared the client send NIC
+	reqArrive                 // crossed the wire to the server
+	reqGrant                  // holds every lock unit it needs
+	reqServed                 // the server finished it
+	reqAcked                  // its ack crossed the wire back
+	reqDone                   // its ack cleared the client recv NIC
+)
+
+// newRequest takes a request for server from the pool.
+func (fs *FileSystem) newRequest(server int, kind opKind) *serverRequest {
+	var r *serverRequest
+	if n := len(fs.free); n > 0 {
+		r = fs.free[n-1]
+		fs.free = fs.free[:n-1]
+	} else {
+		r = &serverRequest{}
+		r.fire = r.step
+	}
+	r.server, r.kind = server, kind
+	return r
+}
+
+// release returns a finished request to the pool, keeping its slices'
+// storage and its bound callback.
+func (fs *FileSystem) release(r *serverRequest) {
+	*r = serverRequest{segs: r.segs[:0], locks: r.locks[:0], fire: r.fire}
+	fs.free = append(fs.free, r)
+}
+
+// groupRequests appends to reqs one pooled request per server the pieces
+// touch, in first-touch order, each holding its server's pieces in order.
+func (fs *FileSystem) groupRequests(reqs []*serverRequest, pieces []serverPiece, kind opKind, contiguous bool) []*serverRequest {
+	first := len(reqs)
 	for _, pc := range pieces {
-		r := byServer[pc.server]
+		r := fs.slot[pc.server]
 		if r == nil {
-			r = &serverRequest{server: pc.server, kind: kind}
-			byServer[pc.server] = r
-			order = append(order, r)
+			r = fs.newRequest(pc.server, kind)
+			fs.slot[pc.server] = r
+			reqs = append(reqs, r)
 		}
 		r.segs = append(r.segs, pc.seg)
 		r.bytes += pc.seg.Length
 		r.nsegs++
 	}
-	if contiguous {
-		// A contiguous client range maps to a regular strided pattern the
-		// server handles as a single access: charge one segment.
-		for _, r := range order {
+	for _, r := range reqs[first:] {
+		fs.slot[r.server] = nil
+		if contiguous {
+			// A contiguous client range maps to a regular strided pattern
+			// the server handles as a single access: charge one segment.
 			r.nsegs = 1
 		}
 	}
-	return order
+	return reqs
 }
 
 // IssueOp runs a set of server requests concurrently on behalf of a client
@@ -89,8 +141,18 @@ type IssueOp struct {
 	readSegs       []Segment // read segments (InitReadList only)
 }
 
-// init arms the op over prebuilt server requests.
-func (op *IssueOp) init(f *File, p *des.Proc, port *Port, reqs []*serverRequest) {
+// init arms the op with pooled server requests: one per server for a sync,
+// otherwise one per server the segments touch.
+func (op *IssueOp) init(f *File, p *des.Proc, port *Port, kind opKind, segs []Segment, contiguous bool) {
+	fs := f.fs
+	reqs := op.reqs[:0]
+	if kind == opSync {
+		for i := range fs.servers {
+			reqs = append(reqs, fs.newRequest(i, opSync))
+		}
+	} else {
+		reqs = fs.groupRequests(reqs, f.splitByServer(segs), kind, contiguous)
+	}
 	op.f, op.p, op.port, op.reqs = f, p, port, reqs
 	op.launched, op.noop = false, false
 	op.last.ok = false
@@ -98,7 +160,7 @@ func (op *IssueOp) init(f *File, p *des.Proc, port *Port, reqs []*serverRequest)
 	op.readSegs = nil
 	op.issueStart = f.fs.sim.Now()
 	// The client marshals every request serially on its own CPU first.
-	p.Sleep(f.fs.cfg.IssueOverhead + des.Time(len(reqs))*f.fs.cfg.PerServerIssue)
+	p.Sleep(fs.cfg.IssueOverhead + des.Time(len(reqs))*fs.cfg.PerServerIssue)
 }
 
 // Step drives the operation; it returns true once every server request has
@@ -150,88 +212,104 @@ func (op *IssueOp) Step() bool {
 func (op *IssueOp) launch() {
 	f, port := op.f, op.port
 	fs := f.fs
-	cfg := fs.cfg
-	sim := fs.sim
-	gate := sim.NewGate(len(op.reqs))
-	op.gate = gate
+	cfg := &fs.cfg
+	op.gate = fs.sim.NewGate(len(op.reqs))
 	for _, r := range op.reqs {
-		r := r
 		srv := fs.servers[r.server]
-		var cost des.Time
 		switch r.kind {
 		case opWrite, opRead:
-			cost = cfg.RequestOverhead + des.Time(r.nsegs)*cfg.SegmentOverhead +
+			r.cost = cfg.RequestOverhead + des.Time(r.nsegs)*cfg.SegmentOverhead +
 				des.BytesOver(r.bytes, cfg.ServiceBandwidth)
 		case opSync:
 			d := srv.dirty
 			srv.dirty = 0
-			cost = cfg.SyncBase + des.BytesOver(d, cfg.SyncBandwidth)
+			r.cost = cfg.SyncBase + des.BytesOver(d, cfg.SyncBandwidth)
 			srv.syncs++
 		}
 		wireBytes := r.bytes
 		if r.kind != opWrite {
 			wireBytes = 256 // request descriptor only; data flows back for reads
 		}
-		locks := f.lockUnits(r)
-		port.Send.Submit(des.BytesOver(wireBytes, port.Bandwidth), func() {
-			sim.After(cfg.NetLatency, func() {
-				submitAt := sim.Now()
-				// Degradation windows scale service time at submission.
-				if fs.faults != nil {
-					if f := fs.faults.ServiceFactor(r.server); f != 1 {
-						cost = des.Time(float64(cost) * f)
-					}
-				}
-				serveLocked(sim, locks, srv.res, cost, cfg.LockAcquireCost, func() {
-					var doneAt des.Time
-					doneAt = srv.res.Submit(cost, func() {
-						if r.kind == opWrite {
-							srv.dirty += r.bytes
-							srv.written += r.bytes
-							for _, seg := range r.segs {
-								src := seg.Src
-								if fs.dropWrite != nil && fs.dropWrite(seg.Offset, seg.Length) {
-									src = Zero // silent loss: extent recorded, payload zeroed
-								}
-								f.data.write(seg.Offset, seg.Length, src)
-								if seg.Offset+seg.Length > f.size {
-									f.size = seg.Offset + seg.Length
-								}
-							}
-						}
-						srv.requests++
-						srv.segments += uint64(r.nsegs)
-						sim.After(cfg.NetLatency, func() {
-							back := ackCost
-							if r.kind == opRead {
-								back += des.BytesOver(r.bytes, port.Bandwidth)
-							}
-							port.Recv.Submit(back, func() {
-								if fs.causal != nil {
-									if now := sim.Now(); !op.last.ok || now >= op.last.at {
-										op.last.ok, op.last.at = true, now
-										op.last.submit, op.last.start, op.last.done = submitAt, doneAt-cost, doneAt
-									}
-								}
-								gate.Done()
-							})
-						})
-					})
-					if fs.traceOn {
-						fs.trace = append(fs.trace, RequestRecord{
-							Kind:     r.kindName(),
-							Server:   r.server,
-							Bytes:    r.bytes,
-							Segments: r.nsegs,
-							Submit:   submitAt,
-							Start:    doneAt - cost,
-							Done:     doneAt,
-						})
-					}
-					fs.recordRequest(r.kindName(), r.bytes, doneAt-cost-submitAt, cost)
-				})
+		r.op, r.f, r.port, r.gate, r.srv = op, f, port, op.gate, srv
+		r.locks = f.lockUnits(r.locks, r)
+		r.stage = reqSent
+		port.Send.Submit(des.BytesOver(wireBytes, port.Bandwidth), r.fire)
+	}
+}
+
+// step advances the request past the stage its pending event completes and
+// schedules the next one. The last stage retires the request from its
+// gate and returns it to the pool.
+func (r *serverRequest) step() {
+	fs := r.f.fs
+	cfg := &fs.cfg
+	sim := fs.sim
+	switch r.stage {
+	case reqSent:
+		r.stage = reqArrive
+		sim.After(cfg.NetLatency, r.fire)
+	case reqArrive:
+		r.submitAt = sim.Now()
+		// Degradation windows scale service time at submission.
+		if fs.faults != nil {
+			if f := fs.faults.ServiceFactor(r.server); f != 1 {
+				r.cost = des.Time(float64(r.cost) * f)
+			}
+		}
+		r.stage = reqGrant
+		serveLocked(sim, r.locks, r.srv.res, r.cost, cfg.LockAcquireCost, r.fire)
+	case reqGrant:
+		r.stage = reqServed
+		r.doneAt = r.srv.res.Submit(r.cost, r.fire)
+		if fs.traceOn {
+			fs.trace = append(fs.trace, RequestRecord{
+				Kind:     r.kindName(),
+				Server:   r.server,
+				Bytes:    r.bytes,
+				Segments: r.nsegs,
+				Submit:   r.submitAt,
+				Start:    r.doneAt - r.cost,
+				Done:     r.doneAt,
 			})
-		})
+		}
+		fs.recordRequest(r.kindName(), r.bytes, r.doneAt-r.cost-r.submitAt, r.cost)
+	case reqServed:
+		srv, f := r.srv, r.f
+		if r.kind == opWrite {
+			srv.dirty += r.bytes
+			srv.written += r.bytes
+			for _, seg := range r.segs {
+				src := seg.Src
+				if fs.dropWrite != nil && fs.dropWrite(seg.Offset, seg.Length) {
+					src = Zero // silent loss: extent recorded, payload zeroed
+				}
+				f.data.write(seg.Offset, seg.Length, src)
+				if seg.Offset+seg.Length > f.size {
+					f.size = seg.Offset + seg.Length
+				}
+			}
+		}
+		srv.requests++
+		srv.segments += uint64(r.nsegs)
+		r.stage = reqAcked
+		sim.After(cfg.NetLatency, r.fire)
+	case reqAcked:
+		back := ackCost
+		if r.kind == opRead {
+			back += des.BytesOver(r.bytes, r.port.Bandwidth)
+		}
+		r.stage = reqDone
+		r.port.Recv.Submit(back, r.fire)
+	case reqDone:
+		if fs.causal != nil {
+			last := &r.op.last
+			if now := sim.Now(); !last.ok || now >= last.at {
+				last.ok, last.at = true, now
+				last.submit, last.start, last.done = r.submitAt, r.doneAt-r.cost, r.doneAt
+			}
+		}
+		r.gate.Done()
+		fs.release(r)
 	}
 }
 
@@ -255,7 +333,7 @@ func (op *IssueOp) InitWriteImage(p *des.Proc, f *File, port *Port, img []Segmen
 		op.noop = true
 		return
 	}
-	op.init(f, p, port, groupRequests(f.splitByServer(img), opWrite, true))
+	op.init(f, p, port, opWrite, img, true)
 }
 
 // InitWriteList arms op as a native noncontiguous list-I/O write: all
@@ -267,8 +345,7 @@ func (op *IssueOp) InitWriteList(p *des.Proc, f *File, port *Port, segs []Segmen
 		op.noop = true
 		return
 	}
-	pieces := f.splitByServer(segs)
-	op.init(f, p, port, groupRequests(pieces, opWrite, false))
+	op.init(f, p, port, opWrite, segs, false)
 }
 
 // InitRead arms op as a contiguous read. A non-positive n is a no-op.
@@ -277,8 +354,7 @@ func (op *IssueOp) InitRead(p *des.Proc, f *File, port *Port, off, n int64) {
 		op.noop, op.readN = true, 0
 		return
 	}
-	pieces := f.splitByServer([]Segment{{Offset: off, Length: n}})
-	op.init(f, p, port, groupRequests(pieces, opRead, true))
+	op.init(f, p, port, opRead, []Segment{{Offset: off, Length: n}}, true)
 	op.readOff, op.readN = off, n
 }
 
@@ -292,8 +368,7 @@ func (op *IssueOp) InitReadList(p *des.Proc, f *File, port *Port, segs []Segment
 		op.noop, op.readSegs = true, nil
 		return
 	}
-	pieces := f.splitByServer(segs)
-	op.init(f, p, port, groupRequests(pieces, opRead, false))
+	op.init(f, p, port, opRead, segs, false)
 	op.readSegs = segs
 }
 
@@ -302,11 +377,7 @@ func (op *IssueOp) InitReadList(p *des.Proc, f *File, port *Port, segs []Segment
 // over the flush bandwidth; concurrent syncs therefore mostly pay the base
 // cost.
 func (op *IssueOp) InitSync(p *des.Proc, f *File, port *Port) {
-	reqs := make([]*serverRequest, 0, len(f.fs.servers))
-	for i := range f.fs.servers {
-		reqs = append(reqs, &serverRequest{server: i, kind: opSync})
-	}
-	op.init(f, p, port, reqs)
+	op.init(f, p, port, opSync, nil, false)
 }
 
 // ReadPieces returns the descriptor pieces tiling the range of an
@@ -375,13 +446,13 @@ func (f *File) Sync(p *des.Proc, port *Port) {
 	op.Step()
 }
 
-// lockUnits returns the lock resources a write request must serialize
-// through, in ascending unit order (empty when locking is disabled or the
-// request is not a write).
-func (f *File) lockUnits(r *serverRequest) []*des.Resource {
+// lockUnits appends to dst the lock resources a write request must
+// serialize through, in ascending unit order (none when locking is disabled
+// or the request is not a write).
+func (f *File) lockUnits(dst []*des.Resource, r *serverRequest) []*des.Resource {
 	gran := f.fs.cfg.LockGranularity
 	if gran <= 0 || r.kind != opWrite {
-		return nil
+		return dst
 	}
 	seen := map[int64]bool{}
 	var units []int64
@@ -394,16 +465,15 @@ func (f *File) lockUnits(r *serverRequest) []*des.Resource {
 		}
 	}
 	sort.Slice(units, func(i, j int) bool { return units[i] < units[j] })
-	out := make([]*des.Resource, len(units))
-	for i, u := range units {
+	for _, u := range units {
 		res, ok := f.locks[u]
 		if !ok {
 			res = f.fs.sim.NewResource(fmt.Sprintf("%s.lock%d", f.name, u), 1)
 			f.locks[u] = res
 		}
-		out[i] = res
+		dst = append(dst, res)
 	}
-	return out
+	return dst
 }
 
 // serveLocked reserves every lock unit a write touches (atomically, within

@@ -107,6 +107,13 @@ type FileSystem struct {
 	faults    ServerFaults
 	causal    *causal.Recorder
 	dropWrite func(off, n int64) bool
+
+	// Request-path storage reused across operations: the pool of idle
+	// server requests, a per-server slot for groupRequests (all nil between
+	// calls), and splitByServer's piece buffer.
+	free   []*serverRequest
+	slot   []*serverRequest
+	pieces []serverPiece
 }
 
 // ServerFaults scales per-server request service time — the fault layer's
@@ -124,7 +131,8 @@ func New(sim *des.Simulation, cfg Config) *FileSystem {
 	if cfg.StripSize < 1 {
 		panic("pvfs: strip size must be positive")
 	}
-	fs := &FileSystem{sim: sim, cfg: cfg, files: make(map[string]*File)}
+	fs := &FileSystem{sim: sim, cfg: cfg, files: make(map[string]*File),
+		slot: make([]*serverRequest, cfg.NumServers)}
 	for i := 0; i < cfg.NumServers; i++ {
 		fs.servers = append(fs.servers, &server{
 			res: sim.NewResource(fmt.Sprintf("pvfs.server%d", i), 1),
@@ -276,10 +284,11 @@ type serverPiece struct {
 }
 
 // splitByServer cuts segments at strip boundaries and tags each piece with
-// its server.
+// its server. The result reuses one buffer on the FileSystem, so it is
+// valid only until the next call.
 func (f *File) splitByServer(segs []Segment) []serverPiece {
 	strip := f.fs.cfg.StripSize
-	var pieces []serverPiece
+	pieces := f.fs.pieces[:0]
 	for _, s := range segs {
 		for off, end := s.Offset, s.End(); off < end; {
 			take := min64(end-off, strip-off%strip)
@@ -287,5 +296,6 @@ func (f *File) splitByServer(segs []Segment) []serverPiece {
 			off += take
 		}
 	}
+	f.fs.pieces = pieces
 	return pieces
 }

@@ -207,7 +207,8 @@ func TestGroupRequestsBatchesPerServer(t *testing.T) {
 		{server: 1, seg: Segment{Offset: 100, Length: 10}},
 		{server: 0, seg: Segment{Offset: 400, Length: 20}},
 	}
-	reqs := groupRequests(pieces, opWrite, false)
+	fs := New(des.New(), testConfig())
+	reqs := fs.groupRequests(nil, pieces, opWrite, false)
 	if len(reqs) != 2 {
 		t.Fatalf("requests = %d, want 2 (one per server)", len(reqs))
 	}
@@ -217,7 +218,7 @@ func TestGroupRequestsBatchesPerServer(t *testing.T) {
 	if reqs[1].server != 1 || reqs[1].nsegs != 1 || reqs[1].bytes != 10 {
 		t.Fatalf("server-1 request = %+v", reqs[1])
 	}
-	contig := groupRequests(pieces, opWrite, true)
+	contig := fs.groupRequests(nil, pieces, opWrite, true)
 	if contig[0].nsegs != 1 {
 		t.Fatalf("contiguous request nsegs = %d, want 1", contig[0].nsegs)
 	}
