@@ -231,6 +231,44 @@ var resilientCases = []engineCase{
 			{Kind: fault.Drop, Rank: -1, Server: -1, Prob: 0.15},
 			{Kind: fault.Slow, For: 3 * des.Second, Rank: 3, Server: -1, Factor: 20},
 		}}, nil)},
+	// Paths the resilient worker reaches that the cells above do not: in-run
+	// readback after a restart (individual, and under WW-Coll's fallback),
+	// the initial database load and the query-segmentation re-read in a
+	// rejoined incarnation, the list-sync collective, two query groups, and
+	// the protocol with nothing to recover.
+	{name: "readback_crash-restart_WW-List", hash: "55bcc50606f42749ae611d9a9e60aa111faab7fe5b44d943078259466c10719a", events: 2330,
+		config: resilientReadbackCell(WWList)},
+	{name: "readback_crash-restart_WW-Coll_fallback", hash: "7b91b90402f72d25f735fde40a1228b5e5e942fe248f83820a4a3a829294523c", events: 2478,
+		config: resilientReadbackCell(WWColl)},
+	{name: "db-load_crash-restart_WW-POSIX", hash: "78a0e6e443031b1131405f62cbf8e0167558503cba7993cc1ae2b085ddd77b67", events: 34170,
+		config: resilientCell(WWPosix, restartPlan,
+			func(c *Config) { c.DatabaseBytes = 64 << 20 })},
+	{name: "query-seg_reread_crash-restart_MW", hash: "caa9aa4840bfca27d110dfdf015e503bbe76654c764a9b74b18380494827421a", events: 7735,
+		config: resilientCell(MW, restartPlan, func(c *Config) {
+			c.Segmentation = QuerySeg
+			c.DatabaseBytes = 1 << 20
+			c.WorkerMemoryBytes = 512 << 10
+		})},
+	{name: "WW-Coll_list-sync_crash-restart", hash: "d614d0d2af2a35177ab236fed1b614c474564fd8a3f88d636ac49806892171f8", events: 26123,
+		config: resilientCell(WWColl, restartPlan,
+			func(c *Config) { c.CollMethod = romio.ListSync })},
+	{name: "query-groups_crash-restart_WW-List", hash: "d8e2191bd7698151ec4d10a0d54d3af3fc2902335cbf573a20b4c6a9e1d7fbd5", events: 19768,
+		config: resilientCell(WWList, restartPlan,
+			func(c *Config) { c.QueryGroups = 2 })},
+	{name: "empty-plan_WW-Coll_sync", hash: "290929d62cae4114ef4e0bc90ff23f369a86b21f86edec73f6dbd04a24e2990a", events: 28290,
+		config: resilientCell(WWColl, nil,
+			func(c *Config) { c.Resilient = true; c.QuerySync = true })},
+}
+
+// resilientReadbackCell is readbackConfig (five processes) under strategy s
+// with worker 2 crashing at 10ms and restarting 50ms later.
+func resilientReadbackCell(s Strategy) func() Config {
+	return func() Config {
+		cfg := readbackConfig(s, romio.ListIO)
+		cfg.FaultPlan = chaosPlan(2)
+		cfg.DetectInterval = des.Millisecond
+		return cfg
+	}
 }
 
 // TestResilientGoldenBehavior checks every resilientCases run against its

@@ -189,26 +189,13 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 		hints = rt.ad.decisions[gb].hints
 	}
 	if strat == MW {
-		// Step 18: format the merged results (the mpiBLAST master's
-		// serialization bottleneck), then one large contiguous write
-		// followed by sync. Workers drain their in-flight tasks during
-		// this stall — which is why the paper finds forced
-		// synchronization nearly free under MW.
-		pt.Switch(PhaseIO)
+		// Step 18. Workers drain their in-flight tasks during this stall,
+		// which is why the paper finds forced synchronization nearly free
+		// under MW.
 		if rt.ad != nil {
 			rt.adaptFlushStart(gb, 1)
 		}
-		rt.mergeSleep(r, des.BytesOver(b.Bytes, cfg.FormatBandwidth))
-		rt.file.WriteAt(r, b.Region, b.Bytes, b.Region)
-		if cfg.SyncEveryWrite {
-			rt.file.Sync(r)
-		}
-		rt.flushTimes[gb] = rt.sim.Now()
-		rt.serveStampDone(gb, r.Proc().Name())
-		if rt.ad != nil {
-			rt.adaptStamped(gb, r.Proc().Name())
-		}
-		rt.rbInRunMaster(r, pt, b)
+		rt.writeMWBatch(r, pt, g, bi)
 		pt.Switch(PhaseGather)
 		if rt.ad != nil {
 			// Adaptive MW batches still send (empty) offset lists: the
@@ -216,12 +203,12 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 			for _, w := range g.workers {
 				st.offsetSends = append(st.offsetSends,
 					r.Isend(w, tagOffsets, offsetHdrBytes,
-						offsetMsg{Batch: bi, Strat: MW, Hints: hints}))
+						offsetMsg{Batch: bi, Sync: cfg.QuerySync, Strat: MW, Hints: hints}))
 			}
 		} else if cfg.QuerySync {
 			for _, w := range g.workers {
 				st.offsetSends = append(st.offsetSends,
-					r.Isend(w, tagSyncToken, tokenMsgBytes, bi))
+					r.Isend(w, tagSyncToken, tokenMsgBytes, tokMsg{Batch: bi, Sync: true}))
 			}
 		}
 	} else {
@@ -251,7 +238,7 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 			rt.adaptFlushStart(gb, writers)
 		}
 		for _, w := range g.workers {
-			msg := offsetMsg{Batch: bi, Placements: perWorker[w]}
+			msg := offsetMsg{Batch: bi, Placements: perWorker[w], Sync: cfg.QuerySync}
 			if rt.ad != nil {
 				msg.Strat, msg.Hints = strat, hints
 			}
@@ -270,4 +257,26 @@ func (rt *runtime) flushBatch(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterS
 		}
 	}
 	st.offsetSends = kept
+}
+
+// writeMWBatch is the master's write of group-local batch bi under MW
+// (step 18), shared by both protocols: format the merged results (the
+// mpiBLAST master's serialization bottleneck), one large contiguous write,
+// the optional sync, the durability stamp, and the in-run readback.
+func (rt *runtime) writeMWBatch(r *mpi.Rank, pt *PhaseTimer, g *group, bi int) {
+	cfg := rt.cfg
+	b := g.batches[bi]
+	gb := g.batchBase + bi
+	pt.Switch(PhaseIO)
+	rt.mergeSleep(r, des.BytesOver(b.Bytes, cfg.FormatBandwidth))
+	rt.file.WriteAt(r, b.Region, b.Bytes, b.Region)
+	if cfg.SyncEveryWrite {
+		rt.file.Sync(r)
+	}
+	rt.flushTimes[gb] = rt.sim.Now()
+	rt.serveStampDone(gb, r.Proc().Name())
+	if rt.ad != nil {
+		rt.adaptStamped(gb, r.Proc().Name())
+	}
+	rt.rbInRunMaster(r, pt, b)
 }

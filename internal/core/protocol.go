@@ -74,12 +74,13 @@ type scoreMsg struct {
 // offsetMsg carries a worker's write placements for one flushed batch.
 // Empty placements still require an (empty) message so every worker can
 // track batch progress — and, under WW-Coll, join the collective round.
-// Wave, Inc, Fallback, and Sync are resilient-protocol fields (zero in the
-// original protocol): Wave 0 is the initial flush, higher waves re-send
-// recovered placements; Inc pins the message to the addressee's incarnation
-// (a restarted worker ignores waves addressed to its dead predecessor);
-// Fallback forces individual list I/O instead of the collective round;
-// Sync marks the addressee as a member of this batch's barrier epoch.
+// Sync marks the addressee as a member of this batch's barrier epoch (every
+// worker under QuerySync in the original protocol). Wave, Inc and Fallback
+// are resilient-protocol fields (zero in the original protocol): Wave 0 is
+// the initial flush, higher waves re-send recovered placements; Inc pins the
+// message to the addressee's incarnation (a restarted worker ignores waves
+// addressed to its dead predecessor); Fallback forces individual list I/O
+// instead of the collective round.
 // Strat and Hints are adaptive-I/O fields (Config.Adaptive): the batch's
 // decided write strategy and the ROMIO hint vector to write it with — under
 // adaptive I/O every batch sends offset lists, including MW batches, whose
@@ -114,8 +115,9 @@ type workReplyMsg struct {
 	Flushed int
 }
 
-// tokMsg is the resilient MW sync token (the original protocol sends a bare
-// batch index).
+// tokMsg is the MW sync token: batch Batch is written. Inc and Sync address
+// it as offsetMsg's fields do (the original protocol sends Sync to every
+// worker at incarnation 0).
 type tokMsg struct {
 	Batch int
 	Inc   int

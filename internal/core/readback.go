@@ -122,23 +122,6 @@ func (rt *runtime) rbVerify(where string, segs []pvfs.Segment, got [][]pvfs.Segm
 	}
 }
 
-// rbInRunWorker is the resilient worker's in-run verifier: immediately
-// after a batch write is stamped durable, re-read the just-written segments
-// through the configured read strategy InRunReads times and verify each
-// pass. (Resilient runs always read individually; the plain worker's
-// resumable version, collective rounds included, is workerFSM.armReadback.)
-func (rt *runtime) rbInRunWorker(r *mpi.Rank, pt *PhaseTimer, segs []pvfs.Segment) {
-	rb := rt.rb
-	if rb == nil || rb.conf.InRunReads == 0 || len(segs) == 0 {
-		return
-	}
-	pt.Switch(PhaseIO)
-	for i := 0; i < rb.conf.InRunReads; i++ {
-		got := rt.file.ReadSegs(r, rb.conf.Method, segs)
-		rt.rbVerify(r.Proc().Name(), segs, got)
-	}
-}
-
 // rbInRunMaster is the MW in-run verifier: the master re-reads the batch
 // region it just wrote and verifies it.
 func (rt *runtime) rbInRunMaster(r *mpi.Rank, pt *PhaseTimer, b batch) {

@@ -210,3 +210,21 @@ func TestReadPhaseFaultRequiresReadback(t *testing.T) {
 		t.Fatalf("readback under read-phase outage: %d mismatches", rep.ReadbackMismatches)
 	}
 }
+
+// TestResilientMWInRunReadback: the resilient MW master re-reads each batch
+// it writes, exactly as the plain master does — both protocols share one MW
+// batch write.
+func TestResilientMWInRunReadback(t *testing.T) {
+	cfg := readbackConfig(MW, romio.ListIO)
+	cfg.Readback.PostRun = false
+	plain := mustRun(t, cfg)
+	cfg.Resilient = true
+	res := mustRun(t, cfg)
+	if plain.ReadbackReads == 0 {
+		t.Fatal("plain MW run made no in-run reads")
+	}
+	if res.ReadbackReads != plain.ReadbackReads || res.ReadbackExtents != plain.ReadbackExtents {
+		t.Fatalf("resilient MW in-run readback: %d reads / %d extents, plain: %d / %d",
+			res.ReadbackReads, res.ReadbackExtents, plain.ReadbackReads, plain.ReadbackExtents)
+	}
+}

@@ -14,10 +14,11 @@ import (
 )
 
 // This file implements the resilient master side of the self-healing
-// protocol (DESIGN.md §9). It runs instead of master()/worker() whenever
-// the configuration carries a fault plan (or Resilient is forced), so the
-// original protocol stays byte-for-byte untouched — the empty-plan
-// bit-identity guarantee.
+// protocol (DESIGN.md §9) plus the runtime glue the resilient roles share.
+// It runs instead of master() whenever the configuration carries a fault
+// plan (or Resilient is forced), with workerFSM's resilient loop on the
+// worker side, so the original protocol stays byte-for-byte untouched — the
+// empty-plan bit-identity guarantee.
 //
 // Recovery model in one paragraph: workers fail-stop at protocol
 // checkpoints only (never inside a barrier, a collective round, or between
@@ -33,6 +34,32 @@ import (
 // and the WW-Coll collective group; once any collective participant dies,
 // the group is tainted and all subsequent batches fall back to individual
 // list I/O (WW-List behavior) rather than deadlock.
+
+// noteEnd records one protocol actor's clean exit (the resilient protocol's
+// replacement for the global final barrier: the run ends when the event
+// calendar drains, and this counter is the audit trail).
+func (rt *runtime) noteEnd() { rt.ended++ }
+
+// fail records the first unrecoverable failure; RunWithWorkload surfaces it
+// after the simulation drains.
+func (rt *runtime) fail(err error) {
+	if rt.runErr == nil {
+		rt.runErr = err
+	}
+}
+
+// count bumps a run counter.
+func (rt *runtime) count(name string, delta int64) { rt.metrics.Add(name, delta) }
+
+// observeTime records one virtual-time sample.
+func (rt *runtime) observeTime(name string, t des.Time) { rt.metrics.ObserveTime(name, t) }
+
+// pointf emits an instantaneous marker on the fault timeline.
+func (rt *runtime) pointf(format string, args ...any) {
+	if s := rt.cfg.Sink; s != nil {
+		s.Point("faults", fmt.Sprintf(format, args...), rt.sim.Now())
+	}
+}
 
 // rlease is the master's outstanding-task record for one worker.
 type rlease struct {
@@ -709,13 +736,7 @@ func (rt *runtime) rmFlushInitial(r *mpi.Rank, m *rmasterState, bi int) {
 		m.pendingJoin = nil
 	}
 	if cfg.Strategy == MW {
-		pt.Switch(PhaseIO)
-		rt.mergeSleep(r, des.BytesOver(b.Bytes, cfg.FormatBandwidth))
-		rt.file.WriteAt(r, b.Region, b.Bytes, b.Region)
-		if cfg.SyncEveryWrite {
-			rt.file.Sync(r)
-		}
-		rt.flushTimes[g.batchBase+bi] = rt.sim.Now()
+		rt.writeMWBatch(r, pt, g, bi)
 		pt.Switch(PhaseGather)
 		if cfg.QuerySync {
 			for i, ok := range m.live {

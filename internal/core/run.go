@@ -280,18 +280,12 @@ func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
 
 	for _, g := range rt.groups {
 		g := g
+		master := rt.master
 		if resilient {
-			world.Spawn(g.masterRank, fmt.Sprintf("master%d", g.index),
-				func(r *mpi.Rank) { rt.rmaster(r, g) })
-			for _, w := range g.workers {
-				w := w
-				world.Spawn(w, fmt.Sprintf("worker%d", w),
-					func(r *mpi.Rank) { rt.rworker(r, g, false) })
-			}
-			continue
+			master = rt.rmaster
 		}
 		world.Spawn(g.masterRank, fmt.Sprintf("master%d", g.index),
-			func(r *mpi.Rank) { rt.master(r, g) })
+			func(r *mpi.Rank) { master(r, g) })
 		// Workers run as pooled state machines: a blocked worker is one
 		// struct, not a goroutine stack, so rank counts in the hundreds of
 		// thousands fit in ordinary heaps. Masters keep goroutine form —
@@ -299,7 +293,7 @@ func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
 		// that way.
 		for _, w := range g.workers {
 			world.SpawnFSM(w, fmt.Sprintf("worker%d", w),
-				&workerFSM{rt: rt, g: g, r: world.Rank(w)})
+				&workerFSM{rt: rt, g: g, r: world.Rank(w), resilient: resilient})
 		}
 	}
 	if err := sim.Run(); err != nil {

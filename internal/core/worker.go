@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"s3asim/internal/causal"
 	"s3asim/internal/des"
 	"s3asim/internal/mpi"
@@ -19,13 +21,20 @@ import (
 // one counter per nested sub-machine: the drain loop (drainPC), a batch
 // write (writePC), and a task (taskPC). Every blocking composite runs
 // through an op struct (mpi.BcastOp, romio.WriteSegsOp, ...) whose Init arms
-// it and whose Step reports completion. The resilient worker (rworker.go)
-// is a separate goroutine process.
+// it and whose Step reports completion.
+//
+// The same machine runs the resilient protocol (DESIGN.md §9) when
+// resilient is set: its main loop is the rw* states (request resends, idle
+// parks, crash checkpoints, the fin handshake), and it shares the drain,
+// the task and the write sub-machines with the plain loop.
 type workerFSM struct {
 	rt *runtime
 	g  *group
 	r  *mpi.Rank
 	pt *PhaseTimer
+
+	resilient bool // run the resilient protocol
+	rejoined  bool // a respawned incarnation: the setup broadcast is past
 
 	pc      uint8
 	drainPC uint8
@@ -37,9 +46,10 @@ type workerFSM struct {
 	tracksBatches bool
 
 	noMore         bool           // the master denied a work request
-	pending        []*mpi.Request // in-flight score sends
+	pending        []*mpi.Request // in-flight score (and ack, request) sends
 	offReq         *mpi.Request   // posted receive for offset lists (WW)
 	tokReq         *mpi.Request   // posted receive for sync tokens (MW+sync)
+	replyReq       *mpi.Request   // posted receive for the work reply
 	batchesHandled int
 	mergeAcc       map[int]int64 // worker-local merged bytes per query
 
@@ -50,14 +60,14 @@ type workerFSM struct {
 	wait    mpi.WaitOp
 	waitAny mpi.WaitAnyOp
 	waitAll mpi.WaitAllOp
+	evWait  mpi.EventWaitOp
 	issue   pvfs.IssueOp
 	wsegs   romio.WriteSegsOp
 	coll    romio.CollWriteOp
 	rsegs   romio.ReadSegsOp
 	rcoll   romio.CollReadOp
 
-	waitSet  []*mpi.Request // scratch for waitAny arming
-	replyReq *mpi.Request
+	waitSet []*mpi.Request // scratch for waitAny arming
 
 	rbLeft int  // in-run readback rounds remaining for this batch
 	rbColl bool // current readback rounds are collective
@@ -68,6 +78,21 @@ type workerFSM struct {
 	om         offsetMsg
 	segs       []pvfs.Segment
 	sleepStart des.Time // causal start of an in-flight compute/merge sleep
+
+	// Resilient-protocol state.
+	ctlReq     *mpi.Request    // posted receive for the control plane
+	shutdown   bool            // the master ordered an orderly exit
+	idle       bool            // the master had no work; wait for a nudge
+	nudges     int             // nudges received and not yet consumed
+	seq        int             // work-request sequence number (resends repeat it)
+	resend     bool            // the next request send repeats seq
+	awaitReply bool            // a work reply for seq is live, not stale
+	haveBase   bool            // flushBase captured from the first reply
+	flushBase  int             // initial waves flushed before this incarnation joined
+	initSeen   int             // wave-0 offset lists handled by this incarnation
+	seenWave   map[[2]int]bool // (batch, wave) already written: dedupe, re-ack
+	deadline   des.Time        // end of the current event wait (0: none, the idle park)
+	waiting    bool            // evWait is armed
 }
 
 // Main program counters (workerFSM.pc), in loop order.
@@ -87,14 +112,24 @@ const (
 	wfIdleAll                  // idle: draining the last score sends
 	wfFinalGather              // final WaitAll over in-flight sends
 	wfFinalSync                // end-of-application barrier
+
+	// The resilient main loop.
+	rwHead       // loop head: shutdown check, checkpoint, drain
+	rwHeadDrain  // drain at the loop head running
+	rwPark       // idle: parked until any protocol receive completes
+	rwRequest    // send (or resend) the work request
+	rwReplyDrain // drain running while awaiting the reply
+	rwReplyWait  // parked on the reply until the half-lease runs out
+	rwTask       // task sub-machine running
+	rwExit       // orderly exit: WaitAll over in-flight sends
+	rwFin        // fin send in flight
 )
 
 // Drain sub-machine counters (stepDrain).
 const (
-	drHead    uint8 = iota // check for an arrived offset list
+	drHead    uint8 = iota // dispatch on the next arrived message
 	drWrite                // batch write sub-machine running
 	drOffSync              // per-batch barrier after an offset write
-	drTokHead              // check for an arrived sync token
 	drTokSync              // per-batch barrier after a token
 )
 
@@ -112,12 +147,15 @@ const (
 
 // Task sub-machine counters (stepTask).
 const (
-	tkGate      uint8 = iota // WW-Coll: check the batch-completion gate
-	tkGateWait               // WW-Coll: parked awaiting an offset list
-	tkGateDrain              // WW-Coll: drain after the gate wait
-	tkReread                 // query-seg overflow re-read in flight
-	tkCompute                // search compute sleep in flight
-	tkMerge                  // local merge sleep in flight
+	tkGate           uint8 = iota // WW-Coll: check the batch-completion gate
+	tkGateWait                    // WW-Coll: parked awaiting an offset list
+	tkGateDrain                   // WW-Coll: drain after the gate wait
+	tkLeaseGate                   // resilient WW-Coll: check the gate
+	tkLeaseGateWait               // resilient WW-Coll: parked, one lease at most
+	tkLeaseGateDrain              // resilient WW-Coll: drain after the wait
+	tkReread                      // query-seg overflow re-read in flight
+	tkCompute                     // search compute sleep in flight
+	tkMerge                       // local merge sleep in flight
 )
 
 // Step advances the worker to its next park. It is the Machine contract's
@@ -140,11 +178,14 @@ func (m *workerFSM) step() bool {
 		rt.timers[r.Rank()] = m.pt
 
 		// Step 1: receive input variables (broadcast from the group master).
+		// A rejoined incarnation's predecessor already took part.
 		m.pt.Switch(PhaseSetup)
-		m.bcast.Init(g.team, r, boss, configMsgBytes, nil)
+		if !m.rejoined {
+			m.bcast.Init(g.team, r, boss, configMsgBytes, nil)
+		}
 		m.pc = wfBcast
 	case wfBcast:
-		if !m.bcast.Step() {
+		if !m.rejoined && !m.bcast.Step() {
 			return false
 		}
 		// Input-I/O extension: load the sequence database.
@@ -153,13 +194,11 @@ func (m *workerFSM) step() bool {
 			return true
 		}
 		m.initState()
-		m.pc = wfLoopHead
 	case wfLoadDB:
 		if !m.issue.Step() {
 			return false
 		}
 		m.initState()
-		m.pc = wfLoopHead
 	case wfLoopHead:
 		if m.done() {
 			m.pt.Switch(PhaseGather)
@@ -235,13 +274,7 @@ func (m *workerFSM) step() bool {
 	case wfRetire:
 		// Step 15: retire completed score sends.
 		m.pt.Switch(PhaseGather)
-		kept := m.pending[:0]
-		for _, req := range m.pending {
-			if !req.Done() {
-				kept = append(kept, req)
-			}
-		}
-		m.pending = kept
+		m.retire()
 		// Steps 16–19: handle any offset lists (or sync tokens) that have
 		// arrived, without blocking.
 		m.startDrain()
@@ -283,8 +316,218 @@ func (m *workerFSM) step() bool {
 		}
 		m.pt.Finish()
 		return false // machine returns unparked: the worker is done
+
+	case rwHead:
+		if m.shutdown {
+			m.startExit()
+			return true
+		}
+		if m.crashed() {
+			return false
+		}
+		m.startDrain()
+		m.pc = rwHeadDrain
+	case rwHeadDrain:
+		if !m.stepDrain() {
+			return false
+		}
+		switch {
+		case m.shutdown:
+			m.startExit()
+		case m.idle && m.nudges > 0:
+			m.nudges = 0
+			m.idle = false
+			m.pc = rwHead
+		case m.idle:
+			m.pt.Switch(PhaseDataDist)
+			m.deadline = 0
+			m.pc = rwPark
+		default:
+			m.seq++
+			m.resend = false
+			m.awaitReply = true
+			m.pc = rwRequest
+		}
+	case rwPark:
+		if _, done := m.stepEventWait(); !done {
+			return false
+		}
+		m.pc = rwHead
+	case rwRequest:
+		// Ask for work, and ask again with the same sequence number every
+		// half-lease until a reply arrives: Drop events may lose the request
+		// or the reply.
+		m.pt.Switch(PhaseDataDist)
+		if m.resend {
+			rt.count("fault.request_resends", 1)
+		}
+		m.resend = true
+		m.pending = append(m.pending, r.Isend(boss, tagWorkRequest, requestMsgBytes,
+			workReqMsg{Seq: m.seq, Inc: r.Incarnation()}))
+		m.deadline = r.Now() + cfg.effLease()/2
+		m.startDrain()
+		m.pc = rwReplyDrain
+	case rwReplyDrain:
+		if !m.stepDrain() {
+			return false
+		}
+		if m.shutdown {
+			m.startExit()
+			return true
+		}
+		if m.replyReq.Done() {
+			rep := m.replyReq.Message().Payload.(workReplyMsg)
+			m.replyReq = r.Irecv(boss, tagWorkReply)
+			if rep.Seq != m.seq {
+				m.startDrain() // stale replay of an earlier sequence
+				return true
+			}
+			if !m.haveBase {
+				m.haveBase = true
+				m.flushBase = rep.Flushed
+			}
+			m.awaitReply = false
+			if rep.Has {
+				m.startTask(rep.T)
+				m.pc = rwTask
+				return true
+			}
+			m.idle = true
+			m.pc = rwHead
+			return true
+		}
+		m.pt.Switch(PhaseDataDist)
+		m.pc = rwReplyWait
+	case rwReplyWait:
+		ready, done := m.stepEventWait()
+		if !done {
+			return false
+		}
+		if ready {
+			m.startDrain()
+			m.pc = rwReplyDrain
+			return true
+		}
+		m.pc = rwRequest
+	case rwTask:
+		if !m.stepTask() {
+			return false
+		}
+		m.retire()
+		m.pc = rwHead
+	case rwExit:
+		if !m.waitAll.Step() {
+			return false
+		}
+		m.pending = nil
+		m.pt.Switch(PhaseSync)
+		m.wait.Init(r, r.Isend(boss, tagFin, finMsgBytes, nil))
+		m.pc = rwFin
+	case rwFin:
+		if !m.wait.Step() {
+			return false
+		}
+		for _, q := range []*mpi.Request{m.offReq, m.tokReq, m.ctlReq, m.replyReq} {
+			if q != nil {
+				r.Cancel(q)
+			}
+		}
+		m.pt.Finish()
+		rt.noteEnd()
+		return false
 	}
 	return true
+}
+
+// startExit begins the resilient worker's orderly exit: settle outstanding
+// sends, acknowledge the shutdown with a fin, and withdraw the posted
+// receives.
+func (m *workerFSM) startExit() {
+	m.pt.Switch(PhaseGather)
+	m.waitAll.Init(m.r, m.pending)
+	m.pc = rwExit
+}
+
+// crashed is the resilient worker's checkpoint: if a crash is armed for
+// this rank, it takes effect here — the rank is killed, its timer closed,
+// and a fresh incarnation scheduled when the plan restarts it — and the
+// caller returns from Step without parking, which ends this process. It is
+// checked at the loop head, before every event wait and on every wake but a
+// timeout; never between a write and its ack, or inside a barrier or
+// collective round — the fail-stop-at-checkpoints contract the recovery
+// protocol and the mpi/romio deregistration paths depend on.
+func (m *workerFSM) crashed() bool {
+	rt, r := m.rt, m.r
+	rank := r.Rank()
+	if rt.faults == nil || !rt.faults.ShouldDie(rank) {
+		return false
+	}
+	restart := rt.faults.Effect(rank)
+	rt.world.Kill(rank)
+	m.pt.Finish()
+	if restart > 0 {
+		next := &workerFSM{rt: rt, g: m.g, r: r, resilient: true, rejoined: true}
+		name := fmt.Sprintf("worker%d.%d", rank, r.Incarnation()+1)
+		rt.sim.After(restart, func() {
+			rt.faults.Revive(rank)
+			rt.world.Respawn(rank, name, next)
+		})
+	}
+	return true
+}
+
+// stepEventWait parks the resilient worker until any protocol receive
+// completes or m.deadline (if set) passes, re-checking the crash checkpoint before
+// every park and on every wake but a timeout. It returns done once the
+// wait is over, with ready reporting a completed receive (false: the
+// deadline passed); done is false while parked, or after a crash.
+func (m *workerFSM) stepEventWait() (ready, done bool) {
+	for {
+		if m.waiting {
+			if !m.evWait.Step() {
+				return false, false
+			}
+			m.waiting = false
+			if m.evWait.TimedOut() {
+				return false, true
+			}
+		}
+		if m.crashed() {
+			return false, false
+		}
+		if m.anyReady() {
+			return true, true
+		}
+		if m.deadline == 0 {
+			m.evWait.InitNoDeadline(m.r)
+		} else if m.r.Now() >= m.deadline {
+			return false, true
+		} else {
+			m.evWait.Init(m.r, m.deadline)
+		}
+		m.waiting = true
+	}
+}
+
+// anyReady reports whether any protocol receive has completed.
+func (m *workerFSM) anyReady() bool {
+	for _, q := range []*mpi.Request{m.replyReq, m.offReq, m.tokReq, m.ctlReq} {
+		if q != nil && q.Done() {
+			return true
+		}
+	}
+	return false
+}
+
+// retire drops completed sends.
+func (m *workerFSM) retire() {
+	kept := m.pending[:0]
+	for _, req := range m.pending {
+		if !req.Done() {
+			kept = append(kept, req)
+		}
+	}
+	m.pending = kept
 }
 
 // done is the termination predicate: no more work, every score send
@@ -296,7 +539,8 @@ func (m *workerFSM) done() bool {
 	return !m.tracksBatches || m.batchesHandled == len(m.g.batches)
 }
 
-// initState posts the long-lived receives once the database is loaded.
+// initState posts the long-lived receives once the database is loaded and
+// enters the main loop.
 func (m *workerFSM) initState() {
 	cfg, r, boss := m.rt.cfg, m.r, m.g.masterRank
 	m.mergeAcc = make(map[int]int64)
@@ -308,6 +552,13 @@ func (m *workerFSM) initState() {
 		m.tokReq = r.Irecv(boss, tagSyncToken)
 	}
 	m.tracksBatches = m.offReq != nil || m.tokReq != nil
+	m.pc = wfLoopHead
+	if m.resilient {
+		m.seenWave = make(map[[2]int]bool)
+		m.ctlReq = r.Irecv(boss, tagControl)
+		m.replyReq = r.Irecv(boss, tagWorkReply)
+		m.pc = rwHead
+	}
 }
 
 // armLoadDatabase starts the initial database read (dbLoadRange) and
@@ -385,29 +636,58 @@ func (m *workerFSM) startDrain() {
 	m.drainHandled = false
 }
 
-// stepDrain handles every already-arrived offset list or sync token,
-// reposting the receive each time; m.drainHandled reports whether anything
-// was handled. Returns false when the worker parked inside a handler.
+// stepDrain handles every already-arrived control message, offset list,
+// stale work reply and sync token, reposting each receive; m.drainHandled
+// reports whether a batch was handled. The control and reply receives
+// exist only under the resilient protocol. Returns false when the worker
+// parked inside a handler.
 func (m *workerFSM) stepDrain() bool {
 	r := m.r
 	boss := m.g.masterRank
 	for {
 		switch m.drainPC {
 		case drHead:
-			if m.offReq != nil && m.offReq.Done() {
+			switch {
+			case m.ctlReq != nil && m.ctlReq.Done():
+				cm := m.ctlReq.Message().Payload.(ctlMsg)
+				m.ctlReq = r.Irecv(boss, tagControl)
+				if cm.Shutdown {
+					m.shutdown = true
+				} else {
+					m.nudges++
+				}
+			case m.offReq != nil && m.offReq.Done():
 				m.om = m.offReq.Message().Payload.(offsetMsg)
 				m.offReq = r.Irecv(boss, tagOffsets)
-				m.startWrite()
-				m.drainPC = drWrite
-				continue
+				m.startOffsets()
+			case m.resilient && !m.awaitReply && m.replyReq.Done():
+				// A replayed or late work reply with no request outstanding
+				// (the master answered both the original and a resent
+				// request). It must be consumed here: an idle worker parks on
+				// "any receive completed", and a done reply nobody collects
+				// would spin that park forever at constant virtual time.
+				m.replyReq = r.Irecv(boss, tagWorkReply)
+				m.rt.count("fault.stale_replies", 1)
+			case m.tokReq != nil && m.tokReq.Done():
+				tk := m.tokReq.Message().Payload.(tokMsg)
+				m.tokReq = r.Irecv(boss, tagSyncToken)
+				if tk.Inc == r.Incarnation() && tk.Sync {
+					m.pt.Switch(PhaseSync)
+					m.barrier.Init(m.g.querySyn, r)
+					m.drainPC = drTokSync
+				}
+			default:
+				return true
 			}
-			m.drainPC = drTokHead
 		case drWrite:
 			if !m.stepWrite() {
 				return false
 			}
 			m.batchesHandled++
-			if m.rt.cfg.QuerySync {
+			if m.resilient {
+				m.sendAck()
+			}
+			if m.om.Sync {
 				m.pt.Switch(PhaseSync)
 				m.barrier.Init(m.g.querySyn, r)
 				m.drainPC = drOffSync
@@ -421,24 +701,49 @@ func (m *workerFSM) stepDrain() bool {
 			}
 			m.drainHandled = true
 			m.drainPC = drHead
-		case drTokHead:
-			if m.tokReq != nil && m.tokReq.Done() {
-				m.tokReq = r.Irecv(boss, tagSyncToken)
-				m.pt.Switch(PhaseSync)
-				m.barrier.Init(m.g.querySyn, r)
-				m.drainPC = drTokSync
-				continue
-			}
-			return true
 		case drTokSync:
 			if !m.barrier.Step() {
 				return false
 			}
 			m.batchesHandled++
 			m.drainHandled = true
-			m.drainPC = drTokHead
+			m.drainPC = drHead
 		}
 	}
+}
+
+// startOffsets handles the offset list in m.om: it starts the batch write,
+// or — for a list addressed to a dead predecessor of this rank — drops it.
+// Resilient runs write each (batch, wave) once: a duplicate (the master
+// resent it because the ack looked overdue) is only re-acked.
+func (m *workerFSM) startOffsets() {
+	if m.om.Inc != m.r.Incarnation() {
+		return
+	}
+	if m.resilient {
+		key := [2]int{m.om.Batch, m.om.Wave}
+		if m.seenWave[key] {
+			m.sendAck()
+			return
+		}
+		m.seenWave[key] = true
+		if m.om.Wave == 0 {
+			m.initSeen++
+		}
+	}
+	m.startWrite()
+	m.drainPC = drWrite
+}
+
+// sendAck acknowledges that the wave in m.om is durably written.
+func (m *workerFSM) sendAck() {
+	var bytes int64
+	for _, res := range m.om.Placements {
+		bytes += res.Size
+	}
+	m.pending = append(m.pending,
+		m.r.Isend(m.g.masterRank, tagWriteAck, ackMsgBytes,
+			ackMsg{Batch: m.om.Batch, Wave: m.om.Wave, Bytes: bytes}))
 }
 
 // startWrite arms the batch-write sub-machine for the offset list in m.om:
@@ -482,11 +787,10 @@ func (m *workerFSM) stepWrite() bool {
 			m.billMerge()
 			m.writePC = wwRoute
 		case wwRoute:
-			strat := rt.batchStrat(m.om)
-			if rt.ad != nil && strat == MW {
+			if rt.ad != nil && rt.batchStrat(m.om) == MW {
 				return true
 			}
-			if strat == WWColl {
+			if m.collective() {
 				// Collective write: every group worker participates, with or
 				// without data. For two-phase, waiting for the last worker to
 				// become ready is billed to data distribution (paper §4); the
@@ -550,7 +854,7 @@ func (m *workerFSM) stepWrite() bool {
 				return false
 			}
 			rt.stampFlush(r.Proc().Name(), m.g, m.om.Batch)
-			if m.armReadback(rt.batchStrat(m.om) == WWColl) {
+			if m.armReadback(m.collective()) {
 				continue
 			}
 			return true
@@ -580,6 +884,14 @@ func (m *workerFSM) stepWrite() bool {
 	}
 }
 
+// collective reports whether the batch in m.om is written through the
+// collective round: a WW-Coll batch, unless the resilient master marked it
+// Fallback (a tainted collective group, or a recovery wave), which uses
+// individual list I/O instead.
+func (m *workerFSM) collective() bool {
+	return m.rt.batchStrat(m.om) == WWColl && !m.om.Fallback
+}
+
 // startColl arms the collective write round.
 func (m *workerFSM) startColl() {
 	m.pt.Switch(PhaseIO)
@@ -595,8 +907,9 @@ func (m *workerFSM) startColl() {
 // is stamped durable (DESIGN.md §14): the just-written segments are re-read
 // InRunReads times and each pass verified. collective marks a write that
 // went through the collective round, making a collective readback round
-// legal. False means readback is off or there is nothing to read
-// individually.
+// legal (resilient runs never set Readback.Collective: a collective read
+// round would wedge on taint or membership change mid-recovery). False
+// means readback is off or there is nothing to read individually.
 func (m *workerFSM) armReadback(collective bool) bool {
 	rb := m.rt.rb
 	if rb == nil || rb.conf.InRunReads == 0 {
@@ -642,14 +955,17 @@ func (m *workerFSM) stepTask() bool {
 			// Under WW-Coll a worker cannot begin an upcoming query until the
 			// collective I/O for all earlier batches has completed (§2.3).
 			if rt.taskStrat(m.t) == WWColl {
-				// Serving runs flush out of order, so the query index no
-				// longer implies how many rounds precede this task; the
-				// master sends the gate directly (task.Gate).
-				need := (m.t.Q - m.g.loQ) / cfg.QueriesPerWrite
-				if rt.serve != nil {
-					need = m.t.Gate
+				if m.resilient {
+					// A liveness valve: during recovery an earlier batch may
+					// be unable to flush until THIS worker finishes its
+					// current task and frees itself for re-dispatched work,
+					// so the gate gives up after one lease period rather
+					// than deadlock the run.
+					m.deadline = r.Now() + cfg.effLease()
+					m.taskPC = tkLeaseGate
+					continue
 				}
-				if m.batchesHandled < need {
+				if m.batchesHandled < m.gateNeed() {
 					m.pt.Switch(PhaseDataDist)
 					m.waitSet = append(m.waitSet[:0], m.offReq)
 					m.waitAny.Init(r, m.waitSet)
@@ -657,16 +973,7 @@ func (m *workerFSM) stepTask() bool {
 					continue
 				}
 			}
-			// Query segmentation with a database larger than worker memory
-			// must re-read the overflow for every query (§1's repeated I/O).
-			if cfg.Segmentation == QuerySeg && cfg.DatabaseBytes > cfg.WorkerMemoryBytes {
-				m.pt.Switch(PhaseIO)
-				rt.dbFile.StartReadAt(&m.issue, r,
-					cfg.WorkerMemoryBytes, cfg.DatabaseBytes-cfg.WorkerMemoryBytes)
-				m.taskPC = tkReread
-				continue
-			}
-			m.armCompute()
+			m.startSearch()
 		case tkGateWait:
 			if !m.waitAny.Step() {
 				return false
@@ -678,6 +985,34 @@ func (m *workerFSM) stepTask() bool {
 				return false
 			}
 			m.taskPC = tkGate
+		case tkLeaseGate:
+			// The resilient gate counts the initial waves flushed before
+			// this incarnation joined plus those it has handled since.
+			if m.shutdown {
+				return true
+			}
+			if m.flushBase+m.initSeen >= m.gateNeed() {
+				m.startSearch()
+				continue
+			}
+			m.pt.Switch(PhaseDataDist)
+			m.taskPC = tkLeaseGateWait
+		case tkLeaseGateWait:
+			ready, done := m.stepEventWait()
+			if !done {
+				return false
+			}
+			if !ready {
+				m.startSearch() // the lease ran out: proceed
+				continue
+			}
+			m.startDrain()
+			m.taskPC = tkLeaseGateDrain
+		case tkLeaseGateDrain:
+			if !m.stepDrain() {
+				return false
+			}
+			m.taskPC = tkLeaseGate
 		case tkReread:
 			if !m.issue.Step() {
 				return false
@@ -712,12 +1047,46 @@ func (m *workerFSM) stepTask() bool {
 	}
 }
 
-// armCompute starts the search-compute sleep (step 6).
+// gateNeed is the number of batches that must be written before the task
+// may start under WW-Coll. Serving runs flush out of order, so the query
+// index no longer implies how many rounds precede the task; the master
+// sends the gate directly (task.Gate).
+func (m *workerFSM) gateNeed() int {
+	if m.rt.serve != nil {
+		return m.t.Gate
+	}
+	return (m.t.Q - m.g.loQ) / m.rt.cfg.QueriesPerWrite
+}
+
+// startSearch starts the task past its gate: the per-query database
+// re-read, or the search compute.
+func (m *workerFSM) startSearch() {
+	cfg := m.rt.cfg
+	// Query segmentation with a database larger than worker memory must
+	// re-read the overflow for every query (§1's repeated I/O).
+	if cfg.Segmentation == QuerySeg && cfg.DatabaseBytes > cfg.WorkerMemoryBytes {
+		m.pt.Switch(PhaseIO)
+		m.rt.dbFile.StartReadAt(&m.issue, m.r,
+			cfg.WorkerMemoryBytes, cfg.DatabaseBytes-cfg.WorkerMemoryBytes)
+		m.taskPC = tkReread
+		return
+	}
+	m.armCompute()
+}
+
+// armCompute starts the search-compute sleep (step 6), stretched by any
+// straggler factor the fault plan holds for this rank.
 func (m *workerFSM) armCompute() {
 	cfg := m.rt.cfg
 	m.pt.Switch(PhaseCompute)
+	d := cfg.Compute.TaskTime(m.taskBytes, cfg.ComputeSpeed)
+	if m.rt.faults != nil {
+		if f := m.rt.faults.ComputeFactor(m.r.Rank()); f != 1 {
+			d = des.Time(float64(d) * f)
+		}
+	}
 	m.sleepStart = m.rt.sim.Now()
-	m.r.Proc().Sleep(cfg.Compute.TaskTime(m.taskBytes, cfg.ComputeSpeed))
+	m.r.Proc().Sleep(d)
 	m.taskPC = tkCompute
 }
 

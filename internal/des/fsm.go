@@ -28,9 +28,15 @@ import "unsafe"
 //     top of its state and re-parks when it still fails. The kernel enqueues
 //     the same waiter records in the same order either way, so a ported loop
 //     is event-for-event identical to its goroutine form.
-//   - Gate.Wait and Signal.WaitUntil hide predicate loops a stackless body
-//     cannot express, so they panic for FSM processes; use Gate.Park (with
-//     the re-check pattern above) and plain Wait instead.
+//   - Timed waits work the same way: Signal.WaitUntil arms the waiter and
+//     its deadline (reviving a tombstoned timer exactly as the goroutine
+//     form does) and returns; after the resume, p.TimedOut reports whether
+//     the deadline fired and reclaims the waiter. Call it once per resumed
+//     timed wait. A deadline at or before the present does not park and
+//     WaitUntil reports false.
+//   - Gate.Wait hides a predicate loop a stackless body cannot express, so
+//     it panics for FSM processes; use Gate.Park with the re-check pattern
+//     above.
 //
 // Machines run only while the kernel dispatches their process, so — like
 // goroutine bodies — they need no locking.

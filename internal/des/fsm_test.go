@@ -311,15 +311,99 @@ func TestFSMDoubleParkPanics(t *testing.T) {
 	mustPanic(t, s, "blocked twice in one step")
 }
 
-type waitUntilFSM struct{ cond *Signal }
+// timedScript is one timed-wait schedule: the waiter's deadlines in order
+// and the instants a kernel callback signals the condition. It covers a
+// signal win, a re-arm at the same deadline (which revives the tombstoned
+// timer), a deadline win, a deadline at the present (no park), and a win
+// after the timer fired.
+var timedScript = struct {
+	deadlines []Time
+	signals   []Time
+}{
+	deadlines: []Time{10 * Microsecond, 10 * Microsecond, 20 * Microsecond, 20 * Microsecond, 30 * Microsecond},
+	signals:   []Time{3 * Microsecond, 5 * Microsecond, 25 * Microsecond},
+}
 
-func (m *waitUntilFSM) Step(p *Proc) { m.cond.WaitUntil(p, Hour) }
+// timedScriptFSM runs timedScript's waits as a machine: arm, park, and read
+// the outcome with TimedOut on the resume.
+type timedScriptFSM struct {
+	cond   *Signal
+	i      int
+	parked bool
+	log    func(p *Proc, ok bool)
+}
 
-// TestFSMWaitUntilPanics: timed waits are goroutine-only.
-func TestFSMWaitUntilPanics(t *testing.T) {
+func (m *timedScriptFSM) Step(p *Proc) {
+	for m.i < len(timedScript.deadlines) {
+		if m.parked {
+			m.parked = false
+			m.log(p, !p.TimedOut())
+			m.i++
+			continue
+		}
+		ok := m.cond.WaitUntil(p, timedScript.deadlines[m.i])
+		if p.Yielded() {
+			m.parked = true
+			return
+		}
+		m.log(p, ok)
+		m.i++
+	}
+}
+
+// runTimedScript runs timedScript on an FSM or a goroutine process and
+// returns one line per wait: wake time, outcome, and calendar size.
+func runTimedScript(fsm bool) []string {
 	s := New()
-	s.SpawnFSM("bad", &waitUntilFSM{cond: s.NewSignal()})
-	mustPanic(t, s, "WaitUntil is not supported for FSM processes")
+	cond := s.NewSignal()
+	var lines []string
+	log := func(p *Proc, ok bool) {
+		lines = append(lines, fmt.Sprintf("t=%v ok=%v pending=%d", p.Now(), ok, s.PendingEvents()))
+	}
+	for _, at := range timedScript.signals {
+		s.At(at, cond.Signal)
+	}
+	if fsm {
+		s.SpawnFSM("waiter", &timedScriptFSM{cond: cond, log: log})
+	} else {
+		s.Spawn("waiter", func(p *Proc) {
+			for _, d := range timedScript.deadlines {
+				log(p, cond.WaitUntil(p, d))
+			}
+		})
+	}
+	if err := s.Run(); err != nil {
+		lines = append(lines, err.Error())
+	}
+	return append(lines, fmt.Sprintf("end t=%v events=%d", s.Now(), s.Events()))
+}
+
+// TestFSMWaitUntilMatchesGoroutine: a timed wait on an FSM process replays
+// the goroutine form's schedule exactly — same wake times and outcomes,
+// same calendar entries (the revived tombstone included), same event count.
+func TestFSMWaitUntilMatchesGoroutine(t *testing.T) {
+	want := []string{
+		// Signal wins; the calendar holds the 5µs and 25µs signals and the
+		// 10µs timer.
+		"t=0.000003s ok=true pending=3",
+		// The re-arm revived the 10µs timer instead of pushing another.
+		"t=0.000005s ok=true pending=2",
+		// The 10µs tombstone popped and was skipped; the 20µs timer fired.
+		"t=0.000020s ok=false pending=1",
+		// A deadline at the present returns without parking.
+		"t=0.000020s ok=false pending=1",
+		"t=0.000025s ok=true pending=1",
+		// Start, three signal callbacks and their wakes, two timers that
+		// fired or were skipped, and the 30µs tombstone.
+		"end t=0.000030s events=10",
+	}
+	gor, fsm := runTimedScript(false), runTimedScript(true)
+	if strings.Join(gor, "\n") != strings.Join(want, "\n") {
+		t.Errorf("goroutine schedule:\n%s\nwant:\n%s", strings.Join(gor, "\n"), strings.Join(want, "\n"))
+	}
+	if strings.Join(fsm, "\n") != strings.Join(gor, "\n") {
+		t.Errorf("FSM schedule:\n%s\ngoroutine:\n%s", strings.Join(fsm, "\n"), strings.Join(gor, "\n"))
+	}
 }
 
 type gateWaitFSM struct{ g *Gate }

@@ -11,37 +11,85 @@ import (
 // revive the one tombstoned timer entry instead of queueing another, so the
 // calendar stays bounded no matter how many waits run.
 func TestWaitUntilCalendarDoesNotLeak(t *testing.T) {
-	const waits = 10000
-	s := New()
-	cond := s.NewSignal()
-	deadline := Time(1) * Hour
-	maxPending := 0
-	s.Spawn("waiter", func(p *Proc) {
-		for i := 0; i < waits; i++ {
-			if !cond.WaitUntil(p, deadline) {
-				t.Errorf("wait %d timed out; the signal should always win", i)
+	for _, fsm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fsm=%v", fsm), func(t *testing.T) {
+			const waits = 10000
+			s := New()
+			cond := s.NewSignal()
+			deadline := Time(1) * Hour
+			maxPending := 0
+			observe := func(i int, ok bool) bool {
+				if !ok {
+					t.Errorf("wait %d timed out; the signal should always win", i)
+					return false
+				}
+				if n := s.PendingEvents(); n > maxPending {
+					maxPending = n
+				}
+				return true
+			}
+			if fsm {
+				s.SpawnFSM("waiter", &timedLoopFSM{cond: cond, deadline: deadline, n: waits, observe: observe})
+			} else {
+				s.Spawn("waiter", func(p *Proc) {
+					for i := 0; i < waits; i++ {
+						if !observe(i, cond.WaitUntil(p, deadline)) {
+							return
+						}
+					}
+				})
+			}
+			s.Spawn("waker", func(p *Proc) {
+				for i := 0; i < waits; i++ {
+					cond.Signal()
+					p.Sleep(Microsecond)
+				}
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			// The live set is tiny: the reused timer, the waker's pending
+			// sleep, and the in-flight wake. The old kernel accumulated one
+			// stale no-op timer per win — ~10000 entries by the end of this
+			// loop.
+			if maxPending > 8 {
+				t.Fatalf("calendar grew to %d pending entries across %d signal-won timed waits, want <= 8",
+					maxPending, waits)
+			}
+		})
+	}
+}
+
+// timedLoopFSM is a machine that waits on cond with one fixed deadline n
+// times (forever when n is 0), handing each outcome to observe; it stops
+// when observe returns false.
+type timedLoopFSM struct {
+	cond     *Signal
+	deadline Time
+	n, i     int
+	parked   bool
+	observe  func(i int, ok bool) bool
+}
+
+func (m *timedLoopFSM) Step(p *Proc) {
+	for m.n == 0 || m.i < m.n {
+		if m.parked {
+			m.parked = false
+			if !m.observe(m.i, !p.TimedOut()) {
 				return
 			}
-			if n := s.PendingEvents(); n > maxPending {
-				maxPending = n
-			}
+			m.i++
+			continue
 		}
-	})
-	s.Spawn("waker", func(p *Proc) {
-		for i := 0; i < waits; i++ {
-			cond.Signal()
-			p.Sleep(Microsecond)
+		ok := m.cond.WaitUntil(p, m.deadline)
+		if p.Yielded() {
+			m.parked = true
+			return
 		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// The live set is tiny: the reused timer, the waker's pending sleep, and
-	// the in-flight wake. The old kernel accumulated one stale no-op timer
-	// per win — ~10000 entries by the end of this loop.
-	if maxPending > 8 {
-		t.Fatalf("calendar grew to %d pending entries across %d signal-won timed waits, want <= 8",
-			maxPending, waits)
+		if !m.observe(m.i, ok) {
+			return
+		}
+		m.i++
 	}
 }
 
@@ -222,6 +270,25 @@ func TestTimedWaitSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs := kernelSteadyStateAllocs(t, s, 8*Microsecond); allocs != 0 {
 		t.Fatalf("steady-state timed waits allocated %.1f/run, want 0", allocs)
+	}
+}
+
+// TestFSMTimedWaitSteadyStateAllocs pins the same re-arm path on an FSM
+// process — park armed by WaitUntil, outcome read by TimedOut — at zero
+// allocations.
+func TestFSMTimedWaitSteadyStateAllocs(t *testing.T) {
+	s := New()
+	cond := s.NewSignal()
+	s.SpawnFSM("waiter", &timedLoopFSM{cond: cond, deadline: Hour,
+		observe: func(int, bool) bool { return true }})
+	s.Spawn("waker", func(p *Proc) {
+		for {
+			cond.Signal()
+			p.Sleep(Microsecond)
+		}
+	})
+	if allocs := kernelSteadyStateAllocs(t, s, 8*Microsecond); allocs != 0 {
+		t.Fatalf("steady-state FSM timed waits allocated %.1f/run, want 0", allocs)
 	}
 }
 

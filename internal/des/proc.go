@@ -19,6 +19,9 @@ type Proc struct {
 	// already-queued evTimer entry instead of pushing another (see
 	// Signal.WaitUntil). Non-nil only while that entry is still queued.
 	timer *waiter
+	// twait is the waiter of the timed wait this process last parked in,
+	// kept until TimedOut reads how that wait ended.
+	twait *waiter
 
 	done        bool
 	parked      bool // an FSM park is armed; cleared by stepFSM on resume
@@ -34,6 +37,7 @@ func (s *Simulation) newProc(name string) *Proc {
 		p = s.procPool[n-1]
 		s.procPool = s.procPool[:n-1]
 		p.timer = nil
+		p.twait = nil
 		p.done = false
 		p.parked = false
 		p.machine = nil
@@ -195,6 +199,10 @@ func (sig *Signal) Wait(p *Proc) {
 // woken by the signal, false on timeout. A deadline at or before the
 // present returns false without parking.
 //
+// On an FSM process the park is armed and WaitUntil returns true at once;
+// the machine returns from Step (p.Yielded) and, once resumed, asks
+// p.TimedOut how the wait ended.
+//
 // A signal wakeup leaves the deadline entry queued as a tombstone, but the
 // calendar cannot grow under the re-arm pattern of predicate loops (wake by
 // signal, re-check, wait again with the same deadline): re-arming while the
@@ -202,11 +210,6 @@ func (sig *Signal) Wait(p *Proc) {
 // entry, and a tombstone that does reach its deadline is skipped and
 // reclaimed.
 func (sig *Signal) WaitUntil(p *Proc, deadline Time) bool {
-	if p.machine != nil {
-		// The revive-and-repark protocol is a predicate loop a stackless
-		// machine cannot express; timed waits stay on goroutine processes.
-		panic("des: WaitUntil is not supported for FSM processes")
-	}
 	s := sig.sim
 	if deadline <= s.now {
 		return false
@@ -225,13 +228,29 @@ func (sig *Signal) WaitUntil(p *Proc, deadline Time) bool {
 		s.push(deadline, evTimer, unsafe.Pointer(w))
 	}
 	sig.enqueue(w)
+	p.twait = w
 	p.park("waiting on signal (timed)")
-	if w.timedOut {
-		// The deadline entry fired and is consumed; the kernel already
-		// unlinked the waiter and cleared p.timer.
-		s.putWaiter(w)
+	if p.machine != nil {
+		return true
+	}
+	return !p.TimedOut()
+}
+
+// TimedOut reports whether the timed wait p last parked in (WaitUntil)
+// ended at its deadline rather than by a signal. A deadline entry that
+// fired is consumed — the kernel already unlinked the waiter and cleared
+// p.timer — so its waiter is reclaimed here. It reports false once read,
+// and for a process that never parked in a timed wait.
+func (p *Proc) TimedOut() bool {
+	w := p.twait
+	if w == nil {
 		return false
 	}
+	p.twait = nil
+	if !w.timedOut {
+		return false
+	}
+	p.sim.putWaiter(w)
 	return true
 }
 

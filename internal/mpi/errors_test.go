@@ -54,14 +54,14 @@ func TestProtocolErrorSpawnTwice(t *testing.T) {
 
 func TestProtocolErrorRespawnMisuse(t *testing.T) {
 	w := NewWorld(des.New(), 2, fastNet())
-	wantProto(t, "Respawn", func() { w.Respawn(0, "x", func(r *Rank) {}) })
+	wantProto(t, "Respawn", func() { w.Respawn(0, "x", machineFunc(func(*des.Proc) {})) })
 
 	w.Spawn(0, "alive", func(r *Rank) {})
 	if err := w.Sim().Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Rank 0 ran to completion but was never killed.
-	wantProto(t, "Respawn", func() { w.Respawn(0, "x", func(r *Rank) {}) })
+	wantProto(t, "Respawn", func() { w.Respawn(0, "x", machineFunc(func(*des.Proc) {})) })
 }
 
 func TestProtocolErrorIsendOutsideWorld(t *testing.T) {

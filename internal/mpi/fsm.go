@@ -6,9 +6,9 @@ import (
 )
 
 // This file is the mpi layer's resumable-operation support: every blocking
-// composite (Wait, WaitAll, WaitAny, Barrier.Arrive, Team.Bcast) is
-// implemented as an op struct whose Step method drives the operation and
-// reports completion. Ops call the ordinary blocking primitives and check
+// composite (Wait, WaitAll, WaitAny, an event wait, Barrier.Arrive,
+// Team.Bcast) is implemented as an op struct whose Step method drives the
+// operation and reports completion. Ops call the ordinary blocking primitives and check
 // p.Yielded() after each, so:
 //
 //   - on a goroutine process the primitives really block and one Step call
@@ -142,6 +142,69 @@ func (op *WaitAnyOp) Step() bool {
 		}
 	}
 }
+
+// EventWaitOp parks a rank once on its activity signal. It returns at the
+// next completion of any of the rank's requests, at an out-of-band
+// World.WakeRank, or at the deadline, whichever comes first; callers
+// re-check their own predicates afterwards, as with Signal.Wait. The wake is
+// recorded causally as a transit edge when a message arrived at that very
+// instant and as recovery time otherwise (recordEventWake); a timeout is
+// recovery time. The resilient worker parks on it while idle and while it
+// waits for a work reply or the WW-Coll gate.
+type EventWaitOp struct {
+	r        *Rank
+	deadline des.Time
+	timed    bool
+	armed    bool
+	timedOut bool
+	start    des.Time
+}
+
+// Init arms a wait that also ends at the absolute time deadline.
+func (op *EventWaitOp) Init(r *Rank, deadline des.Time) {
+	*op = EventWaitOp{r: r, deadline: deadline, timed: true}
+}
+
+// InitNoDeadline arms a wait that ends only at the next event.
+func (op *EventWaitOp) InitNoDeadline(r *Rank) {
+	*op = EventWaitOp{r: r}
+}
+
+// Step parks on the first call and reports true once the rank has been
+// woken (false while an FSM process is parked). A deadline at or before the
+// present ends the wait at once, timed out.
+func (op *EventWaitOp) Step() bool {
+	r := op.r
+	p := r.proc
+	if !op.armed {
+		op.armed = true
+		op.start = r.Now()
+		ok := true
+		if op.timed {
+			ok = r.activity.WaitUntil(p, op.deadline)
+		} else {
+			r.activity.Wait(p)
+		}
+		if p.Yielded() {
+			return false
+		}
+		op.timedOut = !ok
+	} else if op.timed {
+		op.timedOut = p.TimedOut()
+	}
+	if c := r.w.causal; c != nil {
+		if !op.timedOut {
+			r.recordEventWake(c, op.start)
+		} else if end := r.Now(); end > op.start {
+			c.WaitPlain(p.Name(), op.start, end, causal.CatRecovery)
+		}
+	}
+	return true
+}
+
+// TimedOut reports whether the wait ended at its deadline. Valid once Step
+// has returned true.
+func (op *EventWaitOp) TimedOut() bool { return op.timedOut }
 
 // BarrierOp is Barrier.Arrive as a resumable operation. Init performs the
 // arrival bookkeeping (count, epoch release when this rank completes the

@@ -199,7 +199,7 @@ func (w *World) MessagesToDead() uint64 { return w.msgsToDead }
 // Kill marks rank i dead: its inbox is discarded, its posted-but-unmatched
 // receives are cancelled, and subsequent deliveries to it are dropped
 // (counted in MessagesToDead). It must be called by the dying rank's own
-// process just before it unwinds — the engine's checkpoint protocol
+// process just before it finishes — the engine's checkpoint protocol
 // guarantees the rank is not parked inside a barrier or collective when it
 // dies, so no other process is left waiting on state Kill tears down.
 func (w *World) Kill(i int) {
@@ -218,19 +218,19 @@ func (w *World) Kill(i int) {
 }
 
 // WakeRank broadcasts rank i's activity signal from kernel context, forcing
-// a rank blocked in WaitEvent/Wait loops to re-check its predicates — the
-// fault injector uses it so an idle-parked worker observes its crash at the
-// scheduled instant rather than at its next message.
+// a rank parked in an EventWaitOp or a Wait loop to re-check its
+// predicates — the fault injector uses it so an idle-parked worker observes
+// its crash at the scheduled instant rather than at its next message.
 func (w *World) WakeRank(i int) {
 	w.ranks[i].activity.Broadcast()
 }
 
-// Respawn revives a killed rank with a fresh process running body — the
-// fault plan's "worker restart after d". The previous incarnation must have
-// been killed and finished unwinding; anything else is a contract violation
+// Respawn revives a killed rank with a fresh state-machine process running
+// m — the fault plan's "worker restart after d". The previous incarnation
+// must have been killed and finished; anything else is a contract violation
 // (*ProtocolError). The revived rank starts with an empty inbox, no posted
 // receives, and an incremented Incarnation.
-func (w *World) Respawn(i int, name string, body func(r *Rank)) *des.Proc {
+func (w *World) Respawn(i int, name string, m des.Machine) *des.Proc {
 	r := w.ranks[i]
 	if r.proc == nil {
 		protoPanic("Respawn", i, "rank was never spawned")
@@ -239,14 +239,12 @@ func (w *World) Respawn(i int, name string, body func(r *Rank)) *des.Proc {
 		protoPanic("Respawn", i, "rank is still alive")
 	}
 	if !r.proc.Done() {
-		protoPanic("Respawn", i, "previous incarnation still unwinding")
+		protoPanic("Respawn", i, "previous incarnation still running")
 	}
 	r.dead = false
 	r.inbox = nil
 	r.posted = nil
 	r.incarnation++
-	r.proc = w.sim.Spawn(name, func(p *des.Proc) {
-		body(r)
-	})
+	r.proc = w.sim.SpawnFSM(name, m)
 	return r.proc
 }

@@ -26,7 +26,7 @@ type Rank struct {
 	bytesSent uint64 // payload bytes this rank pushed into the network
 
 	// Last message to arrive at this rank (causal recording only): lets a
-	// generic WaitEvent wake distinguish "a message arrived just now" (a
+	// generic EventWaitOp wake distinguish "a message arrived just now" (a
 	// transit edge to its sender) from an out-of-band or timeout wake.
 	lastMsg   *Message
 	lastMsgAt des.Time
@@ -380,41 +380,10 @@ func (r *Rank) WaitAnyUntil(qs []*Request, deadline des.Time) (int, bool) {
 	}
 }
 
-// WaitEvent parks the rank until any of its requests completes (or the
-// rank is woken out-of-band via World.WakeRank). Callers re-check their
-// predicates in a loop, like Signal.Wait.
-func (r *Rank) WaitEvent() {
-	c := r.w.causal
-	if c == nil {
-		r.activity.Wait(r.proc)
-		return
-	}
-	start := r.Now()
-	r.activity.Wait(r.proc)
-	r.recordEventWake(c, start)
-}
-
-// WaitEventUntil is WaitEvent with an absolute deadline; it reports false
-// on timeout.
-func (r *Rank) WaitEventUntil(deadline des.Time) bool {
-	c := r.w.causal
-	if c == nil {
-		return r.activity.WaitUntil(r.proc, deadline)
-	}
-	start := r.Now()
-	ok := r.activity.WaitUntil(r.proc, deadline)
-	if ok {
-		r.recordEventWake(c, start)
-	} else if end := r.Now(); end > start {
-		c.WaitPlain(r.proc.Name(), start, end, causal.CatRecovery)
-	}
-	return ok
-}
-
-// recordEventWake classifies a generic event-wait wake: if a message arrived
-// at this very instant, credit a transit edge to its sender; otherwise the
-// park belongs to the resilient protocol's idle/recovery machinery (the only
-// user of WaitEvent).
+// recordEventWake classifies an EventWaitOp wake: if a message arrived at
+// this very instant, credit a transit edge to its sender; otherwise the park
+// belongs to the resilient protocol's idle/recovery machinery (the resilient
+// worker is the only user of EventWaitOp).
 func (r *Rank) recordEventWake(c *causal.Recorder, start des.Time) {
 	end := r.Now()
 	if end <= start {

@@ -143,7 +143,8 @@ func TestKillTeardownAndRespawn(t *testing.T) {
 		r.Wait(toDead) // eager: completes at the sender NIC, before delivery
 		r.Compute(5 * des.Millisecond)
 		// The victim's proc is done by now: revive it.
-		w.Respawn(0, "revived", func(r2 *Rank) {
+		w.Respawn(0, "revived", machineFunc(func(*des.Proc) {
+			r2 := w.Rank(0)
 			revivedInc = r2.Incarnation()
 			if !r2.Alive() {
 				t.Error("respawned rank not alive")
@@ -151,7 +152,7 @@ func TestKillTeardownAndRespawn(t *testing.T) {
 			if r2.Probe(AnySource, AnyTag) {
 				t.Error("respawned rank inherited inbox traffic")
 			}
-		})
+		}))
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)

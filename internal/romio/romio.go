@@ -189,13 +189,6 @@ func (f *File) WriteAt(r *mpi.Rank, off, n, src int64) {
 	f.pv.Write(r.Proc(), f.port(r), off, n, src)
 }
 
-// ReadAt performs an individual contiguous read from rank r, returning the
-// descriptor pieces tiling the range when the file system captures content
-// (nil otherwise).
-func (f *File) ReadAt(r *mpi.Rank, off, n int64) []pvfs.Segment {
-	return f.pv.Read(r.Proc(), f.port(r), off, n)
-}
-
 // WriteSegs performs an individual noncontiguous write of segs from rank r
 // using the hinted ADIO method. The methods live in WriteSegsOp (so FSM
 // processes can run them resumably); this wrapper drives it to completion
