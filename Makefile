@@ -23,13 +23,15 @@ race:
 	$(GO) test -race ./internal/obs/ ./internal/experiments/ ./internal/search/ ./internal/core/ ./internal/fault/ ./internal/causal/ ./internal/serve/ ./internal/pvfs/ ./internal/romio/ ./internal/adapt/
 
 # A short pass over every fuzz target: the chaos-spec parser, the pvfs
-# descriptor extent map, the FASTA reader and the seekable payload content (longer
+# descriptor extent map, the FASTA reader, the seekable payload content
+# and the lazily seeded substream source against math/rand (longer
 # sessions: raise -fuzztime).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 15s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzExtentMap$$' -fuzztime 15s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFASTA$$' -fuzztime 15s ./internal/bio/
 	$(GO) test -run '^$$' -fuzz '^FuzzContent$$' -fuzztime 15s ./internal/search/
+	$(GO) test -run '^$$' -fuzz '^FuzzSource$$' -fuzztime 15s ./internal/stats/
 
 vet:
 	$(GO) vet ./...
@@ -45,13 +47,14 @@ bench-quick:
 # layer riding on them, the adaptive controller's decision path
 # (DESIGN.md §16), payload fill throughput, the capture path's
 # descriptor store, in-place verifier and romio read ops (DESIGN.md §14),
-# and one resilient-master wake with nothing due (DESIGN.md §9). The core
+# substream seeding and long-stream draws (DESIGN.md §6), and one
+# resilient-master wake with nothing due (DESIGN.md §9). The core
 # pattern names that one benchmark: internal/core also holds the
 # minute-long BenchmarkScaleWorkers. The steady-state paths must stay
 # 0 allocs/op.
 bench-kernel:
 	$(GO) test -run '^$$' -bench '^BenchmarkRMasterIdleWake$$' -benchmem -benchtime=1s ./internal/core/
-	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/ ./internal/pvfs/ ./internal/romio/
+	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/ ./internal/pvfs/ ./internal/romio/ ./internal/stats/
 
 # Rank-scaling benchmark (DESIGN.md §12): 1k/10k/100k-rank cells on the
 # FSM worker engine, reporting events/sec and peak memory per rank. The

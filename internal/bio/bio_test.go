@@ -2,6 +2,7 @@ package bio
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -189,5 +190,20 @@ func TestNTLikeDatabaseMatchesPaperShape(t *testing.T) {
 	}
 	if mean < 1500 || mean > 20000 {
 		t.Fatalf("mean %.0f wildly off the NT mean of 4401", mean)
+	}
+}
+
+// TestGenerateDatabaseGolden pins every length and residue a small
+// generated database draws, so a change to the substream generator that
+// moved any draw fails here.
+func TestGenerateDatabaseGolden(t *testing.T) {
+	db := Generate(GenSpec{NumSeqs: 64, SizeHist: stats.Uniform(20, 300), Seed: 11})
+	h := fnv.New64a()
+	for _, s := range db.Seqs {
+		h.Write(s.Data)
+		h.Write([]byte{'\n'})
+	}
+	if got, want := h.Sum64(), uint64(0xa6a3c1e1d60b4be7); got != want {
+		t.Fatalf("database hash = %#x (%d bytes), want %#x", got, db.TotalBytes, want)
 	}
 }

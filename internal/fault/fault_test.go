@@ -233,3 +233,26 @@ func TestEventActiveWindow(t *testing.T) {
 		t.Error("open-ended window closed")
 	}
 }
+
+// TestRandomCrashesGolden pins the crash schedules RandomCrashes draws,
+// without restart (which shuffles the worker pool) and with it (which
+// draws a rank per crash).
+func TestRandomCrashesGolden(t *testing.T) {
+	workers := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	cases := []struct {
+		restart des.Time
+		want    string
+	}{
+		{0, "seed=424242;crash@734.295419ms:rank=10;crash@998.105127ms:rank=13;crash@1.031685805s:rank=3;" +
+			"crash@1.066973085s:rank=5;crash@1.850528436s:rank=14;crash@1.948815992s:rank=12"},
+		{25 * des.Millisecond, "seed=424242;crash@111.550529ms:rank=3,restart=25ms;crash@201.101425ms:rank=2,restart=25ms;" +
+			"crash@594.406607ms:rank=13,restart=25ms;crash@976.227437ms:rank=7,restart=25ms;" +
+			"crash@1.377423962s:rank=13,restart=25ms;crash@1.40959453s:rank=1,restart=25ms"},
+	}
+	for _, c := range cases {
+		p := RandomCrashes(424242, 6, workers, 100*des.Millisecond, 2*des.Second, c.restart)
+		if got := p.String(); got != c.want {
+			t.Errorf("restart %v: plan = %q, want %q", c.restart, got, c.want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import "testing"
 // (20 queries × ~1500 results with layout).
 func BenchmarkGenerateDefault(b *testing.B) {
 	spec := DefaultSpec()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Generate(spec)
 	}

@@ -12,6 +12,7 @@
 package search
 
 import (
+	"math/rand"
 	"sort"
 
 	"s3asim/internal/des"
@@ -101,21 +102,24 @@ func Generate(spec Spec) *Workload {
 		spec.MinResultSize = 1
 	}
 	w := &Workload{Spec: spec}
+	// One generator, moved to each query's and each result's substream in
+	// turn (stats.SubRand).
+	rng := rand.New(stats.NewSource(0))
 	var region int64
 	for q := 0; q < spec.NumQueries; q++ {
-		qrng := stats.SubRand(spec.Seed, int64(q))
+		rng.Seed(stats.DeriveSeed(spec.Seed, int64(q)))
 		qry := Query{
-			Length: spec.QueryHist.Sample(qrng),
+			Length: spec.QueryHist.Sample(rng),
 			Region: region,
 		}
 		count := spec.MinResults
 		if spec.MaxResults > spec.MinResults {
-			count += qrng.Intn(spec.MaxResults - spec.MinResults + 1)
+			count += rng.Intn(spec.MaxResults - spec.MinResults + 1)
 		}
 		qry.Results = make([]Result, count)
 		for j := 0; j < count; j++ {
-			rrng := stats.SubRand(spec.Seed, int64(q), int64(j))
-			dbLen := spec.DBSeqHist.Sample(rrng)
+			rng.Seed(stats.DeriveSeed(spec.Seed, int64(q), int64(j)))
+			dbLen := spec.DBSeqHist.Sample(rng)
 			// Result size: up to three times the maximum of the input query
 			// and the matching database sequence (§3), floored at the
 			// minimum result size.
@@ -125,13 +129,13 @@ func Generate(spec Spec) *Workload {
 			}
 			size := spec.MinResultSize
 			if maxSize > spec.MinResultSize {
-				size += rrng.Int63n(maxSize - spec.MinResultSize + 1)
+				size += rng.Int63n(maxSize - spec.MinResultSize + 1)
 			}
 			qry.Results[j] = Result{
 				Query:    q,
 				Index:    j,
-				Fragment: rrng.Intn(spec.NumFragments),
-				Score:    rrng.Float64(),
+				Fragment: rng.Intn(spec.NumFragments),
+				Score:    rng.Float64(),
 				Size:     size,
 			}
 		}
@@ -160,8 +164,8 @@ func Generate(spec Spec) *Workload {
 }
 
 // TaskResults returns the results produced by searching query q against
-// fragment f, in score (file) order. The returned slice aliases the
-// workload; callers must not mutate it.
+// fragment f, in score (file) order. The returned slice is a fresh copy
+// the caller owns.
 func (w *Workload) TaskResults(q, f int) []Result {
 	qry := &w.Queries[q]
 	idx := qry.byFragment[f]

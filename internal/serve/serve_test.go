@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -197,5 +199,35 @@ func TestViolations(t *testing.T) {
 	}
 	if got := Violations(lat, 0); got != 3 {
 		t.Fatalf("violations = %d, want 3", got)
+	}
+}
+
+// TestArrivalStreamGolden pins every arrival each process draws, so a
+// change to the substream generator that moved any draw fails here.
+func TestArrivalStreamGolden(t *testing.T) {
+	cases := []struct {
+		name   string
+		tenant Tenant
+		want   uint64
+	}{
+		{"poisson", Tenant{Name: "p", Rate: 40, Process: Poisson}, 0xf8287ec7bee27e5f},
+		{"bursty", Tenant{Name: "b", Rate: 30, Process: Bursty, BurstFactor: 8, BurstFrac: 0.1, BurstDwell: des.Second}, 0xbb2275ac5a8f8853},
+		{"diurnal", Tenant{Name: "d", Rate: 30, Process: Diurnal, Period: 5 * des.Second, Amplitude: 0.8}, 0x1d4b6d7d8f54a3df},
+	}
+	for _, c := range cases {
+		p := Plan{Seed: 77, Horizon: 20 * des.Second, Tenants: []Tenant{c.tenant}}
+		arr, err := p.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, a := range arr {
+			binary.LittleEndian.PutUint64(buf[:], uint64(a.At))
+			h.Write(buf[:])
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: %d arrivals, hash = %#x, want %#x", c.name, len(arr), got, c.want)
+		}
 	}
 }

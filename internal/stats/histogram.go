@@ -7,6 +7,7 @@ package stats
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -27,7 +28,9 @@ type BoxHistogram struct {
 }
 
 // NewBoxHistogram validates bins and builds a sampler. Bins need not be
-// sorted or contiguous; weights are relative and need not sum to 1.
+// sorted or contiguous; weights are relative and need not sum to 1, but
+// each must be finite and positive, and a bin may span at most
+// math.MaxInt64 values (Sample draws its offset with rand.Int63n).
 func NewBoxHistogram(bins []Bin) (*BoxHistogram, error) {
 	if len(bins) == 0 {
 		return nil, errors.New("stats: histogram needs at least one bin")
@@ -38,11 +41,20 @@ func NewBoxHistogram(bins []Bin) (*BoxHistogram, error) {
 		if b.Min > b.Max {
 			return nil, fmt.Errorf("stats: bin %d has min %d > max %d", i, b.Min, b.Max)
 		}
+		if uint64(b.Max)-uint64(b.Min) >= math.MaxInt64 {
+			return nil, fmt.Errorf("stats: bin %d span [%d, %d] holds more than %d values", i, b.Min, b.Max, int64(math.MaxInt64))
+		}
+		if math.IsNaN(b.Weight) || math.IsInf(b.Weight, 0) {
+			return nil, fmt.Errorf("stats: bin %d has non-finite weight %g", i, b.Weight)
+		}
 		if b.Weight <= 0 {
 			return nil, fmt.Errorf("stats: bin %d has non-positive weight %g", i, b.Weight)
 		}
 		total += b.Weight
 		h.cum[i] = total
+	}
+	if math.IsInf(total, 0) {
+		return nil, errors.New("stats: histogram weights sum past the float64 range")
 	}
 	return h, nil
 }

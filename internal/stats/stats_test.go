@@ -23,6 +23,54 @@ func TestBoxHistogramValidation(t *testing.T) {
 	}
 }
 
+// A NaN or infinite weight makes the cumulative weights meaningless: with
+// a NaN, Mean is NaN and Sample never picks the bin.
+func TestBoxHistogramRejectsNonFiniteWeight(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := NewBoxHistogram([]Bin{{Min: 1, Max: 5, Weight: 1}, {Min: 10, Max: 20, Weight: w}})
+		if err == nil || !strings.Contains(err.Error(), "non-finite weight") {
+			t.Fatalf("weight %v: err = %v, want a non-finite weight error", w, err)
+		}
+	}
+	big := []Bin{{Min: 1, Max: 5, Weight: math.MaxFloat64}, {Min: 10, Max: 20, Weight: math.MaxFloat64}}
+	if _, err := NewBoxHistogram(big); err == nil {
+		t.Fatal("weights summing to +Inf should fail")
+	}
+}
+
+// Sample draws a bin's offset with Int63n(Max−Min+1), so a bin may hold at
+// most math.MaxInt64 values; a wider one used to panic in Sample.
+func TestBoxHistogramRejectsOverflowingSpan(t *testing.T) {
+	for _, b := range []Bin{
+		{Min: 0, Max: math.MaxInt64, Weight: 1},
+		{Min: math.MinInt64, Max: 0, Weight: 1},
+		{Min: math.MinInt64, Max: math.MaxInt64, Weight: 1},
+		{Min: -1, Max: math.MaxInt64 - 1, Weight: 1},
+	} {
+		_, err := NewBoxHistogram([]Bin{b})
+		if err == nil || !strings.Contains(err.Error(), "span") {
+			t.Fatalf("bin [%d, %d]: err = %v, want a span error", b.Min, b.Max, err)
+		}
+	}
+	// The widest bins that fit are accepted and sample inside their range.
+	rng := rand.New(rand.NewSource(5))
+	for _, b := range []Bin{
+		{Min: 0, Max: math.MaxInt64 - 1, Weight: 1},
+		{Min: math.MinInt64, Max: -2, Weight: 1},
+		{Min: 1, Max: math.MaxInt64, Weight: 1},
+	} {
+		h, err := NewBoxHistogram([]Bin{b})
+		if err != nil {
+			t.Fatalf("bin [%d, %d]: %v", b.Min, b.Max, err)
+		}
+		for i := 0; i < 100; i++ {
+			if v := h.Sample(rng); v < b.Min || v > b.Max {
+				t.Fatalf("bin [%d, %d]: sample %d outside it", b.Min, b.Max, v)
+			}
+		}
+	}
+}
+
 func TestBoxHistogramSampleBounds(t *testing.T) {
 	h := MustBoxHistogram([]Bin{
 		{Min: 10, Max: 20, Weight: 1},
