@@ -17,10 +17,11 @@ short:
 
 # The sweep executor, workload cache, engine, fault layer, the serving
 # traffic generator, the file-system and ROMIO layers (shared by the
-# verified read path), the adaptive controller, and the shared
-# observability sinks/registry under concurrent cells.
+# verified read path), the adaptive controller, the shared
+# observability sinks/registry under concurrent cells, and the DES kernel
+# and MPI layer every rank's state machine runs on.
 race:
-	$(GO) test -race ./internal/obs/ ./internal/experiments/ ./internal/search/ ./internal/core/ ./internal/fault/ ./internal/causal/ ./internal/serve/ ./internal/pvfs/ ./internal/romio/ ./internal/adapt/
+	$(GO) test -race ./internal/obs/ ./internal/experiments/ ./internal/search/ ./internal/core/ ./internal/fault/ ./internal/causal/ ./internal/serve/ ./internal/pvfs/ ./internal/romio/ ./internal/adapt/ ./internal/des/ ./internal/mpi/
 
 # A short pass over every fuzz target: the chaos-spec parser, the pvfs
 # descriptor extent map, the FASTA reader, the seekable payload content

@@ -209,16 +209,12 @@ func (rt *runtime) newAdaptState() *adaptState {
 		Hysteresis:   a.Hysteresis,
 		AcceptMargin: a.AcceptMargin,
 		Gamma:        a.Gamma,
-		BaseHints: romio.Hints{
-			CBNodes:         cfg.CBNodes,
-			CollWriteMethod: cfg.CollMethod,
-			IndWriteMethod:  cfg.indMethod(),
-		},
-		MaxCBNodes: len(rt.groups[0].workers),
-		MaxProbes:  a.MaxProbes,
-		TuneCB:     a.TuneCB,
-		TuneSieve:  a.TuneSieve,
-		Prior:      rt.adaptPrior(arms),
+		BaseHints:    cfg.hints(),
+		MaxCBNodes:   len(rt.groups[0].workers),
+		MaxProbes:    a.MaxProbes,
+		TuneCB:       a.TuneCB,
+		TuneSieve:    a.TuneSieve,
+		Prior:        rt.adaptPrior(arms),
 	})
 	n := len(rt.flushTimes)
 	ad.decisions = make([]adaptDecision, n)

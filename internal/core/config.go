@@ -291,12 +291,7 @@ func (c *Config) Validate() error {
 	if c.MaxTaskRetries < 0 {
 		return errors.New("core: MaxTaskRetries must be non-negative")
 	}
-	hints := romio.Hints{
-		CBNodes:         c.CBNodes,
-		CollWriteMethod: c.CollMethod,
-		IndWriteMethod:  c.indMethod(),
-	}
-	if err := hints.Validate(); err != nil {
+	if err := c.hints().Validate(); err != nil {
 		return err
 	}
 	if err := c.validateAdaptive(); err != nil {
@@ -322,6 +317,11 @@ func (c *Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// hints are the ROMIO hints the output and database files open with.
+func (c *Config) hints() romio.Hints {
+	return romio.Hints{CBNodes: c.CBNodes, CollWriteMethod: c.CollMethod, IndWriteMethod: c.indMethod()}
 }
 
 // masterRanks lists the master rank of every group under the same block

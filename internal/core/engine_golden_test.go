@@ -9,6 +9,7 @@ import (
 
 	"s3asim/internal/des"
 	"s3asim/internal/fault"
+	"s3asim/internal/obs"
 	"s3asim/internal/romio"
 )
 
@@ -45,12 +46,14 @@ func engineFingerprint(rep *Report) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fp+"\n"+b.String())))
 }
 
-// engineCase is one pinned worker run.
+// engineCase is one pinned run. A case with err set pins a run that fails:
+// its error text and calendar-event count instead of a fingerprint.
 type engineCase struct {
 	name   string
 	config func() Config
 	hash   string
 	events uint64
+	err    string
 }
 
 // goldenVariant is goldenConfig with one mutation applied.
@@ -134,6 +137,38 @@ var engineCases = []engineCase{
 		config: readbackCell(WWColl, true)},
 	{name: "adaptive", hash: "ad7997b06bc41583b9eb7765677b9df594791596c32b3fb1c73bfb475168216c", events: 8209,
 		config: adaptiveConfig},
+	// Master paths the cells above do not reach: a serving master idling
+	// across arrival gaps (sleeping with nothing in flight, and draining
+	// scores until the next arrival), SJF admission, adaptive I/O under
+	// serving, the straggler wait after every worker was told there is no
+	// more work (a delayed score overtaken by its sender's next request),
+	// an uncontended master NIC, and a telemetry-on run.
+	{name: "serve_idle", hash: "cafdd50e3843e5d5f56abf6b4bb455dd59a5b48b899bfde350b00a3577fe2d42", events: 3116,
+		config: func() Config { return serveConfig(100 * des.Millisecond) }},
+	{name: "serve_SJF", hash: "b0586066d4047a5106122a3469e38772f2fbf62f865aeaa84ae9a07dd8f656b3", events: 3015,
+		config: func() Config {
+			cfg := serveConfig(0)
+			cfg.Serve.Admission = ServeSJF
+			return cfg
+		}},
+	{name: "serve_adaptive", hash: "ff570a4d8d12332043ad04c3a7d8abd837b3b268c71c8969673f887ac6c41a3e", events: 1851,
+		config: func() Config {
+			cfg := serveConfig(2 * des.Millisecond)
+			cfg.Adaptive = &AdaptiveConfig{}
+			return cfg
+		}},
+	{name: "serve_delay_straggler", hash: "aaddabcb8f84471793c5b67a7970ea16fd31446da7e69555af310d62b2e5b9fd", events: 2866,
+		config: func() Config {
+			cfg := serveConfig(2 * des.Millisecond)
+			cfg.FaultPlan = &fault.Plan{Seed: 5, Events: []fault.Event{
+				{Kind: fault.Delay, Rank: -1, Server: -1, Prob: 0.3, Extra: 300 * des.Millisecond},
+			}}
+			return cfg
+		}},
+	{name: "master_NIC_uncontended", hash: "af628a54738f8344358b779bc82e2d6d9d763ea7148a4e2670a1b074f252a330", events: 20060,
+		config: goldenVariant(func(c *Config) { c.DisableMasterNICSerialization = true })},
+	{name: "telemetry", hash: "6a96f1755ebb098595097948df8b5730d75caac632c75956ad43256056993ddf", events: 20086,
+		config: goldenVariant(func(c *Config) { c.Telemetry = &obs.Telemetry{Window: 100 * des.Millisecond} })},
 }
 
 // TestWorkerGoldenBehavior checks every engineCases run against its pinned
@@ -258,6 +293,40 @@ var resilientCases = []engineCase{
 	{name: "empty-plan_WW-Coll_sync", hash: "290929d62cae4114ef4e0bc90ff23f369a86b21f86edec73f6dbd04a24e2990a", events: 28290,
 		config: resilientCell(WWColl, nil,
 			func(c *Config) { c.Resilient = true; c.QuerySync = true })},
+	// Master paths the cells above do not reach. A 60ms delay on every
+	// message sent in the 101ms before rank 5 crashes keeps its last work
+	// request in flight past the crash: with a 5ms restart the new
+	// incarnation's request overtakes it (a stale incarnation), with 100ms
+	// the sweep declares the rank dead first (a dead incarnation's message).
+	// A crash 10ms before the fault-free run would end, restarting 20ms
+	// later while 300ms delays hold the shutdown handshake open, revives the
+	// rank during shutdown. Crashing every worker for good fails the run.
+	{name: "stale-incarnation_WW-List", hash: "4e6f467122de74614d018ee1dfaf6b8a089d0b024f304fa4cde0a73c7e0de8d0", events: 25162,
+		config: resilientCell(WWList, inFlightCrashPlan(5*des.Millisecond), nil)},
+	{name: "dead-incarnation_WW-List", hash: "7eff8735b05326b21b0840806bdaf4f182f9c38ba3b31ca1f743726b73fa37b8", events: 25288,
+		config: resilientCell(WWList, inFlightCrashPlan(100*des.Millisecond), nil)},
+	{name: "late-revival_WW-List", hash: "98b1329534662be36ba984c52e1caf3cceecc32c89644743696f39c849329965", events: 25616,
+		config: resilientCell(WWList, &fault.Plan{Seed: 5, Events: []fault.Event{
+			{Kind: fault.Crash, At: 6_126_302_877, Rank: 5, Server: -1, Restart: 20 * des.Millisecond},
+			{Kind: fault.Delay, At: 5_836_302_877, Rank: -1, Server: -1, Prob: 1, Extra: 300 * des.Millisecond},
+		}}, nil)},
+	{name: "no-live-worker_WW-List", err: "core: group 0 has unfinished work but no live workers and no pending restart", events: 295,
+		config: resilientCell(WWList, &fault.Plan{Seed: 1, Events: []fault.Event{
+			{Kind: fault.Crash, At: 10 * des.Millisecond, Rank: 1, Server: -1},
+			{Kind: fault.Crash, At: 10 * des.Millisecond, Rank: 2, Server: -1},
+			{Kind: fault.Crash, At: 10 * des.Millisecond, Rank: 3, Server: -1},
+			{Kind: fault.Crash, At: 10 * des.Millisecond, Rank: 4, Server: -1},
+		}}, func(c *Config) { c.Procs = 5 })},
+}
+
+// inFlightCrashPlan crashes rank 5 at 1249ms, restarting after restart,
+// with every message sent in [1149ms, 1250ms) delayed by 60ms.
+func inFlightCrashPlan(restart des.Time) *fault.Plan {
+	return &fault.Plan{Seed: 5, Events: []fault.Event{
+		{Kind: fault.Crash, At: 1249 * des.Millisecond, Rank: 5, Server: -1, Restart: restart},
+		{Kind: fault.Delay, At: 1149 * des.Millisecond, For: 101 * des.Millisecond,
+			Rank: -1, Server: -1, Prob: 1, Extra: 60 * des.Millisecond},
+	}}
 }
 
 // resilientReadbackCell is readbackConfig (five processes) under strategy s
@@ -271,6 +340,21 @@ func resilientReadbackCell(s Strategy) func() Config {
 	}
 }
 
+// checkFailingCase runs a case pinned as a failure, twice on the same
+// kernel, and checks its error text and calendar-event count.
+func checkFailingCase(t *testing.T, ec engineCase, cfg Config) {
+	t.Helper()
+	for run := 0; run < 2; run++ {
+		_, err := Run(cfg)
+		if err == nil || err.Error() != ec.err {
+			t.Fatalf("run %d: error %v, want %q", run, err, ec.err)
+		}
+		if n := cfg.Sim.Events(); n != ec.events {
+			t.Errorf("run %d: calendar events = %d, pinned %d", run, n, ec.events)
+		}
+	}
+}
+
 // TestResilientGoldenBehavior checks every resilientCases run against its
 // pinned fingerprint and calendar-event count, then reruns it on the same
 // reused kernel and requires the same fingerprint. Across the cells, lease
@@ -281,6 +365,10 @@ func TestResilientGoldenBehavior(t *testing.T) {
 		t.Run(ec.name, func(t *testing.T) {
 			cfg := ec.config()
 			cfg.Sim = des.New()
+			if ec.err != "" {
+				checkFailingCase(t, ec, cfg)
+				return
+			}
 			rep := mustRun(t, cfg)
 			got := resilientFingerprint(rep)
 			if got != ec.hash {

@@ -129,7 +129,6 @@ type tokMsg struct {
 type ackMsg struct {
 	Batch int
 	Wave  int
-	Bytes int64
 }
 
 // ctlMsg is the master's control plane: a nudge (requeued work is

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"s3asim/internal/mpi"
 	"s3asim/internal/pvfs"
 	"s3asim/internal/romio"
 )
@@ -119,47 +118,5 @@ func (rt *runtime) rbVerify(where string, segs []pvfs.Segment, got [][]pvfs.Segm
 				rt.flight.Trigger(fmt.Sprintf("readback mismatch at %s", where), rt.sim.Now())
 			}
 		}
-	}
-}
-
-// rbInRunMaster is the MW in-run verifier: the master re-reads the batch
-// region it just wrote and verifies it.
-func (rt *runtime) rbInRunMaster(r *mpi.Rank, pt *PhaseTimer, b batch) {
-	rb := rt.rb
-	if rb == nil || rb.conf.InRunReads == 0 || b.Bytes == 0 {
-		return
-	}
-	segs := []pvfs.Segment{{Offset: b.Region, Length: b.Bytes}}
-	pt.Switch(PhaseIO)
-	for i := 0; i < rb.conf.InRunReads; i++ {
-		got := rt.file.ReadSegs(r, rb.conf.Method, segs)
-		rt.rbVerify(r.Proc().Name(), segs, got)
-	}
-}
-
-// rbPostRun is the end-of-run verifier: the group master reads every
-// committed result extent of its query range back through the read strategy
-// — batch by batch, at result granularity so list and sieve methods see the
-// noncontiguous shape — and verifies every extent. Runs after the final
-// barrier (non-resilient) or the shutdown handshake (resilient), when every
-// batch is durable.
-func (rt *runtime) rbPostRun(r *mpi.Rank, pt *PhaseTimer, g *group) {
-	rb := rt.rb
-	if rb == nil || !rb.conf.PostRun {
-		return
-	}
-	pt.Switch(PhaseIO)
-	for _, b := range g.batches {
-		var segs []pvfs.Segment
-		for q := b.LoQ; q < b.HiQ; q++ {
-			for _, res := range rt.wl.Queries[q].Results {
-				segs = append(segs, pvfs.Segment{Offset: res.Offset, Length: res.Size})
-			}
-		}
-		if len(segs) == 0 {
-			continue
-		}
-		got := rt.file.ReadSegs(r, rb.conf.Method, segs)
-		rt.rbVerify(r.Proc().Name(), segs, got)
 	}
 }

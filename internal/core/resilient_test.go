@@ -287,3 +287,25 @@ func TestChaosUnrecoverable(t *testing.T) {
 		t.Fatal("expected an unrecoverable-run error, got success")
 	}
 }
+
+// TestResilientLongTaskCompletes: on a fault-free resilient run, a task
+// that computes for longer than its lease and every extension is
+// re-dispatched speculatively. That re-dispatch is not a loss, so it must
+// not count against MaxTaskRetries: the run completes, with full coverage
+// and no byte written twice.
+func TestResilientLongTaskCompletes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Strategy = WWList
+	cfg.Workload.Seed = 6
+	cfg.Workload.NumFragments = 32
+	cfg.Resilient = true
+	rep := mustRun(t, cfg)
+	if rep.FileCoverage != rep.OutputBytes || rep.OverlappedBytes != 0 {
+		t.Fatalf("coverage %d of %d bytes, %d overlapped", rep.FileCoverage, rep.OutputBytes, rep.OverlappedBytes)
+	}
+	if n := rep.Metrics.Counters["fault.lease_expirations"]; n == 0 {
+		t.Fatal("no lease ran out: the run does not exercise the speculative re-dispatch")
+	}
+	t.Logf("overall %v, lease expirations %d, tasks re-executed %d", rep.Overall,
+		rep.Metrics.Counters["fault.lease_expirations"], rep.Metrics.Counters["fault.tasks_reexecuted"])
+}

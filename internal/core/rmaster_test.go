@@ -11,20 +11,21 @@ import (
 	"s3asim/internal/search"
 )
 
-// This file drives the resilient master's bookkeeping functions directly
-// on a hand-built rmasterState: the tie order of expiries (the golden runs
-// may never produce a tie) and the cost of a wake on which nothing is due.
+// This file drives the master's resilient bookkeeping directly on a
+// hand-built masterFSM: the tie order of expiries (the golden runs may
+// never produce a tie) and the cost of a wake on which nothing is due.
 
 // testMaster builds a resilient master for one group of n workers (ranks
 // 1..n) over nq single-query batches of nf fragments, at virtual time 0,
 // with a fault injector whose plan never fires.
-func testMaster(n, nq, nf int) (*runtime, *mpi.Rank, *rmasterState) {
+func testMaster(n, nq, nf int) (*runtime, *masterFSM) {
 	cfg := DefaultConfig()
 	cfg.Procs = n + 1
 	cfg.Workload.NumFragments = nf
 	sim := des.New()
 	world := mpi.NewWorld(sim, cfg.Procs, cfg.Net)
-	rt := &runtime{cfg: &cfg, sim: sim, world: world, metrics: obs.NewRegistry()}
+	rt := &runtime{cfg: &cfg, sim: sim, world: world, metrics: obs.NewRegistry(),
+		timers: make([]*PhaseTimer, cfg.Procs)}
 	rt.faults = fault.NewInjector(sim, &fault.Plan{Seed: 1}, rt.metrics, nil)
 	g := &group{masterRank: 0, hiQ: nq}
 	for w := 1; w <= n; w++ {
@@ -33,7 +34,9 @@ func testMaster(n, nq, nf int) (*runtime, *mpi.Rank, *rmasterState) {
 	for q := 0; q < nq; q++ {
 		g.batches = append(g.batches, batch{LoQ: q, HiQ: q + 1})
 	}
-	return rt, world.Rank(0), rt.newRMasterState(g, NewPhaseTimer(sim))
+	m := rt.newMaster(g, world.Rank(0), true)
+	m.pt = NewPhaseTimer(sim)
+	return rt, m
 }
 
 // sendLog records every message's destination and size, in Isend order.
@@ -56,22 +59,22 @@ func placements(q, f, k int) []search.Result {
 // TestRMasterLeaseTieOrder: leases of ranks 5, 2 and 9 run out at the same
 // instant with no extension left; their tasks requeue in rank order.
 func TestRMasterLeaseTieOrder(t *testing.T) {
-	rt, r, m := testMaster(10, 1, 16)
+	rt, m := testMaster(10, 1, 16)
 	for f, w := range []int{5, 2, 9} {
-		m.leases[m.slot(w)] = &rlease{t: task{Q: 0, F: f}, extends: rt.cfg.effRetries()}
+		m.ws[m.slot(w)].lease = &rlease{t: task{Q: 0, F: f}, extends: rt.cfg.effRetries()}
 	}
 	m.nextSweep = des.Second
-	if d := rt.rmNextDeadline(m); d != 0 {
+	if d := m.nextDeadline(); d != 0 {
 		t.Fatalf("next deadline %v, want 0 (leases due now)", d)
 	}
-	rt.rmExpireLeases(r, m)
+	m.expireLeases()
 	want := []task{{Q: 0, F: 1}, {Q: 0, F: 0}, {Q: 0, F: 2}} // ranks 2, 5, 9
 	if !reflect.DeepEqual(m.retryQ, want) {
 		t.Fatalf("requeue order %v, want %v", m.retryQ, want)
 	}
-	for _, l := range m.leases {
-		if l != nil {
-			t.Fatalf("lease %+v left after its final expiry", l)
+	for _, w := range m.ws {
+		if w.lease != nil {
+			t.Fatalf("lease %+v left after its final expiry", w.lease)
 		}
 	}
 }
@@ -80,16 +83,15 @@ func TestRMasterLeaseTieOrder(t *testing.T) {
 // due together. Owed by live workers they are resent, and owed by dead
 // ones their tasks are re-dispatched, in (rank, wave) order either way.
 func TestRMasterDebtTieOrder(t *testing.T) {
-	setup := func() (*runtime, *mpi.Rank, *rmasterState) {
-		rt, r, m := testMaster(4, 1, 8)
+	setup := func() (*runtime, *masterFSM) {
+		rt, m := testMaster(4, 1, 8)
 		rb := m.batches[0]
-		rb.sent = true
-		m.flushedInit = 1
+		m.flushed = 1
 		// Wave w of rank k carries task (0, 2k+w) with k+w placements, so
 		// both the requeued task and the resent size name the debt.
 		for _, k := range []debtKey{{3, 1}, {1, 2}, {1, 0}} {
 			tk := task{Q: 0, F: 2*k.rank + k.wave}
-			m.taskDone[tk] = true
+			m.taskDone[m.taskIndex(tk)] = true
 			m.processed++
 			msg := offsetMsg{Wave: k.wave, Placements: placements(tk.Q, tk.F, k.rank+k.wave)}
 			m.owe(rb, rdebt{debtKey: k, msg: msg})
@@ -102,15 +104,15 @@ func TestRMasterDebtTieOrder(t *testing.T) {
 			t.Fatalf("owed order %v, want %v", keys, want)
 		}
 		m.nextSweep = des.Second
-		rt.rmNextDeadline(m)
-		return rt, r, m
+		m.nextDeadline()
+		return rt, m
 	}
 
 	t.Run("resend", func(t *testing.T) {
-		rt, r, m := setup()
+		rt, m := setup()
 		var log sendLog
 		rt.world.SetFaultModel(&log)
-		rt.rmExpireAcks(r, m)
+		m.expireAcks()
 		size := func(n int) int64 { return offsetHdrBytes + int64(n)*offsetPerResult }
 		want := sendLog{1, size(1), 1, size(3), 3, size(4)}
 		if !reflect.DeepEqual(log, want) {
@@ -122,12 +124,12 @@ func TestRMasterDebtTieOrder(t *testing.T) {
 	})
 
 	t.Run("requeue", func(t *testing.T) {
-		rt, r, m := setup()
+		_, m := setup()
 		for _, w := range []int{1, 3} {
-			m.live[m.slot(w)] = false
+			m.ws[m.slot(w)].live = false
 			m.nLive--
 		}
-		rt.rmExpireAcks(r, m)
+		m.expireAcks()
 		want := []task{{Q: 0, F: 2}, {Q: 0, F: 4}, {Q: 0, F: 7}} // (1,0), (1,2), (3,1)
 		if !reflect.DeepEqual(m.retryQ, want) {
 			t.Fatalf("re-dispatch order %v, want %v", m.retryQ, want)
@@ -138,50 +140,60 @@ func TestRMasterDebtTieOrder(t *testing.T) {
 	})
 }
 
-// idleMaster is a steady mid-run master at 100ms: 32 live workers each
-// holding a task lease, three sent batches still owing acks, the fourth
-// batch not yet complete, and no lease or ack due before 1s.
-func idleMaster(tb testing.TB) (*runtime, *mpi.Rank, *rmasterState) {
+// idleDue is when the idle master's leases and acks fall due: far enough
+// out that no number of detector sweeps reaches it.
+const idleDue = des.Time(1 << 60)
+
+// idleMaster is a steady mid-run master parked in its timed wait at
+// 100ms: 32 live workers each holding a task lease, three sent batches
+// still owing acks, the fourth batch not yet complete, and no lease or ack
+// due before idleDue.
+func idleMaster(tb testing.TB) (*runtime, *masterFSM) {
 	const workers, sent = 32, 3
-	rt, r, m := testMaster(workers, sent+1, workers)
+	rt, m := testMaster(workers, sent+1, workers)
 	rt.sim.After(100*des.Millisecond, func() {})
 	if err := rt.sim.Run(); err != nil {
 		tb.Fatal(err)
 	}
-	for i := range m.leases {
-		m.leases[i] = &rlease{t: task{Q: sent, F: i}, deadline: des.Second + des.Time(i)}
+	for i := range m.ws {
+		m.ws[i].lease = &rlease{t: task{Q: sent, F: i}, deadline: idleDue + des.Time(i)}
 	}
 	for bi := 0; bi < sent; bi++ {
 		rb := m.batches[bi]
-		rb.sent = true
 		for w := 1; w <= workers; w += 4 {
-			m.owe(rb, rdebt{debtKey: debtKey{rank: w}, deadline: des.Second})
+			m.owe(rb, rdebt{debtKey: debtKey{rank: w}, deadline: idleDue})
 		}
 	}
-	m.flushedInit = sent
-	m.nextSweep = r.Now() + rt.cfg.effDetect()
-	return rt, r, m
+	m.flushed = sent
+	m.armResilient()
+	m.pc = rmHead
+	rt.world.SpawnFSM(0, "master0", m)
+	rt.sim.RunUntil(rt.sim.Now())
+	if m.pc != rmWait {
+		tb.Fatalf("master at state %d, want parked in its timed wait", m.pc)
+	}
+	return rt, m
 }
 
-// idleWake runs one master wake's bookkeeping passes.
-func idleWake(rt *runtime, r *mpi.Rank, m *rmasterState) {
-	rt.rmNextDeadline(m)
-	rt.rmSweep(r, m)
-	rt.rmExpireLeases(r, m)
-	rt.rmExpireAcks(r, m)
-	rt.rmFlush(r, m)
-	rt.rmCheckStuck(r, m)
+// idleWake runs the master through one detector-sweep wake: the timed wait
+// times out, the sweep, both expiry passes, the flush scan and the stuck
+// check find nothing to do, and the wait is re-armed.
+func idleWake(rt *runtime, m *masterFSM) {
+	rt.sim.RunUntil(m.nextSweep)
 }
 
 // TestRMasterIdleWakeAllocs pins that a master wake on which nothing is
-// due allocates nothing and changes nothing.
+// due allocates nothing, re-arms the one timed wait, and changes nothing.
 func TestRMasterIdleWakeAllocs(t *testing.T) {
-	rt, r, m := idleMaster(t)
-	if allocs := testing.AllocsPerRun(100, func() { idleWake(rt, r, m) }); allocs != 0 {
+	rt, m := idleMaster(t)
+	if allocs := testing.AllocsPerRun(100, func() { idleWake(rt, m) }); allocs != 0 {
 		t.Fatalf("idle master wake allocates %.1f times, want 0", allocs)
 	}
-	if d := rt.rmNextDeadline(m); d != m.nextSweep || m.due != des.Second {
-		t.Fatalf("next deadline %v (due %v), want the sweep at %v and due 1s", d, m.due, m.nextSweep)
+	if d := m.nextDeadline(); d != m.nextSweep || m.due != idleDue {
+		t.Fatalf("next deadline %v (due %v), want the sweep at %v and due %v", d, m.due, m.nextSweep, idleDue)
+	}
+	if n := rt.sim.PendingEvents(); n != 1 || m.pc != rmWait {
+		t.Fatalf("%d calendar entries, state %d; want the one timed wait", n, m.pc)
 	}
 	if len(m.retryQ) != 0 || len(m.sends) != 0 || m.nLive != 32 || rt.runErr != nil {
 		t.Fatalf("idle wake acted: retryQ %v, %d sends, %d live, err %v",
@@ -190,12 +202,13 @@ func TestRMasterIdleWakeAllocs(t *testing.T) {
 }
 
 // BenchmarkRMasterIdleWake measures one master wake on which nothing is
-// due: the deadline scan, the detector sweep, both expiry passes, the
-// flush check and the stuck check over 32 workers.
+// due: the timed wait's timeout and re-arm, the deadline scan, the
+// detector sweep, both expiry passes, the flush scan and the stuck check
+// over 32 workers.
 func BenchmarkRMasterIdleWake(b *testing.B) {
-	rt, r, m := idleMaster(b)
+	rt, m := idleMaster(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		idleWake(rt, r, m)
+		idleWake(rt, m)
 	}
 }

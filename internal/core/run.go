@@ -47,18 +47,21 @@ type group struct {
 
 // runtime carries everything the masters and workers share.
 type runtime struct {
-	cfg     *Config
-	wl      *search.Workload
-	sim     *des.Simulation
-	world   *mpi.World
-	fs      *pvfs.FileSystem
-	file    *romio.File
-	dbFile  *romio.File  // input database (when DatabaseBytes > 0)
-	fileUp  *des.Signal  // broadcast once rt.file is open
-	final   *mpi.Barrier // all processes, end of run
-	groups  []*group
-	timers  []*PhaseTimer
-	metrics *obs.Registry
+	cfg    *Config
+	wl     *search.Workload
+	sim    *des.Simulation
+	world  *mpi.World
+	fs     *pvfs.FileSystem
+	file   *romio.File
+	dbFile *romio.File // input database (when DatabaseBytes > 0)
+	// fileOpen is set, and fileUp broadcast, once group 0's master has
+	// opened the files.
+	fileOpen bool
+	fileUp   *des.Signal
+	final    *mpi.Barrier // all processes, end of run
+	groups   []*group
+	timers   []*PhaseTimer
+	metrics  *obs.Registry
 
 	flushTimes []des.Time // per global batch: when its flush completed
 
@@ -74,11 +77,9 @@ type runtime struct {
 	// Verified-read-path state (nil when Config.Readback is unset).
 	rb *readbackState
 
-	// Resilient-protocol state (nil/zero for the original protocol).
-	faults        *fault.Injector // fault oracle; non-nil iff cfg.resilient()
-	runErr        error           // first unrecoverable failure (fail())
-	groupShutdown []bool          // per group: master entered shutdown
-	ended         int             // protocol actors that exited cleanly
+	// Resilient-protocol state (nil for the original protocol).
+	faults *fault.Injector // fault oracle; non-nil iff cfg.resilient()
+	runErr error           // first unrecoverable failure (fail())
 }
 
 // ProcBreakdown is one process's per-phase time decomposition.
@@ -274,23 +275,15 @@ func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
 		if resilient {
 			inj.Arm(world.WakeRank)
 			rt.faults = inj
-			rt.groupShutdown = make([]bool, len(rt.groups))
 		}
 	}
 
+	// Every process is a state machine: a blocked rank is one struct, not
+	// a goroutine stack, so rank counts in the hundreds of thousands fit in
+	// ordinary heaps, and a resume is a method call on the kernel's stack.
 	for _, g := range rt.groups {
-		g := g
-		master := rt.master
-		if resilient {
-			master = rt.rmaster
-		}
-		world.Spawn(g.masterRank, fmt.Sprintf("master%d", g.index),
-			func(r *mpi.Rank) { master(r, g) })
-		// Workers run as pooled state machines: a blocked worker is one
-		// struct, not a goroutine stack, so rank counts in the hundreds of
-		// thousands fit in ordinary heaps. Masters keep goroutine form —
-		// there is one per group and their protocol code stays readable
-		// that way.
+		world.SpawnFSM(g.masterRank, fmt.Sprintf("master%d", g.index),
+			rt.newMaster(g, world.Rank(g.masterRank), resilient))
 		for _, w := range g.workers {
 			world.SpawnFSM(w, fmt.Sprintf("worker%d", w),
 				&workerFSM{rt: rt, g: g, r: world.Rank(w), resilient: resilient})
@@ -358,38 +351,13 @@ func (rt *runtime) buildGroups() {
 	rt.flushTimes = make([]des.Time, globalBatch)
 }
 
-// openFile is called by every group master; the first creates the shared
-// output file, the rest wait for it.
-func (rt *runtime) openFile(r *mpi.Rank, g *group) {
-	if g.index == 0 {
-		hints := romio.Hints{
-			CBNodes:         rt.cfg.CBNodes,
-			CollWriteMethod: rt.cfg.CollMethod,
-			IndWriteMethod:  rt.cfg.indMethod(),
-		}
-		rt.file = romio.Open(r.Proc(), rt.world, rt.fs, outputFile, hints)
-		if rt.cfg.DatabaseBytes > 0 {
-			rt.dbFile = romio.Open(r.Proc(), rt.world, rt.fs, "s3asim.database", hints)
-		}
-		rt.fileUp.Broadcast()
-		return
-	}
-	for rt.file == nil {
-		rt.fileUp.Wait(r.Proc())
-	}
-}
-
-// mergeSleep advances r's clock by d and bills the span as
-// merge/serialization work for causal attribution (result merging on master
-// or worker, batch formatting before a write).
-func (rt *runtime) mergeSleep(r *mpi.Rank, d des.Time) {
+// billMerge records a finished merge or format sleep that began at start
+// as merge/serialization work for causal attribution (result merging on
+// master or worker, batch formatting before a write).
+func (rt *runtime) billMerge(p *des.Proc, start des.Time) {
 	if c := rt.cfg.Causal; c != nil {
-		start := rt.sim.Now()
-		r.Proc().Sleep(d)
-		c.Busy(r.Proc().Name(), causal.CatMerge, start, rt.sim.Now())
-		return
+		c.Busy(p.Name(), causal.CatMerge, start, rt.sim.Now())
 	}
-	r.Proc().Sleep(d)
 }
 
 // totalWorkers counts worker processes across all groups.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"s3asim/internal/des"
-	"s3asim/internal/mpi"
 	"s3asim/internal/obs"
 )
 
@@ -106,8 +105,7 @@ type serveState struct {
 	curQ    int   // query currently handing out fragments (-1: none)
 	curF    int   // next fragment of curQ
 
-	flushesSent int    // flush rounds initiated (the WW-Coll gate base)
-	flushedB    []bool // per group-local batch: flush initiated
+	flushedB []bool // per group-local batch: flush initiated
 }
 
 // newServeState builds the bookkeeping for plan (validated by Config).
@@ -143,107 +141,6 @@ func (sv *serveState) pick(rt *runtime, now des.Time) {
 	sv.queue = append(sv.queue[:best], sv.queue[best+1:]...)
 	sv.stats[q].Dispatched = now
 	sv.curQ, sv.curF = q, 0
-}
-
-// serveNext produces the next (query, fragment) task of a serving master, or
-// ok=false when every query has been fully dispatched. When nothing is
-// admitted but arrivals remain, the master idles until the next arrival —
-// the open-loop gap the closed protocol never has — draining scores and
-// flushing finished batches as they land so result durability does not wait
-// on the next arrival.
-func (rt *runtime) serveNext(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterState) (task, bool) {
-	sv := rt.serve
-	cfg := rt.cfg
-	for {
-		sv.admit(rt.sim.Now())
-		if sv.curQ < 0 && len(sv.queue) > 0 {
-			sv.pick(rt, rt.sim.Now())
-		}
-		if sv.curQ >= 0 {
-			t := task{Q: sv.curQ, F: sv.curF, Gate: sv.flushesSent}
-			if rt.ad != nil {
-				t.Strat = rt.adaptTaskStrat(g, sv.curQ)
-			}
-			sv.curF++
-			if sv.curF == cfg.Workload.NumFragments {
-				sv.curQ = -1
-			}
-			return t, true
-		}
-		if sv.nextArr >= len(sv.plan.Arrivals) {
-			return task{}, false
-		}
-		rt.serveIdle(r, pt, g, st, sv.plan.Arrivals[sv.nextArr])
-	}
-}
-
-// serveIdle waits out the gap to the next arrival while still servicing the
-// backend: completed score receives are drained (merging results and
-// flushing finished batches) the moment they land, so a quiet arrival stream
-// does not delay durability of in-flight queries.
-func (rt *runtime) serveIdle(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterState, deadline des.Time) {
-	for rt.sim.Now() < deadline {
-		if len(st.scoreReqs) == 0 {
-			// Nothing in flight: sleep straight to the arrival. The paper
-			// bills master waiting to data distribution.
-			pt.Switch(PhaseDataDist)
-			r.Proc().Sleep(deadline - rt.sim.Now())
-			continue
-		}
-		pt.Switch(PhaseGather)
-		r.WaitAnyUntil(st.scoreReqs, deadline)
-		rt.masterDrain(r, pt, g, st)
-	}
-}
-
-// serveFlush flushes every batch whose queries are complete, in batch order
-// but without the closed-batch in-order restriction: under SJF (or any
-// out-of-order completion) a later query's batch may flush while an earlier
-// query is still in flight. Each initiated flush advances the run-ahead gate
-// (task.Gate) new dispatches carry.
-func (rt *runtime) serveFlush(r *mpi.Rank, pt *PhaseTimer, g *group, st *masterState) {
-	sv := rt.serve
-	for bi := range g.batches {
-		if sv.flushedB[bi] {
-			continue
-		}
-		b := g.batches[bi]
-		ready := true
-		for q := b.LoQ; q < b.HiQ; q++ {
-			if !st.complete[q] {
-				ready = false
-				break
-			}
-		}
-		if !ready {
-			continue
-		}
-		now := rt.sim.Now()
-		for q := b.LoQ; q < b.HiQ; q++ {
-			sv.stats[q].FlushStart = now
-		}
-		rt.flushBatch(r, pt, g, st, bi)
-		sv.flushedB[bi] = true
-		sv.flushesSent++
-		st.flushed++
-	}
-}
-
-// serveStampGathered records when a query's last fragment finished merging.
-func (rt *runtime) serveStampGathered(q int) {
-	if sv := rt.serve; sv != nil {
-		sv.stats[q].Gathered = rt.sim.Now()
-	}
-}
-
-// serveStampDone records who durably completed a batch's write and when.
-// With QueriesPerWrite == 1 (enforced by Validate for serving runs) the
-// global batch index is the query index.
-func (rt *runtime) serveStampDone(globalBatch int, proc string) {
-	if sv := rt.serve; sv != nil {
-		sv.stats[globalBatch].Done = rt.flushTimes[globalBatch]
-		sv.stats[globalBatch].Proc = proc
-	}
 }
 
 // Serving-run span states, emitted as per-query timeline tracks (and the

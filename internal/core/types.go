@@ -137,9 +137,6 @@ func (t *PhaseTimer) Switch(p Phase) {
 	}
 }
 
-// Current returns the phase being billed.
-func (t *PhaseTimer) Current() Phase { return t.current }
-
 // Finish bills the tail and freezes the timer.
 func (t *PhaseTimer) Finish() {
 	if t.closed {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"s3asim/internal/causal"
@@ -147,15 +148,14 @@ const (
 
 // Task sub-machine counters (stepTask).
 const (
-	tkGate           uint8 = iota // WW-Coll: check the batch-completion gate
-	tkGateWait                    // WW-Coll: parked awaiting an offset list
-	tkGateDrain                   // WW-Coll: drain after the gate wait
-	tkLeaseGate                   // resilient WW-Coll: check the gate
-	tkLeaseGateWait               // resilient WW-Coll: parked, one lease at most
-	tkLeaseGateDrain              // resilient WW-Coll: drain after the wait
-	tkReread                      // query-seg overflow re-read in flight
-	tkCompute                     // search compute sleep in flight
-	tkMerge                       // local merge sleep in flight
+	tkGate          uint8 = iota // WW-Coll: check the batch-completion gate
+	tkGateWait                   // WW-Coll: parked awaiting an offset list
+	tkGateDrain                  // WW-Coll: drain after a gate wait
+	tkLeaseGate                  // resilient WW-Coll: check the gate
+	tkLeaseGateWait              // resilient WW-Coll: parked, one lease at most
+	tkReread                     // query-seg overflow re-read in flight
+	tkCompute                    // search compute sleep in flight
+	tkMerge                      // local merge sleep in flight
 )
 
 // Step advances the worker to its next park. It is the Machine contract's
@@ -274,7 +274,7 @@ func (m *workerFSM) step() bool {
 	case wfRetire:
 		// Step 15: retire completed score sends.
 		m.pt.Switch(PhaseGather)
-		m.retire()
+		m.pending = retireDone(m.pending)
 		// Steps 16–19: handle any offset lists (or sync tokens) that have
 		// arrived, without blocking.
 		m.startDrain()
@@ -413,7 +413,7 @@ func (m *workerFSM) step() bool {
 		if !m.stepTask() {
 			return false
 		}
-		m.retire()
+		m.pending = retireDone(m.pending)
 		m.pc = rwHead
 	case rwExit:
 		if !m.waitAll.Step() {
@@ -433,7 +433,6 @@ func (m *workerFSM) step() bool {
 			}
 		}
 		m.pt.Finish()
-		rt.noteEnd()
 		return false
 	}
 	return true
@@ -519,17 +518,6 @@ func (m *workerFSM) anyReady() bool {
 	return false
 }
 
-// retire drops completed sends.
-func (m *workerFSM) retire() {
-	kept := m.pending[:0]
-	for _, req := range m.pending {
-		if !req.Done() {
-			kept = append(kept, req)
-		}
-	}
-	m.pending = kept
-}
-
 // done is the termination predicate: no more work, every score send
 // retired, and (when the worker tracks batches) every batch handled.
 func (m *workerFSM) done() bool {
@@ -612,22 +600,16 @@ func (m *workerFSM) armReplyWait() {
 // master notification (offset list or token) arrives. The paper bills
 // waiting-on-the-master to the data distribution phase.
 func (m *workerFSM) armIdleWait() {
-	switch {
-	case m.offReq != nil:
+	if q := cmp.Or(m.offReq, m.tokReq); q != nil {
 		m.pt.Switch(PhaseDataDist)
-		m.waitSet = append(m.waitSet[:0], m.offReq)
+		m.waitSet = append(m.waitSet[:0], q)
 		m.waitAny.Init(m.r, m.waitSet)
 		m.pc = wfIdleAny
-	case m.tokReq != nil:
-		m.pt.Switch(PhaseDataDist)
-		m.waitSet = append(m.waitSet[:0], m.tokReq)
-		m.waitAny.Init(m.r, m.waitSet)
-		m.pc = wfIdleAny
-	default:
-		m.pt.Switch(PhaseGather)
-		m.waitAll.Init(m.r, m.pending)
-		m.pc = wfIdleAll
+		return
 	}
+	m.pt.Switch(PhaseGather)
+	m.waitAll.Init(m.r, m.pending)
+	m.pc = wfIdleAll
 }
 
 // startDrain arms the drain sub-machine.
@@ -737,13 +719,9 @@ func (m *workerFSM) startOffsets() {
 
 // sendAck acknowledges that the wave in m.om is durably written.
 func (m *workerFSM) sendAck() {
-	var bytes int64
-	for _, res := range m.om.Placements {
-		bytes += res.Size
-	}
 	m.pending = append(m.pending,
 		m.r.Isend(m.g.masterRank, tagWriteAck, ackMsgBytes,
-			ackMsg{Batch: m.om.Batch, Wave: m.om.Wave, Bytes: bytes}))
+			ackMsg{Batch: m.om.Batch, Wave: m.om.Wave}))
 }
 
 // startWrite arms the batch-write sub-machine for the offset list in m.om:
@@ -784,7 +762,7 @@ func (m *workerFSM) stepWrite() bool {
 			if r.Proc().Yielded() {
 				return false
 			}
-			m.billMerge()
+			m.rt.billMerge(m.r.Proc(), m.sleepStart)
 			m.writePC = wwRoute
 		case wwRoute:
 			if rt.ad != nil && rt.batchStrat(m.om) == MW {
@@ -821,65 +799,46 @@ func (m *workerFSM) stepWrite() bool {
 				return false
 			}
 			m.startColl()
-		case wwColl:
-			if !m.coll.Step() {
+		case wwColl, wwSegs, wwSync:
+			var done bool
+			switch m.writePC {
+			case wwColl:
+				done = m.coll.Step()
+			case wwSegs:
+				done = m.wsegs.Step()
+			default:
+				done = m.issue.Step()
+			}
+			if !done {
 				return false
 			}
-			if cfg.SyncEveryWrite {
+			if m.writePC != wwSync && cfg.SyncEveryWrite {
 				rt.file.StartSync(&m.issue, r)
 				m.writePC = wwSync
 				continue
 			}
 			rt.stampFlush(r.Proc().Name(), m.g, m.om.Batch)
-			if m.armReadback(true) {
-				continue
+			if !m.armReadback(m.collective()) {
+				return true
 			}
-			return true
-		case wwSegs:
-			if !m.wsegs.Step() {
-				return false
+		case wwRead, wwRColl:
+			var pieces [][]pvfs.Segment
+			if m.writePC == wwRColl {
+				if !m.rcoll.Step() {
+					return false
+				}
+				pieces = m.rcoll.Pieces()
+			} else {
+				if !m.rsegs.Step() {
+					return false
+				}
+				pieces = m.rsegs.Pieces()
 			}
-			if cfg.SyncEveryWrite {
-				rt.file.StartSync(&m.issue, r)
-				m.writePC = wwSync
-				continue
+			rt.rbVerify(r.Proc().Name(), m.segs, pieces)
+			if m.rbLeft--; m.rbLeft == 0 {
+				return true
 			}
-			rt.stampFlush(r.Proc().Name(), m.g, m.om.Batch)
-			if m.armReadback(false) {
-				continue
-			}
-			return true
-		case wwSync:
-			if !m.issue.Step() {
-				return false
-			}
-			rt.stampFlush(r.Proc().Name(), m.g, m.om.Batch)
-			if m.armReadback(m.collective()) {
-				continue
-			}
-			return true
-		case wwRead:
-			if !m.rsegs.Step() {
-				return false
-			}
-			rt.rbVerify(r.Proc().Name(), m.segs, m.rsegs.Pieces())
-			m.rbLeft--
-			if m.rbLeft > 0 {
-				m.startReadback()
-				continue
-			}
-			return true
-		case wwRColl:
-			if !m.rcoll.Step() {
-				return false
-			}
-			rt.rbVerify(r.Proc().Name(), m.segs, m.rcoll.Pieces())
-			m.rbLeft--
-			if m.rbLeft > 0 {
-				m.startReadback()
-				continue
-			}
-			return true
+			m.startReadback()
 		}
 	}
 }
@@ -981,10 +940,15 @@ func (m *workerFSM) stepTask() bool {
 			m.startDrain()
 			m.taskPC = tkGateDrain
 		case tkGateDrain:
+			// Re-check the gate after the drain; the resilient gate keeps
+			// the deadline it armed.
 			if !m.stepDrain() {
 				return false
 			}
 			m.taskPC = tkGate
+			if m.resilient {
+				m.taskPC = tkLeaseGate
+			}
 		case tkLeaseGate:
 			// The resilient gate counts the initial waves flushed before
 			// this incarnation joined plus those it has handled since.
@@ -1007,12 +971,7 @@ func (m *workerFSM) stepTask() bool {
 				continue
 			}
 			m.startDrain()
-			m.taskPC = tkLeaseGateDrain
-		case tkLeaseGateDrain:
-			if !m.stepDrain() {
-				return false
-			}
-			m.taskPC = tkLeaseGate
+			m.taskPC = tkGateDrain
 		case tkReread:
 			if !m.issue.Step() {
 				return false
@@ -1039,7 +998,7 @@ func (m *workerFSM) stepTask() bool {
 			if r.Proc().Yielded() {
 				return false
 			}
-			m.billMerge()
+			m.rt.billMerge(m.r.Proc(), m.sleepStart)
 			m.mergeAcc[m.t.Q] += m.taskBytes
 			m.taskSend()
 			return true
@@ -1104,24 +1063,19 @@ func (m *workerFSM) taskSend() {
 			scoreMsg{Task: m.t, Count: m.taskCount, ResultBytes: m.taskBytes}))
 }
 
-// billMerge records a completed merge/format sleep for causal attribution,
-// mirroring runtime.mergeSleep.
-func (m *workerFSM) billMerge() {
-	if c := m.rt.cfg.Causal; c != nil {
-		c.Busy(m.r.Proc().Name(), causal.CatMerge, m.sleepStart, m.rt.sim.Now())
-	}
-}
-
 // stampFlush records when a batch's data last became durable: the latest
-// write completion among the workers holding its results (the master
-// stamps MW batches itself). Report.BatchFlushTimes feeds the §2
+// write completion among the processes writing its results (the workers,
+// or the master under MW). Report.BatchFlushTimes feeds the §2
 // failure-recovery analysis; serving runs also record which process
-// completed the write (the tail-attribution anchor).
+// completed the write (the tail-attribution anchor). With QueriesPerWrite
+// == 1, which serving runs require, the global batch index is the query.
 func (rt *runtime) stampFlush(proc string, g *group, localBatch int) {
 	idx := g.batchBase + localBatch
 	if now := rt.sim.Now(); now > rt.flushTimes[idx] {
 		rt.flushTimes[idx] = now
-		rt.serveStampDone(idx, proc)
+		if sv := rt.serve; sv != nil {
+			sv.stats[idx].Done, sv.stats[idx].Proc = now, proc
+		}
 	}
 	if rt.ad != nil {
 		rt.adaptStamped(idx, proc)

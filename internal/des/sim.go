@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"unsafe"
@@ -243,11 +244,16 @@ func (e *DeadlockError) Error() string {
 // Run executes events until the calendar is empty. It returns a
 // *DeadlockError if any spawned process has neither finished nor been
 // rescheduled when the calendar drains, and nil otherwise.
+// Every 1024 events it yields to the Go scheduler: state-machine processes
+// never block its goroutine, and without the yield the GC's background
+// worker runs only at forced preemption, stretching every mark phase.
 func (s *Simulation) Run() error {
 	for len(s.heap) > 0 {
 		e := s.heap.pop()
 		s.now = e.t
-		s.events++
+		if s.events++; s.events%1024 == 0 {
+			runtime.Gosched()
+		}
 		if e.kind == evFunc { // fast path: skip the dispatch switch
 			argFunc(e.arg)()
 			continue

@@ -102,13 +102,19 @@ func (op *WaitAllOp) Step() bool {
 	return true
 }
 
-// WaitAnyOp is Rank.WaitAny as a resumable operation.
+// WaitAnyOp is Rank.WaitAny (Init) or Rank.WaitAnyUntil (InitUntil) as a
+// resumable operation. Nil entries are skipped, so callers can keep fixed
+// slots.
 type WaitAnyOp struct {
-	r     *Rank
-	qs    []*Request
-	start des.Time
+	r        *Rank
+	qs       []*Request
+	start    des.Time
+	deadline des.Time
+	timed    bool // InitUntil: the wait also ends at deadline
+	parked   bool // a timed park is outstanding (FSM processes only)
+	timedOut bool
 	// Index is the position of the first completed request, valid once Step
-	// has returned true.
+	// has returned true (-1 after a timeout).
 	Index int
 }
 
@@ -119,16 +125,30 @@ func (op *WaitAnyOp) Init(r *Rank, qs []*Request) {
 	if len(qs) == 0 {
 		protoPanic("WaitAny", r.rank, "empty request set")
 	}
-	op.r, op.qs, op.start, op.Index = r, qs, r.Now(), -1
+	*op = WaitAnyOp{r: r, qs: qs, start: r.Now(), Index: -1}
 }
 
-// Step reports true once at least one request has completed, recording the
-// scan-order-first one in Index.
+// InitUntil arms the op over qs with an absolute deadline. An empty or
+// all-nil set simply waits out the deadline, and a deadline at or before
+// the present ends the wait at once unless a request has already completed.
+func (op *WaitAnyOp) InitUntil(r *Rank, qs []*Request, deadline des.Time) {
+	*op = WaitAnyOp{r: r, qs: qs, start: r.Now(), deadline: deadline, timed: true, Index: -1}
+}
+
+// Step reports true once a request has completed, recording the scan-order
+// first one in Index, or once the deadline has passed (TimedOut).
 func (op *WaitAnyOp) Step() bool {
 	r := op.r
+	p := r.proc
+	if op.parked {
+		op.parked = false
+		if p.TimedOut() {
+			return op.timeout()
+		}
+	}
 	for {
 		for i, q := range op.qs {
-			if q.done {
+			if q != nil && q.done {
 				if c := r.w.causal; c != nil {
 					r.recordWait(c, op.start, q)
 				}
@@ -136,12 +156,32 @@ func (op *WaitAnyOp) Step() bool {
 				return true
 			}
 		}
-		r.activity.Wait(r.proc)
-		if r.proc.Yielded() {
+		if !op.timed {
+			r.activity.Wait(p)
+		} else if r.Now() >= op.deadline || !r.activity.WaitUntil(p, op.deadline) {
+			return op.timeout()
+		}
+		if p.Yielded() {
+			op.parked = op.timed
 			return false
 		}
 	}
 }
+
+// timeout ends a timed wait at its deadline; the time waited is the
+// resilient protocol's detection arm, recorded as recovery.
+func (op *WaitAnyOp) timeout() bool {
+	r := op.r
+	if c := r.w.causal; c != nil && r.Now() > op.start {
+		c.WaitPlain(r.proc.Name(), op.start, r.Now(), causal.CatRecovery)
+	}
+	op.timedOut = true
+	return true
+}
+
+// TimedOut reports whether a timed wait ended at its deadline. Valid once
+// Step has returned true.
+func (op *WaitAnyOp) TimedOut() bool { return op.timedOut }
 
 // EventWaitOp parks a rank once on its activity signal. It returns at the
 // next completion of any of the rank's requests, at an out-of-band

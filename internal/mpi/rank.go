@@ -288,13 +288,9 @@ func (r *Rank) Recv(source, tag int) *Message {
 // Wait blocks this rank until the request completes, returning the matched
 // message for receives (nil for sends). Corresponds to MPI_Wait.
 func (r *Rank) Wait(q *Request) *Message {
-	start := r.Now()
-	for !q.done {
-		r.activity.Wait(r.proc)
-	}
-	if c := r.w.causal; c != nil {
-		r.recordWait(c, start, q)
-	}
+	var op WaitOp
+	op.Init(r, q)
+	op.Step()
 	return q.msg
 }
 
@@ -319,9 +315,9 @@ func (r *Rank) recordWait(c *causal.Recorder, start des.Time, q *Request) {
 
 // WaitAll blocks until every request has completed.
 func (r *Rank) WaitAll(qs ...*Request) {
-	for _, q := range qs {
-		r.Wait(q)
-	}
+	var op WaitAllOp
+	op.Init(r, qs)
+	op.Step()
 }
 
 // WaitAny blocks until at least one of the requests has completed and
@@ -329,55 +325,22 @@ func (r *Rank) WaitAll(qs ...*Request) {
 // never complete; it is a contract violation and panics with
 // *ProtocolError.
 func (r *Rank) WaitAny(qs []*Request) int {
-	if len(qs) == 0 {
-		protoPanic("WaitAny", r.rank, "empty request set")
-	}
-	start := r.Now()
-	for {
-		for i, q := range qs {
-			if q.done {
-				if c := r.w.causal; c != nil {
-					r.recordWait(c, start, q)
-				}
-				return i
-			}
-		}
-		r.activity.Wait(r.proc)
-	}
+	var op WaitAnyOp
+	op.Init(r, qs)
+	op.Step()
+	return op.Index
 }
 
 // WaitAnyUntil is WaitAny with an absolute virtual-time deadline: it
 // returns (index, true) when a request completes first, or (-1, false) if
 // the deadline passes with none complete. Nil entries are skipped, so
 // callers can keep fixed slots. An all-nil or empty set simply waits out
-// the deadline (the engine's resilient master uses that as its detector
-// sweep timer).
+// the deadline.
 func (r *Rank) WaitAnyUntil(qs []*Request, deadline des.Time) (int, bool) {
-	c := r.w.causal
-	start := r.Now()
-	timeout := func() (int, bool) {
-		if c != nil && r.Now() > start {
-			// Timed-out waits are the resilient protocol's detection arm.
-			c.WaitPlain(r.proc.Name(), start, r.Now(), causal.CatRecovery)
-		}
-		return -1, false
-	}
-	for {
-		for i, q := range qs {
-			if q != nil && q.done {
-				if c != nil {
-					r.recordWait(c, start, q)
-				}
-				return i, true
-			}
-		}
-		if r.Now() >= deadline {
-			return timeout()
-		}
-		if !r.activity.WaitUntil(r.proc, deadline) {
-			return timeout()
-		}
-	}
+	var op WaitAnyOp
+	op.InitUntil(r, qs, deadline)
+	op.Step()
+	return op.Index, !op.TimedOut()
 }
 
 // recordEventWake classifies an EventWaitOp wake: if a message arrived at
