@@ -48,14 +48,16 @@ bench-quick:
 # layer riding on them, the adaptive controller's decision path
 # (DESIGN.md §16), payload fill throughput, the capture path's
 # descriptor store, in-place verifier and romio read ops (DESIGN.md §14),
-# substream seeding and long-stream draws (DESIGN.md §6), and one
+# substream seeding and long-stream draws (DESIGN.md §6), the metrics
+# registry's string and handle paths with and without windows, including
+# one pvfs request's five calls (DESIGN.md §8), and one
 # resilient-master wake with nothing due (DESIGN.md §9). The core
 # pattern names that one benchmark: internal/core also holds the
 # minute-long BenchmarkScaleWorkers. The steady-state paths must stay
 # 0 allocs/op.
 bench-kernel:
 	$(GO) test -run '^$$' -bench '^BenchmarkRMasterIdleWake$$' -benchmem -benchtime=1s ./internal/core/
-	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/ ./internal/pvfs/ ./internal/romio/ ./internal/stats/
+	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/ ./internal/pvfs/ ./internal/romio/ ./internal/stats/ ./internal/obs/
 
 # Rank-scaling benchmark (DESIGN.md §12): 1k/10k/100k-rank cells on the
 # FSM worker engine, reporting events/sec and peak memory per rank. The

@@ -153,9 +153,14 @@ type Config struct {
 	Sink obs.Sink
 	// Metrics, if non-nil, is the registry the run populates with counters,
 	// gauges, and virtual-time histograms (engine phases, pvfs requests, MPI
-	// traffic). When nil the run uses a private registry; either way the
-	// final snapshot lands in Report.Metrics. Supply a registry to
-	// accumulate across several runs or to observe values mid-run.
+	// traffic). When nil the run uses a private registry that takes no lock
+	// (obs.NewLocalRegistry); either way the final snapshot lands in
+	// Report.Metrics. Supply a registry (obs.NewRegistry, which locks) to
+	// accumulate across several runs or to observe values mid-run. Each
+	// run's Report.Metrics then snapshots the cumulative registry, so an
+	// experiments sweep with a shared Base.Metrics runs its cells one at a
+	// time. With Telemetry the registry must be empty when the run starts,
+	// so a shared registry serves one telemetry run only.
 	Metrics *obs.Registry
 	// Causal, if non-nil, records happens-before structure (MPI waits and
 	// message edges, barrier fan-in, PVFS request pipelines, compute and
@@ -303,6 +308,12 @@ func (c *Config) Validate() error {
 	if c.Telemetry != nil {
 		if err := c.Telemetry.Validate(); err != nil {
 			return err
+		}
+		// Windows must see every observation the snapshot holds, or the
+		// run's series cannot conserve against it.
+		if c.Metrics != nil && !c.Metrics.Empty() {
+			return errors.New("core: Telemetry needs an empty Metrics registry, " +
+				"and this one already holds data or windows (a registry shared across runs?)")
 		}
 	}
 	if err := c.validateReadback(); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"s3asim/internal/des"
 	"s3asim/internal/mpi"
+	"s3asim/internal/obs"
 	"s3asim/internal/romio"
 	"s3asim/internal/search"
 )
@@ -29,8 +30,32 @@ func (rt *runtime) fail(err error) {
 	}
 }
 
-// count bumps a run counter.
-func (rt *runtime) count(name string, delta int64) { rt.metrics.Add(name, delta) }
+// faultMetrics holds the resilient protocol's metric handles, resolved
+// when a resilient run is wired (nil handles, which record nothing,
+// otherwise).
+type faultMetrics struct {
+	tasksDuplicate, tasksReexecuted, workersDetected, workersRejoined *obs.Counter
+	collFallbacks, leaseExtensions, leaseExpirations                  *obs.Counter
+	offsetResends, bytesRewritten, requestResends, staleReplies       *obs.Counter
+	detectionLatency                                                  *obs.Hist
+}
+
+func newFaultMetrics(r *obs.Registry) faultMetrics {
+	return faultMetrics{
+		tasksDuplicate:   r.Counter("fault.tasks_duplicate"),
+		tasksReexecuted:  r.Counter("fault.tasks_reexecuted"),
+		workersDetected:  r.Counter("fault.workers_detected"),
+		workersRejoined:  r.Counter("fault.workers_rejoined"),
+		collFallbacks:    r.Counter("fault.coll_fallbacks"),
+		leaseExtensions:  r.Counter("fault.lease_extensions"),
+		leaseExpirations: r.Counter("fault.lease_expirations"),
+		offsetResends:    r.Counter("fault.offset_resends"),
+		bytesRewritten:   r.Counter("fault.bytes_rewritten"),
+		requestResends:   r.Counter("fault.request_resends"),
+		staleReplies:     r.Counter("fault.stale_replies"),
+		detectionLatency: r.Hist("fault.detection_latency"),
+	}
+}
 
 // rlease is the master's outstanding-task record for one worker.
 type rlease struct {
@@ -170,7 +195,7 @@ func (m *masterFSM) stepResilient() bool {
 				ws.lease = nil
 			}
 			if m.taskDone[m.taskIndex(t)] {
-				rt.count("fault.tasks_duplicate", 1)
+				rt.fm.tasksDuplicate.Add(1)
 				return true
 			}
 			m.startMerge(msg)
@@ -321,7 +346,7 @@ func (m *masterFSM) handleWorkReq(msg *mpi.Message) {
 		if rt.cfg.QuerySync && !ws.syncMember {
 			m.pendingJoin = append(m.pendingJoin, w)
 		}
-		rt.count("fault.workers_rejoined", 1)
+		rt.fm.workersRejoined.Add(1)
 	}
 	if !ws.live {
 		return // a message from a dead incarnation still in flight
@@ -374,8 +399,8 @@ func (m *masterFSM) declareDead(w int, diedAt des.Time) {
 	}
 	ws.live, ws.idle = false, false
 	m.nLive--
-	rt.count("fault.workers_detected", 1)
-	rt.metrics.ObserveTime("fault.detection_latency", now-diedAt)
+	rt.fm.workersDetected.Add(1)
+	rt.fm.detectionLatency.ObserveTime(now - diedAt)
 	if s := cfg.Sink; s != nil {
 		s.Point("faults", fmt.Sprintf("detected-dead rank=%d", w), now)
 	}
@@ -386,7 +411,7 @@ func (m *masterFSM) declareDead(w int, diedAt des.Time) {
 	if cfg.Strategy == WWColl {
 		if !m.collTainted {
 			m.collTainted = true
-			rt.count("fault.coll_fallbacks", 1)
+			rt.fm.collFallbacks.Add(1)
 		}
 		if cfg.CollMethod == romio.TwoPhase {
 			g.collEntry.Deregister()
@@ -442,7 +467,7 @@ func (m *masterFSM) requeue(t task, lost bool) {
 		}
 	}
 	m.retryQ = append(m.retryQ, t)
-	rt.count("fault.tasks_reexecuted", 1)
+	rt.fm.tasksReexecuted.Add(1)
 	// Poke every idle worker: there is work again.
 	for i := range m.ws {
 		if m.ws[i].idle {
@@ -494,12 +519,12 @@ func (m *masterFSM) expireLeases() {
 			l.extends++
 			l.deadline = now + cfg.effLease()<<l.extends
 			m.arm(l.deadline)
-			m.rt.count("fault.lease_extensions", 1)
+			m.rt.fm.leaseExtensions.Add(1)
 			continue
 		}
 		m.ws[i].lease = nil
 		if !m.taskDone[m.taskIndex(l.t)] {
-			m.rt.count("fault.lease_expirations", 1)
+			m.rt.fm.leaseExpirations.Add(1)
 			m.requeue(l.t, !m.ws[i].live)
 		}
 	}
@@ -531,7 +556,7 @@ func (m *masterFSM) expireAcks() {
 			b.owed[j].deadline = now + cfg.effLease()
 			m.arm(b.owed[j].deadline)
 			m.sendOffsets(d.rank, d.msg)
-			m.rt.count("fault.offset_resends", 1)
+			m.rt.fm.offsetResends.Add(1)
 		}
 	}
 }
@@ -634,7 +659,7 @@ func (m *masterFSM) sendRecoveryWaves() {
 			for _, res := range placements {
 				bytes += res.Size
 			}
-			m.rt.count("fault.bytes_rewritten", bytes)
+			m.rt.fm.bytesRewritten.Add(bytes)
 		}
 		clear(rb.recovery)
 	}

@@ -27,6 +27,7 @@ func testMaster(n, nq, nf int) (*runtime, *masterFSM) {
 	rt := &runtime{cfg: &cfg, sim: sim, world: world, metrics: obs.NewRegistry(),
 		timers: make([]*PhaseTimer, cfg.Procs)}
 	rt.faults = fault.NewInjector(sim, &fault.Plan{Seed: 1}, rt.metrics, nil)
+	rt.fm = newFaultMetrics(rt.metrics)
 	g := &group{masterRank: 0, hiQ: nq}
 	for w := 1; w <= n; w++ {
 		g.workers = append(g.workers, w)

@@ -79,6 +79,7 @@ type runtime struct {
 
 	// Resilient-protocol state (nil for the original protocol).
 	faults *fault.Injector // fault oracle; non-nil iff cfg.resilient()
+	fm     faultMetrics    // the protocol's metric handles
 	runErr error           // first unrecoverable failure (fail())
 }
 
@@ -208,7 +209,8 @@ func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
 	}
 	reg := cfg.Metrics
 	if reg == nil {
-		reg = obs.NewRegistry()
+		// The run's own registry is touched from this goroutine alone.
+		reg = obs.NewLocalRegistry()
 	}
 	fs.SetMetrics(reg)
 	var flight *obs.FlightRecorder
@@ -275,6 +277,7 @@ func RunWithWorkload(cfg Config, wl *search.Workload) (*Report, error) {
 		if resilient {
 			inj.Arm(world.WakeRank)
 			rt.faults = inj
+			rt.fm = newFaultMetrics(reg)
 		}
 	}
 

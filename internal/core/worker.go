@@ -359,7 +359,7 @@ func (m *workerFSM) step() bool {
 		// or the reply.
 		m.pt.Switch(PhaseDataDist)
 		if m.resend {
-			rt.count("fault.request_resends", 1)
+			rt.fm.requestResends.Add(1)
 		}
 		m.resend = true
 		m.pending = append(m.pending, r.Isend(boss, tagWorkRequest, requestMsgBytes,
@@ -649,7 +649,7 @@ func (m *workerFSM) stepDrain() bool {
 				// "any receive completed", and a done reply nobody collects
 				// would spin that park forever at constant virtual time.
 				m.replyReq = r.Irecv(boss, tagWorkReply)
-				m.rt.count("fault.stale_replies", 1)
+				m.rt.fm.staleReplies.Add(1)
 			case m.tokReq != nil && m.tokReq.Done():
 				tk := m.tokReq.Message().Payload.(tokMsg)
 				m.tokReq = r.Irecv(boss, tagSyncToken)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -72,12 +73,14 @@ func forEach(parallelism, n int, job func(i int) error) error {
 }
 
 // parallelism resolves the pool width for a suite: Options.Parallelism if
-// positive, else GOMAXPROCS. A sink in the base config is the one piece of
-// cross-cell mutable state, so it forces sequential runs. Per-cell
-// factories (CellSink/CellMetrics) hand every run private state and
-// therefore do not restrict parallelism.
+// positive, else GOMAXPROCS. A sink or a metrics registry in the base
+// config is cross-cell mutable state, so either forces sequential runs: a
+// shared registry's per-run snapshots are cumulative, and their merge would
+// otherwise depend on completion order. Per-cell factories
+// (CellSink/CellMetrics) hand every run private state and therefore do not
+// restrict parallelism; CellMetrics replaces Base.Metrics.
 func (o *Options) parallelism() int {
-	if o.Base.Sink != nil {
+	if o.Base.Sink != nil || o.Base.Metrics != nil && o.CellMetrics == nil {
 		return 1
 	}
 	if o.Parallelism > 0 {
@@ -198,12 +201,22 @@ type execProfile struct {
 // config copy (per-cell sinks and registries) before the simulation starts.
 // onCell fires exactly once per completed cell, in ascending cell order,
 // serialized under a mutex — this is what makes Options.Progress ordered
-// and race-free regardless of completion order.
+// and race-free regardless of completion order. A registry shared by every
+// run (Base.Metrics) cannot collect Telemetry windows for more than one
+// run, so that combination fails before any cell starts.
 func runAllCells(par, reps int, cache *search.Cache, cfgs []core.Config,
 	prep func(cell, rep int, cfg *core.Config),
 	runErr func(cell, rep int, err error) error,
 	onCell func(cell int, reports []*core.Report)) ([][]*core.Report, execProfile, error) {
 
+	if reps*len(cfgs) > 1 {
+		for _, cfg := range cfgs {
+			if cfg.Metrics != nil && cfg.Telemetry != nil {
+				return nil, execProfile{}, fmt.Errorf("experiments: Telemetry windows need an empty registry per run, "+
+					"but every one of the %d runs shares Base.Metrics; leave it nil or use Options.CellMetrics", reps*len(cfgs))
+			}
+		}
+	}
 	reports := make([][]*core.Report, len(cfgs))
 	for i := range reports {
 		reports[i] = make([]*core.Report, reps)

@@ -46,9 +46,9 @@ type Options struct {
 	// cell owns a private DES kernel, so outer parallelism never perturbs
 	// results. 0 means GOMAXPROCS; 1 runs sequentially. A sweep produces
 	// bit-identical SweepResults at every parallelism (cells are keyed and
-	// collected independent of completion order). Setting Base.Sink forces
-	// sequential execution: a sink shared by every run is cross-cell
-	// mutable state.
+	// collected independent of completion order). Setting Base.Sink or
+	// Base.Metrics (without CellMetrics) forces sequential execution: a sink
+	// or registry shared by every run is cross-cell mutable state.
 	Parallelism int
 	// Progress, if non-nil, receives a line per completed cell. The sweep
 	// may run cells concurrently, but Progress calls are serialized through
@@ -234,6 +234,9 @@ func runMatrix(opts Options, kind string, xs []float64, setX func(*core.Config, 
 				cfg := opts.Base
 				cfg.Strategy = s
 				cfg.QuerySync = sync
+				if opts.CellMetrics != nil {
+					cfg.Metrics = nil // replaced per run by prep
+				}
 				setX(&cfg, x)
 				keys = append(keys, CellKey{Strategy: s, QuerySync: sync, X: x})
 				cfgs = append(cfgs, cfg)

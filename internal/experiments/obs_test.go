@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"s3asim/internal/core"
+	"s3asim/internal/des"
 	"s3asim/internal/obs"
 	"s3asim/internal/trace"
 )
@@ -231,5 +233,63 @@ func TestSweepPerfSelfProfile(t *testing.T) {
 	}
 	if occ := p.Occupancy(); occ <= 0 || occ > 1+1e-9 {
 		t.Fatalf("Occupancy = %g", occ)
+	}
+}
+
+// TestSharedBaseMetricsRunsSequentially: a registry shared by every run
+// (Base.Metrics) makes each report's snapshot cumulative, so the sweep's
+// merged metrics would depend on completion order. Such a sweep runs its
+// cells one at a time and gives the same result at any Parallelism.
+func TestSharedBaseMetricsRunsSequentially(t *testing.T) {
+	run := func(parallelism int) *SweepResult {
+		opts := QuickOptions()
+		opts.Base = core.DefaultConfig()
+		opts.Base.Workload.NumQueries = 2
+		opts.Base.Workload.NumFragments = 4
+		opts.Base.Metrics = obs.NewRegistry()
+		opts.Procs = []int{8}
+		opts.Parallelism = parallelism
+		sr, err := RunProcessSweep(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	seq, par := run(1), run(2)
+	if par.Perf.Parallelism != 1 {
+		t.Fatalf("shared Base.Metrics ran at parallelism %d, want 1", par.Perf.Parallelism)
+	}
+	if !reflect.DeepEqual(seq.Metrics, par.Metrics) {
+		t.Fatalf("merged metrics depend on Parallelism: pvfs.requests %d at 1, %d at 2",
+			seq.Metrics.Counters["pvfs.requests"], par.Metrics.Counters["pvfs.requests"])
+	}
+}
+
+// TestSharedBaseMetricsWithTelemetryRejected: windows need an empty
+// registry per run, so a chaos sweep whose runs share Base.Metrics under
+// Telemetry fails before any cell runs instead of failing conservation
+// after the second.
+func TestSharedBaseMetricsWithTelemetryRejected(t *testing.T) {
+	opts := QuickChaosOptions()
+	opts.Strategies = []core.Strategy{core.MW}
+	opts.Crashes = []int{0, 2}
+	reg := obs.NewRegistry()
+	opts.Base.Metrics = reg
+	opts.Telemetry = &obs.Telemetry{Window: 20 * des.Millisecond}
+	_, err := RunChaosSweep(opts)
+	if err == nil || !strings.Contains(err.Error(), "shares Base.Metrics") {
+		t.Fatalf("err = %v, want the shared-registry rejection", err)
+	}
+	if !reg.Empty() {
+		t.Fatal("a cell ran before the rejection")
+	}
+	// One run alone may use the registry.
+	opts.Crashes = []int{2}
+	cr, err := RunChaosSweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.Cell(core.MW, 2).Windows == nil {
+		t.Fatal("single telemetry run kept no windows")
 	}
 }

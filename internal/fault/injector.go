@@ -27,11 +27,13 @@ const faultProc = "faults"
 // All methods must be called from kernel or process context of the owning
 // simulation (single-threaded, like everything else under the DES kernel).
 type Injector struct {
-	sim     *des.Simulation
-	plan    *Plan
-	rng     *rand.Rand
-	metrics *obs.Registry
-	sink    obs.Sink
+	sim  *des.Simulation
+	plan *Plan
+	rng  *rand.Rand
+	sink obs.Sink
+	// Counter handles, resolved once in NewInjector; nil (a no-op) without
+	// a registry.
+	crashes, crashesDiscarded, restarts, msgsDropped, msgsDelayed *obs.Counter
 
 	droppable func(tag int) bool // which tags the Drop events may lose
 	appTag    func(tag int) bool // which tags Delay events may touch
@@ -60,12 +62,18 @@ func NewInjector(sim *des.Simulation, plan *Plan, metrics *obs.Registry, sink ob
 		sim:        sim,
 		plan:       plan,
 		rng:        subRand(plan.Seed),
-		metrics:    metrics,
 		sink:       sink,
 		killable:   make(map[int]Event),
 		deadAt:     make(map[int]des.Time),
 		down:       make(map[int]bool),
 		restarting: make(map[int]bool),
+	}
+	if metrics != nil {
+		in.crashes = metrics.Counter("fault.crashes")
+		in.crashesDiscarded = metrics.Counter("fault.crashes_discarded")
+		in.restarts = metrics.Counter("fault.restarts")
+		in.msgsDropped = metrics.Counter("fault.msgs_dropped")
+		in.msgsDelayed = metrics.Counter("fault.msgs_delayed")
 	}
 	for _, e := range plan.Events {
 		switch e.Kind {
@@ -105,7 +113,7 @@ func (in *Injector) Arm(wake func(rank int)) {
 		e := e
 		in.sim.At(e.At, func() {
 			if in.down[e.Rank] {
-				in.count("fault.crashes_discarded", 1)
+				in.crashesDiscarded.Add(1)
 				return
 			}
 			in.killable[e.Rank] = e
@@ -151,7 +159,7 @@ func (in *Injector) Effect(rank int) (restart des.Time) {
 	if e.Restart > 0 {
 		in.restarting[rank] = true
 	}
-	in.count("fault.crashes", 1)
+	in.crashes.Add(1)
 	in.point(fmt.Sprintf("crash rank=%d", rank))
 	return e.Restart
 }
@@ -172,9 +180,9 @@ func (in *Injector) Revive(rank int) {
 	delete(in.restarting, rank)
 	if _, ok := in.killable[rank]; ok {
 		delete(in.killable, rank)
-		in.count("fault.crashes_discarded", 1)
+		in.crashesDiscarded.Add(1)
 	}
-	in.count("fault.restarts", 1)
+	in.restarts.Add(1)
 	in.point(fmt.Sprintf("restart rank=%d", rank))
 }
 
@@ -235,19 +243,12 @@ func (in *Injector) MessageFate(src, dst, tag int, bytes int64) (drop bool, extr
 		}
 	}
 	if drop {
-		in.count("fault.msgs_dropped", 1)
+		in.msgsDropped.Add(1)
 	}
 	if extra > 0 {
-		in.count("fault.msgs_delayed", 1)
+		in.msgsDelayed.Add(1)
 	}
 	return drop, extra
-}
-
-// count adds to a fault counter if a registry is attached.
-func (in *Injector) count(name string, delta int64) {
-	if in.metrics != nil {
-		in.metrics.Add(name, delta)
-	}
 }
 
 // point emits an instantaneous timeline marker if a sink is attached.

@@ -272,7 +272,7 @@ func (r *Rule) value(s *Series, from, to int64) (v float64, ok bool) {
 		if h.Count == 0 {
 			return 0, false
 		}
-		return clamp(bucketQuantiles(h.Buckets, h.Count, r.Q)[0], h.Min, h.Max), true
+		return clamp(bucketQuantile(mapWalk(h.Buckets), h.Count, r.Q), h.Min, h.Max), true
 	case RuleBurn:
 		total := s.CounterSum(r.Total, from, to)
 		if total == 0 {

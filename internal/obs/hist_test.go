@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"s3asim/internal/stats"
@@ -41,6 +42,67 @@ func TestBucketKeyOrderAndValue(t *testing.T) {
 	if bucketKey(math.NaN()) != keyZero {
 		t.Fatal("NaN should land in the defensive zero bucket")
 	}
+}
+
+// TestPosKeyMatchesFrexp checks the bit-twiddled bucket key against its
+// math.Frexp definition across normal, subnormal and extreme values.
+func TestPosKeyMatchesFrexp(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := []float64{math.SmallestNonzeroFloat64, 1e-310, 2.2250738585072014e-308,
+		math.MaxFloat64, 0.5, 1, 1.5, 2, 3, 0.999999999, 1e-9, 1e300}
+	for i := 0; i < 100000; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()&^(1<<63)))
+	}
+	for _, v := range vals {
+		if math.IsInf(v, 0) || math.IsNaN(v) || v == 0 {
+			continue
+		}
+		if got, want := posKey(v), frexpKey(v); got != want {
+			t.Fatalf("posKey(%g) = %d, frexp form gives %d", v, got, want)
+		}
+	}
+}
+
+// TestBucketsMatchMap feeds values of every kind into the dense bucket
+// form in an order that grows its spans both ways and checks it against a
+// plain map: same counts, walked in ascending key order, and addAll sums.
+func TestBucketsMatchMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var a, b buckets
+	want := map[int32]int64{}
+	for i := 0; i < 20000; i++ {
+		v := math.Exp(rng.Float64()*60 - 30)
+		switch i % 7 {
+		case 0:
+			v = -v
+		case 1:
+			v = 0
+		case 2:
+			v = math.Inf(1 - 2*(i/7%2))
+		}
+		if i > 10000 {
+			v *= 1e-3 // new low octaves after the spans settled
+		}
+		k := bucketKey(v)
+		want[k]++
+		if i%2 == 0 {
+			a.inc(k)
+		} else {
+			b.inc(k)
+		}
+	}
+	a.addAll(&b)
+	if got := a.toMap(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dense buckets hold %d keys, map %d", len(got), len(want))
+	}
+	prev := int32(math.MinInt32)
+	a.walk(func(k int32, _ int64) bool {
+		if k <= prev {
+			t.Fatalf("walk out of order: %d after %d", k, prev)
+		}
+		prev = k
+		return true
+	})
 }
 
 // TestHistQuantileAccuracy checks the documented error bound on a large

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -321,5 +322,125 @@ func TestStreamSinkReportsWriteError(t *testing.T) {
 	}
 	if err := s.Close(); err == nil {
 		t.Fatal("write error swallowed")
+	}
+}
+
+// TestHandlesShareSeriesWithStringAPI: a handle and the string API address
+// one series; resolving a handle records nothing; nil handles are no-ops;
+// and a local registry gives the same snapshot as a locked one.
+func TestHandlesShareSeriesWithStringAPI(t *testing.T) {
+	fill := func(r *Registry) Snapshot {
+		c, h := r.Counter("reqs"), r.Hist("lat")
+		r.Counter("unused")
+		r.Hist("unused")
+		c.Add(2)
+		r.Add("reqs", 3)
+		h.Observe(0.5)
+		h.ObserveTime(2 * des.Second)
+		r.Observe("lat", 1)
+		if !r.Snapshot().Empty() && r.Empty() {
+			t.Fatal("Empty disagrees with the snapshot")
+		}
+		return r.Snapshot()
+	}
+	s := fill(NewRegistry())
+	if s.Counters["reqs"] != 5 || s.Hists["lat"].Count != 3 || s.Hists["lat"].Max != 2 {
+		t.Fatalf("handle and string API split the series: %+v", s)
+	}
+	if _, ok := s.Counters["unused"]; ok {
+		t.Fatal("a resolved but unused counter appears in the snapshot")
+	}
+	if _, ok := s.Hists["unused"]; ok {
+		t.Fatal("a resolved but unused histogram appears in the snapshot")
+	}
+	if l := fill(NewLocalRegistry()); !reflect.DeepEqual(l, s) {
+		t.Fatalf("local registry snapshot %+v != locked %+v", l, s)
+	}
+	var nc *Counter
+	var nh *Hist
+	nc.Add(1)
+	nh.Observe(1)
+	nh.ObserveTime(des.Second)
+}
+
+// TestWindowedSnapshotMatchesUnwindowed feeds one stream, with event-time
+// backfill out of order, into a plain and a windowed registry. A windowed
+// registry keeps histograms in its windows alone; its snapshot must agree
+// with the plain one on everything but the order Sum is added in.
+func TestWindowedSnapshotMatchesUnwindowed(t *testing.T) {
+	plain, win := NewLocalRegistry(), NewLocalRegistry()
+	now := des.Time(0)
+	win.EnableWindows(50*des.Millisecond, func() des.Time { return now })
+	x := uint64(0x2545f4914f6cdd1d)
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	vals := []float64{0, -2.5, math.Inf(1), 1e-310}
+	for i := 0; i < 20000; i++ {
+		now = des.Time(i) * des.Millisecond / 10
+		v := math.Exp(float64(next()%4000)/100 - 20)
+		if i%50 < len(vals) {
+			v = vals[i%50]
+		}
+		at := des.Time(next() % uint64(2*des.Second))
+		for _, r := range []*Registry{plain, win} {
+			switch i % 3 {
+			case 0:
+				r.Observe("h", v)
+			case 1:
+				r.ObserveExemplarAt("h", v, int64(i), at)
+			default:
+				r.AddAt("c", int64(i%7), at)
+			}
+		}
+	}
+	win.FreezeWindows(3 * des.Second)
+	p, w := plain.Snapshot(), win.Snapshot()
+	if err := win.Windows().Conserve(w); err != nil {
+		t.Fatal(err)
+	}
+	ph, wh := p.Hists["h"], w.Hists["h"]
+	if ph.Count != wh.Count || ph.Min != wh.Min || ph.Max != wh.Max ||
+		ph.P50 != wh.P50 || ph.P95 != wh.P95 || ph.P99 != wh.P99 {
+		t.Fatalf("windowed stat %+v != plain %+v", wh, ph)
+	}
+	if !reflect.DeepEqual(ph.Buckets, wh.Buckets) || !reflect.DeepEqual(ph.Exemplars, wh.Exemplars) {
+		t.Fatal("windowed buckets or exemplars differ from plain")
+	}
+	if !reflect.DeepEqual(p.Counters, w.Counters) {
+		t.Fatalf("counters %v != %v", w.Counters, p.Counters)
+	}
+}
+
+// TestEnableWindowsNeedsEmptyRegistry: windows hold a histogram alone, so
+// they must see every observation; enabling them on a registry that holds
+// data panics, and Empty reports the precondition.
+func TestEnableWindowsNeedsEmptyRegistry(t *testing.T) {
+	for name, fill := range map[string]func(r *Registry){
+		"counter": func(r *Registry) { r.Add("c", 0) },
+		"hist":    func(r *Registry) { r.Observe("h", 1) },
+		"gauge":   func(r *Registry) { r.Set("g", 1) },
+		"windows": func(r *Registry) { r.EnableWindows(des.Second, nil) },
+	} {
+		r := NewRegistry()
+		r.Counter("resolved only")
+		if !r.Empty() {
+			t.Fatalf("%s: a registry with only resolved handles is not Empty", name)
+		}
+		fill(r)
+		if r.Empty() {
+			t.Fatalf("%s: Empty after recording", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: EnableWindows on a used registry did not panic", name)
+				}
+			}()
+			r.EnableWindows(des.Second, nil)
+		}()
 	}
 }

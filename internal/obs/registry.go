@@ -11,35 +11,68 @@ import (
 )
 
 // Registry is a per-run metrics store: named counters, gauges, and
-// virtual-time histograms. All methods are safe for concurrent use, so one
-// registry may also aggregate across concurrently running simulations —
-// though per-cell registries (experiments.Options.CellMetrics) are the
-// deterministic way to do that.
+// virtual-time histograms.
+//
+// Hot series are resolved once, at wiring time, into handles (Counter,
+// Hist) that hold their state densely: an Add or Observe through a handle
+// does no name lookup, and with windows on it indexes the current window by
+// the handle's id. The string methods (Add, Observe, …At, ObserveExemplar*)
+// resolve the handle on every call; they suit cold paths such as end-of-run
+// aggregates. A series appears in snapshots and windows only once something
+// was recorded into it, so resolving a handle that is never used changes no
+// output.
+//
+// A registry from NewRegistry is safe for concurrent use: every method and
+// every handle operation takes its mutex, so one registry may observe a run
+// mid-flight or aggregate across concurrently running simulations — though
+// per-cell registries (experiments.Options.CellMetrics) are the
+// deterministic way to do that. A registry from NewLocalRegistry takes no
+// lock; it belongs to one simulation, which runs on one goroutine. A run
+// that creates its own registry (core.Config.Metrics nil) uses that form.
 //
 // Histograms are fixed-memory: exact count/sum/min/max/mean via
-// internal/stats.Online plus sparse log-linear (HDR-style) bucket counts —
-// see hist.go. Quantiles are read from the buckets with a relative error of
-// at most 1/(2·histSub) (<2%), clamped to the exact observed range, so a
-// long-lived registry absorbing millions of observations (an open-loop
-// serving run's per-query latencies) stays bounded by the number of distinct
-// buckets its value range touches, not by the observation count.
+// internal/stats.Online plus log-linear (HDR-style) bucket counts held in
+// key order — see hist.go. Quantiles are read from the buckets with a
+// relative error of at most 1/(2·histSub) (<2%), clamped to the exact
+// observed range, so a long-lived registry absorbing millions of
+// observations (an open-loop serving run's per-query latencies) stays
+// bounded by the octaves its value range touches, not by the observation
+// count. With windows on (EnableWindows) a histogram is kept in its
+// windows alone, and Snapshot folds them into the whole-run stat.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]int64
-	gauges   map[string]float64
-	hists    map[string]*histogram
+	// mu is nil for a single-goroutine registry (NewLocalRegistry).
+	mu         *sync.Mutex
+	counters   []*Counter // by Counter.id
+	hists      []*Hist    // by Hist.id
+	counterIdx map[string]*Counter
+	histIdx    map[string]*Hist
+	gauges     map[string]float64
 	// win, when non-nil, additionally folds every mutation into tumbling
 	// virtual-time windows (EnableWindows; see window.go).
 	win *winState
 }
 
-// histogram accumulates observations for one named series. exemplars is
-// populated only via ObserveExemplar: up to histExemplars IDs per bucket,
-// retained by maximum value (ties broken by smaller ID) — deterministic, no
-// sampling.
-type histogram struct {
+// Counter is a handle on one named counter series (Registry.Counter). A nil
+// *Counter ignores every Add, so a layer wired without a registry can keep
+// nil handles.
+type Counter struct {
+	r    *Registry
+	id   int
+	name string
+	v    int64
+	used bool // something was added (even 0): the series exists
+}
+
+// Hist is a handle on one named histogram series (Registry.Hist). A nil
+// *Hist ignores every observation. exemplars is populated only via
+// ObserveExemplar: up to histExemplars IDs per bucket, retained by maximum
+// value (ties broken by smaller ID) — deterministic, no sampling.
+type Hist struct {
+	r         *Registry
+	id        int
+	name      string
 	online    stats.Online
-	buckets   map[int32]int64
+	b         buckets
 	exemplars map[int32][]Exemplar
 }
 
@@ -77,87 +110,190 @@ func addExemplar(list []Exemplar, e Exemplar) []Exemplar {
 	return list
 }
 
-// NewRegistry returns an empty registry.
+// NewRegistry returns an empty registry that is safe for concurrent use.
 func NewRegistry() *Registry {
+	r := NewLocalRegistry()
+	r.mu = new(sync.Mutex)
+	return r
+}
+
+// NewLocalRegistry returns an empty registry that takes no lock: every
+// method and handle must be used from one goroutine at a time, as one
+// simulation's layers are.
+func NewLocalRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]int64),
-		gauges:   make(map[string]float64),
-		hists:    make(map[string]*histogram),
+		counterIdx: make(map[string]*Counter),
+		histIdx:    make(map[string]*Hist),
+		gauges:     make(map[string]float64),
 	}
 }
 
-// Add increments the named counter by delta.
-func (r *Registry) Add(name string, delta int64) {
-	r.mu.Lock()
-	r.counters[name] += delta
-	if r.win != nil {
-		r.win.add(name, delta, r.win.now())
+func (r *Registry) lock() {
+	if r.mu != nil {
+		r.mu.Lock()
 	}
-	r.mu.Unlock()
 }
 
-// Set stores the named gauge's current value.
-func (r *Registry) Set(name string, v float64) {
-	r.mu.Lock()
-	r.gauges[name] = v
-	if r.win != nil {
-		r.win.set(name, v, r.win.now())
+func (r *Registry) unlock() {
+	if r.mu != nil {
+		r.mu.Unlock()
 	}
-	r.mu.Unlock()
 }
 
-// Observe folds one observation into the named histogram.
-func (r *Registry) Observe(name string, v float64) {
-	r.observe(name, v, nil, nil)
+// Counter resolves the named counter to its handle, creating the series on
+// first use. Resolving alone records nothing.
+func (r *Registry) Counter(name string) *Counter {
+	r.lock()
+	defer r.unlock()
+	return r.counter(name)
 }
 
-// observe is the shared histogram path: ex, when non-nil, retains the
-// observation as a bucket exemplar; at, when non-nil, overrides the window
-// clock (event-time backfill).
-func (r *Registry) observe(name string, v float64, ex *int64, at *des.Time) {
-	r.mu.Lock()
-	h := r.hists[name]
+// Hist resolves the named histogram to its handle, creating the series on
+// first use. Resolving alone records nothing.
+func (r *Registry) Hist(name string) *Hist {
+	r.lock()
+	defer r.unlock()
+	return r.hist(name)
+}
+
+// counter and hist are Counter and Hist for callers holding the lock.
+func (r *Registry) counter(name string) *Counter {
+	c := r.counterIdx[name]
+	if c == nil {
+		c = &Counter{r: r, id: len(r.counters), name: name}
+		r.counters = append(r.counters, c)
+		r.counterIdx[name] = c
+	}
+	return c
+}
+
+func (r *Registry) hist(name string) *Hist {
+	h := r.histIdx[name]
 	if h == nil {
-		h = &histogram{buckets: make(map[int32]int64)}
-		r.hists[name] = h
+		h = &Hist{r: r, id: len(r.hists), name: name}
+		r.hists = append(r.hists, h)
+		r.histIdx[name] = h
 	}
-	h.online.Add(v)
+	return h
+}
+
+// Add increments the counter by delta.
+func (c *Counter) Add(delta int64) {
+	if c == nil {
+		return
+	}
+	// Locked and unlocked in line: Unlock does not fit r.unlock's inlining
+	// budget.
+	mu := c.r.mu
+	if mu != nil {
+		mu.Lock()
+	}
+	c.add(delta, nil)
+	if mu != nil {
+		mu.Unlock()
+	}
+}
+
+// add is the shared counter path, for callers holding the lock: at, when
+// non-nil, overrides the window clock (event-time backfill).
+func (c *Counter) add(delta int64, at *des.Time) {
+	c.v += delta
+	c.used = true
+	if w := c.r.win; w != nil {
+		t := w.now()
+		if at != nil {
+			t = *at
+		}
+		w.acc(t).counter(c.id, len(c.r.counters)).add(delta)
+	}
+}
+
+// Observe folds one observation into the histogram.
+func (h *Hist) Observe(v float64) {
+	if h == nil {
+		return
+	}
+	mu := h.r.mu
+	if mu != nil {
+		mu.Lock()
+	}
+	h.observe(v, nil, nil)
+	if mu != nil {
+		mu.Unlock()
+	}
+}
+
+// ObserveTime folds a virtual-time duration into the histogram, in seconds
+// — the unit every engine-populated histogram uses.
+func (h *Hist) ObserveTime(t des.Time) { h.Observe(t.Seconds()) }
+
+// observe is the shared histogram path, for callers holding the lock: ex,
+// when non-nil, retains the observation as a bucket exemplar; at, when
+// non-nil, overrides the window clock (event-time backfill). A windowed
+// registry records into the window alone; Snapshot folds the windows.
+func (h *Hist) observe(v float64, ex *int64, at *des.Time) {
 	key := bucketKey(v)
-	h.buckets[key]++
+	if w := h.r.win; w != nil {
+		t := w.now()
+		if at != nil {
+			t = *at
+		}
+		w.acc(t).hist(h.id, len(h.r.hists)).observe(v, key)
+	} else {
+		h.online.Add(v)
+		h.b.inc(key)
+	}
 	if ex != nil {
 		if h.exemplars == nil {
 			h.exemplars = make(map[int32][]Exemplar)
 		}
 		h.exemplars[key] = addExemplar(h.exemplars[key], Exemplar{ID: *ex, V: v})
 	}
-	if r.win != nil {
-		t := r.win.now()
-		if at != nil {
-			t = *at
-		}
-		r.win.observe(name, v, key, t)
+}
+
+// Add increments the named counter by delta.
+func (r *Registry) Add(name string, delta int64) {
+	r.lock()
+	r.counter(name).add(delta, nil)
+	r.unlock()
+}
+
+// Set stores the named gauge's current value.
+func (r *Registry) Set(name string, v float64) {
+	r.lock()
+	r.gauges[name] = v
+	if w := r.win; w != nil {
+		w.acc(w.now()).set(name, v)
 	}
-	r.mu.Unlock()
+	r.unlock()
+}
+
+// Observe folds one observation into the named histogram.
+func (r *Registry) Observe(name string, v float64) { r.observeNamed(name, v, nil, nil) }
+
+// observeNamed is the string form of Hist.observe, under one lock.
+func (r *Registry) observeNamed(name string, v float64, ex *int64, at *des.Time) {
+	r.lock()
+	r.hist(name).observe(v, ex, at)
+	r.unlock()
 }
 
 // ObserveExemplar is Observe plus exemplar retention: the observation's
 // bucket deterministically keeps up to histExemplars source IDs by maximum
 // value, linking the histogram back to per-query traces.
 func (r *Registry) ObserveExemplar(name string, v float64, id int64) {
-	r.observe(name, v, &id, nil)
+	r.observeNamed(name, v, &id, nil)
 }
 
 // ObserveExemplarAt is ObserveExemplar with an explicit virtual timestamp
 // for the window layer.
 func (r *Registry) ObserveExemplarAt(name string, v float64, id int64, at des.Time) {
-	r.observe(name, v, &id, &at)
+	r.observeNamed(name, v, &id, &at)
 }
 
 // ObserveTime folds a virtual-time duration into the named histogram, in
 // seconds — the unit every engine-populated histogram uses.
-func (r *Registry) ObserveTime(name string, t des.Time) {
-	r.Observe(name, t.Seconds())
-}
+func (r *Registry) ObserveTime(name string, t des.Time) { r.Observe(name, t.Seconds()) }
 
 // HistStat summarizes one histogram: exact count/sum/min/max/mean, the
 // precomputed P50/P95/P99, and the log-bucket counts the quantiles were read
@@ -185,7 +321,7 @@ func (h HistStat) Quantile(q float64) float64 {
 		return 0
 	}
 	if len(h.Buckets) > 0 {
-		return clamp(bucketQuantiles(h.Buckets, h.Count, q)[0], h.Min, h.Max)
+		return clamp(bucketQuantile(mapWalk(h.Buckets), h.Count, q), h.Min, h.Max)
 	}
 	xs := [5]float64{0, 0.5, 0.95, 0.99, 1}
 	ys := [5]float64{h.Min, h.P50, h.P95, h.P99, h.Max}
@@ -211,62 +347,54 @@ type Snapshot struct {
 
 // Snapshot copies the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	s := Snapshot{
 		Counters: make(map[string]int64, len(r.counters)),
 		Gauges:   make(map[string]float64, len(r.gauges)),
 		Hists:    make(map[string]HistStat, len(r.hists)),
 	}
-	for k, v := range r.counters {
-		s.Counters[k] = v
+	for _, c := range r.counters {
+		if c.used {
+			s.Counters[c.name] = c.v
+		}
 	}
 	for k, v := range r.gauges {
 		s.Gauges[k] = v
 	}
-	for k, h := range r.hists {
-		st := histStat(h.online, h.buckets)
+	for _, h := range r.hists {
+		var st HistStat
+		if r.win != nil {
+			st = r.win.histStat(h.id)
+		} else if h.online.N() > 0 {
+			st = histStat(h.online, &h.b)
+		}
+		if st.Count == 0 {
+			continue
+		}
 		if len(h.exemplars) > 0 {
 			st.Exemplars = make(map[int32][]Exemplar, len(h.exemplars))
 			for bk, list := range h.exemplars {
 				st.Exemplars[bk] = append([]Exemplar(nil), list...)
 			}
 		}
-		if r.win != nil {
-			// Windowed mode: make the conservation invariant bit-exact by
-			// defining the snapshot Sum as the ascending-window re-addition
-			// of per-window sums (stats.Online's mean-derived sum differs in
-			// the last bits for long streams).
-			if sum, ok := r.win.histTotals(k); ok && st.Count > 0 {
-				st.Sum = sum
-				st.Mean = sum / float64(st.Count)
-			}
-		}
-		s.Hists[k] = st
+		s.Hists[h.name] = st
 	}
 	return s
 }
 
 // histStat assembles one histogram's snapshot: exact moments from the online
-// accumulator, quantiles read from a private copy of the bucket counts.
-func histStat(online stats.Online, buckets map[int32]int64) HistStat {
+// accumulator, quantiles read from the bucket counts in key order.
+func histStat(online stats.Online, b *buckets) HistStat {
 	h := HistStat{
-		Count: online.N(),
-		Sum:   online.Mean() * float64(online.N()),
-		Min:   online.Min(),
-		Max:   online.Max(),
-		Mean:  online.Mean(),
+		Count:   online.N(),
+		Sum:     online.Mean() * float64(online.N()),
+		Min:     online.Min(),
+		Max:     online.Max(),
+		Mean:    online.Mean(),
+		Buckets: b.toMap(),
 	}
-	if len(buckets) > 0 {
-		h.Buckets = make(map[int32]int64, len(buckets))
-		for k, n := range buckets {
-			h.Buckets[k] = n
-		}
-		qs := bucketQuantiles(h.Buckets, h.Count, 0.5, 0.95, 0.99)
-		h.P50 = clamp(qs[0], h.Min, h.Max)
-		h.P95 = clamp(qs[1], h.Min, h.Max)
-		h.P99 = clamp(qs[2], h.Min, h.Max)
-	}
+	h.P50, h.P95, h.P99 = quantiles3(b.walk, h.Count, h.Min, h.Max)
 	return h
 }
 
@@ -326,10 +454,7 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 			for bk, n := range b.Buckets {
 				m.Buckets[bk] += n
 			}
-			qs := bucketQuantiles(m.Buckets, m.Count, 0.5, 0.95, 0.99)
-			m.P50 = clamp(qs[0], m.Min, m.Max)
-			m.P95 = clamp(qs[1], m.Min, m.Max)
-			m.P99 = clamp(qs[2], m.Min, m.Max)
+			m.P50, m.P95, m.P99 = quantiles3(mapWalk(m.Buckets), m.Count, m.Min, m.Max)
 		} else {
 			wa, wb := float64(a.Count), float64(b.Count)
 			m.P50 = (a.P50*wa + b.P50*wb) / (wa + wb)

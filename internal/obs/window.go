@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 
 	"s3asim/internal/des"
 	"s3asim/internal/stats"
@@ -13,8 +12,8 @@ import (
 // registry's counters into rates, track gauges, and keep a per-window
 // log-bucketed histogram next to each whole-run histogram. Windows are pure
 // accumulators — nothing is sealed while the run executes, so recording
-// costs one map lookup and a few adds, and the series is materialized once
-// at the end of the run.
+// costs an index into the current window and a few adds, and the series is
+// materialized once at the end of the run.
 //
 // The contract mirrors causal.Check: window values must conserve exactly
 // against the end-of-run Snapshot (Series.Conserve). To make the float sum
@@ -24,38 +23,49 @@ import (
 // Conserve performs.
 
 // winState holds a registry's window accumulators. It is guarded by the
-// owning Registry's mutex; none of its methods lock.
+// owning Registry's lock; none of its methods lock.
 type winState struct {
 	width des.Time
 	// clock supplies the virtual time for mutators without an explicit
-	// timestamp (Add/Set/Observe). After FreezeWindows it is detached and
+	// timestamp (Add/Set/Observe). FreezeWindows detaches it (nil) and
 	// frozenAt is used instead, so post-run backfill lands deterministically.
 	clock    func() des.Time
-	frozen   bool
 	frozenAt des.Time
-	wins     map[int64]*winAcc
-	maxIdx   int64
+	// wins is indexed by window number; nil for windows nothing landed in.
+	wins   []*winAcc
+	maxIdx int64
+	// cur caches the last window touched, covering [curStart, curEnd).
+	cur              *winAcc
+	curStart, curEnd des.Time
 }
 
-// winAcc accumulates one window's worth of metrics.
+// winAcc accumulates one window's worth of metrics: counters and histograms
+// indexed by handle id, gauges by name (they are set on cold paths only).
 type winAcc struct {
-	counters map[string]int64
+	counters []winCounter
+	hists    []winHist
 	gauges   map[string]float64
-	hists    map[string]*winHist
+}
+
+// winCounter is one counter's delta within a window; used marks that the
+// window carries the series, even at zero.
+type winCounter struct {
+	v    int64
+	used bool
 }
 
 // winHist is a fixed-memory per-window histogram: exact count/sum/min/max
 // (sum by plain accumulation, so conservation against the snapshot is a
-// matter of re-adding in the same order) plus the same sparse log-linear
-// buckets as the whole-run histogram.
+// matter of re-adding in the same order) plus the same log-linear buckets
+// as the whole-run histogram, spanning the octaves this window touched.
 type winHist struct {
 	count         int64
 	sum, min, max float64
-	buckets       map[int32]int64
+	b             buckets
 }
 
 func (w *winState) now() des.Time {
-	if w.frozen || w.clock == nil {
+	if w.clock == nil {
 		return w.frozenAt
 	}
 	return w.clock()
@@ -70,45 +80,64 @@ func (w *winState) idx(at des.Time) int64 {
 	return int64(at) / int64(w.width)
 }
 
+// acc returns the accumulator of the window holding at, creating it on
+// first use.
 func (w *winState) acc(at des.Time) *winAcc {
+	if at >= w.curStart && at < w.curEnd {
+		return w.cur
+	}
+	return w.seek(at)
+}
+
+// seek is acc past the cached window.
+func (w *winState) seek(at des.Time) *winAcc {
 	i := w.idx(at)
 	if i > w.maxIdx {
 		w.maxIdx = i
+	}
+	if i >= int64(len(w.wins)) {
+		w.wins = append(w.wins, make([]*winAcc, i+1-int64(len(w.wins)))...)
 	}
 	a := w.wins[i]
 	if a == nil {
 		a = &winAcc{}
 		w.wins[i] = a
 	}
+	w.cur, w.curStart, w.curEnd = a, des.Time(i*int64(w.width)), des.Time((i+1)*int64(w.width))
 	return a
 }
 
-func (w *winState) add(name string, delta int64, at des.Time) {
-	a := w.acc(at)
-	if a.counters == nil {
-		a.counters = make(map[string]int64)
+// counter returns the window's slot for counter id, sizing the slots to the
+// registry's n counters on first use.
+func (a *winAcc) counter(id, n int) *winCounter {
+	if id >= len(a.counters) {
+		a.counters = append(a.counters, make([]winCounter, n-len(a.counters))...)
 	}
-	a.counters[name] += delta
+	return &a.counters[id]
 }
 
-func (w *winState) set(name string, v float64, at des.Time) {
-	a := w.acc(at)
+// hist returns the window's slot for histogram id, sizing the slots to the
+// registry's n histograms on first use.
+func (a *winAcc) hist(id, n int) *winHist {
+	if id >= len(a.hists) {
+		a.hists = append(a.hists, make([]winHist, n-len(a.hists))...)
+	}
+	return &a.hists[id]
+}
+
+func (c *winCounter) add(delta int64) {
+	c.v += delta
+	c.used = true
+}
+
+func (a *winAcc) set(name string, v float64) {
 	if a.gauges == nil {
 		a.gauges = make(map[string]float64)
 	}
 	a.gauges[name] = v
 }
 
-func (w *winState) observe(name string, v float64, key int32, at des.Time) {
-	a := w.acc(at)
-	if a.hists == nil {
-		a.hists = make(map[string]*winHist)
-	}
-	h := a.hists[name]
-	if h == nil {
-		h = &winHist{buckets: make(map[int32]int64)}
-		a.hists[name] = h
-	}
+func (h *winHist) observe(v float64, key int32) {
 	h.count++
 	h.sum += v
 	if h.count == 1 || v < h.min {
@@ -117,43 +146,82 @@ func (w *winState) observe(name string, v float64, key int32, at des.Time) {
 	if h.count == 1 || v > h.max {
 		h.max = v
 	}
-	h.buckets[key]++
+	h.b.inc(key)
 }
 
-// sortedIdx returns the populated window indices in ascending order.
-func (w *winState) sortedIdx() []int64 {
-	idx := make([]int64, 0, len(w.wins))
-	for i := range w.wins {
-		idx = append(idx, i)
-	}
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-	return idx
-}
-
-// histTotals re-adds one histogram's per-window sums in ascending window
-// order — the canonical Sum for snapshots of a windowed registry, and the
-// exact computation Series.Conserve repeats.
-func (w *winState) histTotals(name string) (sum float64, ok bool) {
-	for _, i := range w.sortedIdx() {
-		if h := w.wins[i].hists[name]; h != nil {
-			sum += h.sum
-			ok = true
+// histStat folds one histogram's windows, in ascending window order, into
+// its whole-run stat: a windowed registry keeps each histogram only in its
+// windows. Sum is the ascending-window re-addition of per-window sums — the
+// exact computation Series.Conserve repeats, so conservation holds
+// bit-exactly — and Mean is derived from it. Count is zero when no window
+// holds the series.
+func (w *winState) histStat(id int) HistStat {
+	var (
+		st HistStat
+		b  buckets
+	)
+	for _, a := range w.wins {
+		if a == nil || id >= len(a.hists) || a.hists[id].count == 0 {
+			continue
 		}
+		h := &a.hists[id]
+		if st.Count == 0 || h.min < st.Min {
+			st.Min = h.min
+		}
+		if st.Count == 0 || h.max > st.Max {
+			st.Max = h.max
+		}
+		st.Count += h.count
+		st.Sum += h.sum
+		b.addAll(&h.b)
 	}
-	return sum, ok
+	if st.Count > 0 {
+		st.Mean = st.Sum / float64(st.Count)
+		st.Buckets = b.toMap()
+		st.P50, st.P95, st.P99 = quantiles3(b.walk, st.Count, st.Min, st.Max)
+	}
+	return st
 }
 
 // EnableWindows switches the registry into windowed mode: every subsequent
-// mutation is also folded into the tumbling virtual-time window of the given
+// mutation is folded into the tumbling virtual-time window of the given
 // width. clock supplies the current virtual time for mutators without an
-// explicit timestamp (pass sim.Now). Re-enabling discards any prior windows.
+// explicit timestamp (pass sim.Now). A windowed registry keeps each
+// histogram only in its windows (Snapshot folds them), so windows must see
+// every observation: EnableWindows panics on a registry that already holds
+// data or windows (see Empty).
 func (r *Registry) EnableWindows(width des.Time, clock func() des.Time) {
 	if width <= 0 {
 		panic("obs: EnableWindows requires a positive width")
 	}
-	r.mu.Lock()
-	r.win = &winState{width: width, clock: clock, wins: make(map[int64]*winAcc)}
-	r.mu.Unlock()
+	if !r.Empty() {
+		panic("obs: EnableWindows on a registry that already holds data or windows")
+	}
+	r.lock()
+	r.win = &winState{width: width, clock: clock}
+	r.unlock()
+}
+
+// Empty reports whether nothing has been recorded into the registry and its
+// windows are off: the state EnableWindows requires. Resolving handles
+// records nothing.
+func (r *Registry) Empty() bool {
+	r.lock()
+	defer r.unlock()
+	if r.win != nil || len(r.gauges) > 0 {
+		return false
+	}
+	for _, c := range r.counters {
+		if c.used {
+			return false
+		}
+	}
+	for _, h := range r.hists {
+		if h.online.N() > 0 || len(h.exemplars) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // FreezeWindows detaches the window clock at the end of a run: the series is
@@ -161,42 +229,39 @@ func (r *Registry) EnableWindows(width des.Time, clock func() des.Time) {
 // the recovery), and post-run mutators without an explicit timestamp land in
 // the final window. No-op when windows are disabled.
 func (r *Registry) FreezeWindows(end des.Time) {
-	r.mu.Lock()
+	r.lock()
 	if w := r.win; w != nil {
-		w.frozen, w.frozenAt = true, end
+		w.clock, w.frozenAt = nil, end
 		if i := w.idx(end); i > w.maxIdx {
 			w.maxIdx = i
 		}
 	}
-	r.mu.Unlock()
+	r.unlock()
 }
 
 // AddAt is Add with an explicit virtual timestamp for the window layer —
 // used to backfill event-time metrics (a query that finished at t) after the
 // fact. Identical to Add when windows are disabled.
 func (r *Registry) AddAt(name string, delta int64, at des.Time) {
-	r.mu.Lock()
-	r.counters[name] += delta
-	if r.win != nil {
-		r.win.add(name, delta, at)
-	}
-	r.mu.Unlock()
+	r.lock()
+	r.counter(name).add(delta, &at)
+	r.unlock()
 }
 
 // SetAt is Set with an explicit virtual timestamp for the window layer.
 func (r *Registry) SetAt(name string, v float64, at des.Time) {
-	r.mu.Lock()
+	r.lock()
 	r.gauges[name] = v
-	if r.win != nil {
-		r.win.set(name, v, at)
+	if w := r.win; w != nil {
+		w.acc(at).set(name, v)
 	}
-	r.mu.Unlock()
+	r.unlock()
 }
 
 // ObserveAt is Observe with an explicit virtual timestamp for the window
 // layer.
 func (r *Registry) ObserveAt(name string, v float64, at des.Time) {
-	r.observe(name, v, nil, &at)
+	r.observeNamed(name, v, nil, &at)
 }
 
 // Window is one materialized tumbling window covering [Start, End). Maps are
@@ -221,8 +286,8 @@ type Series struct {
 // Windows materializes the registry's windowed series. Returns nil when
 // windows were never enabled.
 func (r *Registry) Windows() *Series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	w := r.win
 	if w == nil {
 		return nil
@@ -233,15 +298,18 @@ func (r *Registry) Windows() *Series {
 		win.Index = int64(i)
 		win.Start = des.Time(int64(i) * int64(w.width))
 		win.End = win.Start + w.width
-		a := w.wins[int64(i)]
-		if a == nil {
+		if i >= len(w.wins) || w.wins[i] == nil {
 			continue
 		}
-		if len(a.counters) > 0 {
-			win.Counters = make(map[string]int64, len(a.counters))
-			for k, v := range a.counters {
-				win.Counters[k] = v
+		a := w.wins[i]
+		for id, c := range a.counters {
+			if !c.used {
+				continue
 			}
+			if win.Counters == nil {
+				win.Counters = make(map[string]int64)
+			}
+			win.Counters[r.counters[id].name] = c.v
 		}
 		if len(a.gauges) > 0 {
 			win.Gauges = make(map[string]float64, len(a.gauges))
@@ -249,11 +317,15 @@ func (r *Registry) Windows() *Series {
 				win.Gauges[k] = v
 			}
 		}
-		if len(a.hists) > 0 {
-			win.Hists = make(map[string]HistStat, len(a.hists))
-			for k, h := range a.hists {
-				win.Hists[k] = h.stat()
+		for id := range a.hists {
+			h := &a.hists[id]
+			if h.count == 0 {
+				continue
 			}
+			if win.Hists == nil {
+				win.Hists = make(map[string]HistStat)
+			}
+			win.Hists[r.hists[id].name] = h.stat()
 		}
 	}
 	return s
@@ -262,18 +334,9 @@ func (r *Registry) Windows() *Series {
 // stat converts a window histogram into a HistStat with the exact
 // accumulated sum (not the mean-derived one).
 func (h *winHist) stat() HistStat {
-	st := HistStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	if h.count > 0 {
-		st.Mean = h.sum / float64(h.count)
-	}
-	st.Buckets = make(map[int32]int64, len(h.buckets))
-	for k, n := range h.buckets {
-		st.Buckets[k] = n
-	}
-	qs := bucketQuantiles(st.Buckets, st.Count, 0.5, 0.95, 0.99)
-	st.P50 = clamp(qs[0], st.Min, st.Max)
-	st.P95 = clamp(qs[1], st.Min, st.Max)
-	st.P99 = clamp(qs[2], st.Min, st.Max)
+	st := HistStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
+		Mean: h.sum / float64(h.count), Buckets: h.b.toMap()}
+	st.P50, st.P95, st.P99 = quantiles3(h.b.walk, st.Count, st.Min, st.Max)
 	return st
 }
 
@@ -336,10 +399,7 @@ func (s *Series) HistOver(name string, from, to int64) HistStat {
 	}
 	if m.Count > 0 {
 		m.Mean = m.Sum / float64(m.Count)
-		qs := bucketQuantiles(m.Buckets, m.Count, 0.5, 0.95, 0.99)
-		m.P50 = clamp(qs[0], m.Min, m.Max)
-		m.P95 = clamp(qs[1], m.Min, m.Max)
-		m.P99 = clamp(qs[2], m.Min, m.Max)
+		m.P50, m.P95, m.P99 = quantiles3(mapWalk(m.Buckets), m.Count, m.Min, m.Max)
 	}
 	return m
 }

@@ -272,7 +272,7 @@ func (r *serverRequest) step() {
 				Done:     r.doneAt,
 			})
 		}
-		fs.recordRequest(r.kindName(), r.bytes, r.doneAt-r.cost-r.submitAt, r.cost)
+		fs.recordRequest(r.kind, r.bytes, r.doneAt-r.cost-r.submitAt, r.cost)
 	case reqServed:
 		srv, f := r.srv, r.f
 		if r.kind == opWrite {

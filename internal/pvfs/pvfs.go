@@ -103,7 +103,7 @@ type FileSystem struct {
 
 	traceOn   bool
 	trace     []RequestRecord
-	metrics   *obs.Registry
+	metrics   *fsMetrics
 	faults    ServerFaults
 	causal    *causal.Recorder
 	dropWrite func(off, n int64) bool
@@ -166,7 +166,7 @@ func (fs *FileSystem) ScheduleOutage(server int, at, dur des.Time) {
 	fs.sim.At(at, func() {
 		srv.res.Submit(dur, nil)
 		if fs.metrics != nil {
-			fs.metrics.Add("pvfs.outages", 1)
+			fs.metrics.outages.Add(1)
 		}
 	})
 }
@@ -181,34 +181,56 @@ func (fs *FileSystem) SetWriteDropper(fn func(off, n int64) bool) { fs.dropWrite
 
 // SetMetrics attaches a registry; every subsequent server-request completion
 // records pvfs.* counters (requests, bytes, syncs) and virtual-time
-// histograms (queue wait, service time, request size). Requests complete in
-// deterministic DES order, so the resulting snapshot is deterministic too.
-func (fs *FileSystem) SetMetrics(r *obs.Registry) { fs.metrics = r }
+// histograms (queue wait, service time, request size). The series are
+// resolved here, once, into handles. Requests complete in deterministic DES
+// order, so the resulting snapshot is deterministic too. Nil detaches.
+func (fs *FileSystem) SetMetrics(r *obs.Registry) {
+	if r == nil {
+		fs.metrics = nil
+		return
+	}
+	fs.metrics = &fsMetrics{
+		requests:     r.Counter("pvfs.requests"),
+		bytesWritten: r.Counter("pvfs.bytes_written"),
+		bytesRead:    r.Counter("pvfs.bytes_read"),
+		syncs:        r.Counter("pvfs.syncs"),
+		outages:      r.Counter("pvfs.outages"),
+		queueWait:    r.Hist("pvfs.queue_wait"),
+		service:      r.Hist("pvfs.service"),
+		requestBytes: r.Hist("pvfs.request_bytes"),
+	}
+}
 
 // SetCausal attaches a happens-before recorder: every client wait inside
 // issue() is decomposed into transit → io-queue → io-service → transit along
 // the request that finished last. Purely passive; nil disables recording.
 func (fs *FileSystem) SetCausal(c *causal.Recorder) { fs.causal = c }
 
+// fsMetrics holds the file system's metric handles (SetMetrics).
+type fsMetrics struct {
+	requests, bytesWritten, bytesRead, syncs, outages *obs.Counter
+	queueWait, service, requestBytes                  *obs.Hist
+}
+
 // recordRequest streams one completed server request into the registry.
-func (fs *FileSystem) recordRequest(kind string, bytes int64, wait, service des.Time) {
+func (fs *FileSystem) recordRequest(kind opKind, bytes int64, wait, service des.Time) {
 	m := fs.metrics
 	if m == nil {
 		return
 	}
-	m.Add("pvfs.requests", 1)
+	m.requests.Add(1)
 	switch kind {
-	case "write":
-		m.Add("pvfs.bytes_written", bytes)
-	case "read":
-		m.Add("pvfs.bytes_read", bytes)
-	case "sync":
-		m.Add("pvfs.syncs", 1)
+	case opWrite:
+		m.bytesWritten.Add(bytes)
+	case opRead:
+		m.bytesRead.Add(bytes)
+	case opSync:
+		m.syncs.Add(1)
 	}
-	m.ObserveTime("pvfs.queue_wait", wait)
-	m.ObserveTime("pvfs.service", service)
-	if kind != "sync" {
-		m.Observe("pvfs.request_bytes", float64(bytes))
+	m.queueWait.ObserveTime(wait)
+	m.service.ObserveTime(service)
+	if kind != opSync {
+		m.requestBytes.Observe(float64(bytes))
 	}
 }
 
