@@ -217,7 +217,7 @@ func (r *Registry) Empty() bool {
 		}
 	}
 	for _, h := range r.hists {
-		if h.online.N() > 0 || len(h.exemplars) > 0 {
+		if h.online.N() > 0 {
 			return false
 		}
 	}

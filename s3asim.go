@@ -430,7 +430,12 @@ type (
 // NewTracer returns an empty in-memory timeline tracer.
 func NewTracer() *Tracer { return trace.New() }
 
-// NewMetricsRegistry returns an empty concurrency-safe metrics registry.
+// NewMetricsRegistry returns an empty concurrency-safe metrics registry:
+// it locks on every call, so it may be read mid-run or shared. A sweep
+// whose runs share one (Options.Base.Metrics) runs its cells one at a
+// time, since each report snapshots the cumulative registry; a registry
+// given to a Telemetry run must be empty when the run starts. A run
+// without one uses a private registry that takes no lock.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewStreamSink returns a sink that spools timeline events to w as JSON
