@@ -35,24 +35,8 @@ const (
 	keyNegInf = -(int32(1) << 30)
 )
 
-// bucketKey maps one observation to its bucket. Positive normal values,
-// nearly every observation, are keyed from their bits alone.
+// bucketKey maps one observation to its bucket.
 func bucketKey(v float64) int32 {
-	if bits := math.Float64bits(v); bits>>52-1 < 0x7fe { // sign clear, exponent neither 0 nor all ones
-		return normalKey(bits)
-	}
-	return otherKey(v)
-}
-
-// normalKey is the key of a positive normal value from its bits: a normal
-// v = 1.f·2^(exp-1023) is m·2^e with m = 1.f/2 and e = exp-1022, so the
-// sub-bucket (2m-1)·histSub is the top histSubBits bits of the fraction f.
-func normalKey(bits uint64) int32 {
-	return (int32(bits>>52)-1022+histEOff)<<histSubBits | int32(bits>>(52-histSubBits))&(histSub-1)
-}
-
-// otherKey maps zero, subnormal, infinite, negative and NaN values.
-func otherKey(v float64) int32 {
 	switch {
 	case v > 0:
 		if math.IsInf(v, 1) {
@@ -69,12 +53,16 @@ func otherKey(v float64) int32 {
 	}
 }
 
-// posKey is the key of a positive finite value.
+// posKey keys a positive finite value from its bits. A normal
+// v = 1.f·2^(exp-1023) is m·2^e with m = 1.f/2 and e = exp-1022, so the
+// sub-bucket (2m-1)·histSub is the top histSubBits bits of the fraction f.
 func posKey(v float64) int32 {
-	if bits := math.Float64bits(v); bits>>52 != 0 {
-		return normalKey(bits)
+	bits := math.Float64bits(v)
+	exp := int32(bits >> 52)
+	if exp == 0 {
+		return frexpKey(v) // subnormal
 	}
-	return frexpKey(v)
+	return (exp-1022+histEOff)<<histSubBits | int32(bits>>(52-histSubBits))&(histSub-1)
 }
 
 // frexpKey is posKey by way of math.Frexp: the definition, and the path for
@@ -125,17 +113,8 @@ type span struct {
 	n  []int64
 }
 
-// inc counts one observation into bucket k. A positive key inside the
-// span, nearly every observation, takes the first branch.
+// inc counts one observation into bucket k.
 func (b *buckets) inc(k int32) {
-	if i := uint(k - b.pos.lo); i < uint(len(b.pos.n)) {
-		b.pos.n[i]++
-		return
-	}
-	b.incSlow(k)
-}
-
-func (b *buckets) incSlow(k int32) {
 	switch {
 	case k >= 0 && k < keyPosInf:
 		b.pos.inc(k)
