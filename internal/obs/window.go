@@ -9,11 +9,11 @@ import (
 
 // This file is the windowed time-series layer of the telemetry pipeline
 // (DESIGN.md §15): tumbling windows over *virtual* time that turn the
-// registry's counters into rates, track gauges, and keep a per-window
-// log-bucketed histogram next to each whole-run histogram. Windows are pure
-// accumulators — nothing is sealed while the run executes, so recording
-// costs an index into the current window and a few adds, and the series is
-// materialized once at the end of the run.
+// registry's counters into rates, track gauges, and keep each histogram per
+// window (Snapshot folds the windows into the whole-run histogram). Windows
+// are pure accumulators — nothing is sealed while the run executes, so
+// recording costs an index into the current window and a few adds, and the
+// series is materialized once at the end of the run.
 //
 // The contract mirrors causal.Check: window values must conserve exactly
 // against the end-of-run Snapshot (Series.Conserve). To make the float sum
@@ -123,6 +123,25 @@ func (a *winAcc) hist(id, n int) *winHist {
 		a.hists = append(a.hists, make([]winHist, n-len(a.hists))...)
 	}
 	return &a.hists[id]
+}
+
+// usedCounters and usedHists count the series the window carries.
+func (a *winAcc) usedCounters() (n int) {
+	for _, c := range a.counters {
+		if c.used {
+			n++
+		}
+	}
+	return n
+}
+
+func (a *winAcc) usedHists() (n int) {
+	for i := range a.hists {
+		if a.hists[i].count > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func (c *winCounter) add(delta int64) {
@@ -302,14 +321,13 @@ func (r *Registry) Windows() *Series {
 			continue
 		}
 		a := w.wins[i]
-		for id, c := range a.counters {
-			if !c.used {
-				continue
+		if n := a.usedCounters(); n > 0 {
+			win.Counters = make(map[string]int64, n)
+			for id, c := range a.counters {
+				if c.used {
+					win.Counters[r.counters[id].name] = c.v
+				}
 			}
-			if win.Counters == nil {
-				win.Counters = make(map[string]int64)
-			}
-			win.Counters[r.counters[id].name] = c.v
 		}
 		if len(a.gauges) > 0 {
 			win.Gauges = make(map[string]float64, len(a.gauges))
@@ -317,15 +335,13 @@ func (r *Registry) Windows() *Series {
 				win.Gauges[k] = v
 			}
 		}
-		for id := range a.hists {
-			h := &a.hists[id]
-			if h.count == 0 {
-				continue
+		if n := a.usedHists(); n > 0 {
+			win.Hists = make(map[string]HistStat, n)
+			for id := range a.hists {
+				if h := &a.hists[id]; h.count > 0 {
+					win.Hists[r.hists[id].name] = h.stat()
+				}
 			}
-			if win.Hists == nil {
-				win.Hists = make(map[string]HistStat)
-			}
-			win.Hists[r.hists[id].name] = h.stat()
 		}
 	}
 	return s
