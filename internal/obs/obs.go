@@ -8,9 +8,12 @@
 //     The in-memory trace.Tracer satisfies it unchanged; StreamSink writes
 //     JSON-lines as events complete; PerfettoSink collects a run and exports
 //     Chrome trace-event JSON that opens directly in ui.perfetto.dev.
-//   - Registry — concurrency-safe counters, gauges, and virtual-time
-//     histograms (built on internal/stats), populated by the engine and the
-//     pvfs layer and snapshotted into every core.Report.
+//   - Registry — counters, gauges, and virtual-time histograms (built on
+//     internal/stats), recorded through handles resolved at wiring,
+//     populated by the engine, the pvfs layer and the fault injector, and
+//     snapshotted into every core.Report. NewRegistry's is
+//     concurrency-safe; NewLocalRegistry's, which a run creates for
+//     itself, takes no lock.
 //   - Snapshot — an immutable view of a Registry that merges
 //     deterministically, so sweeps aggregate per-cell metrics in their
 //     deterministic cell order and stay bit-identical at any parallelism.

@@ -125,25 +125,6 @@ func (a *winAcc) hist(id, n int) *winHist {
 	return &a.hists[id]
 }
 
-// usedCounters and usedHists count the series the window carries.
-func (a *winAcc) usedCounters() (n int) {
-	for _, c := range a.counters {
-		if c.used {
-			n++
-		}
-	}
-	return n
-}
-
-func (a *winAcc) usedHists() (n int) {
-	for i := range a.hists {
-		if a.hists[i].count > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 func (c *winCounter) add(delta int64) {
 	c.v += delta
 	c.used = true
@@ -321,13 +302,14 @@ func (r *Registry) Windows() *Series {
 			continue
 		}
 		a := w.wins[i]
-		if n := a.usedCounters(); n > 0 {
-			win.Counters = make(map[string]int64, n)
-			for id, c := range a.counters {
-				if c.used {
-					win.Counters[r.counters[id].name] = c.v
-				}
+		for id, c := range a.counters {
+			if !c.used {
+				continue
 			}
+			if win.Counters == nil {
+				win.Counters = make(map[string]int64)
+			}
+			win.Counters[r.counters[id].name] = c.v
 		}
 		if len(a.gauges) > 0 {
 			win.Gauges = make(map[string]float64, len(a.gauges))
@@ -335,13 +317,15 @@ func (r *Registry) Windows() *Series {
 				win.Gauges[k] = v
 			}
 		}
-		if n := a.usedHists(); n > 0 {
-			win.Hists = make(map[string]HistStat, n)
-			for id := range a.hists {
-				if h := &a.hists[id]; h.count > 0 {
-					win.Hists[r.hists[id].name] = h.stat()
-				}
+		for id := range a.hists {
+			h := &a.hists[id]
+			if h.count == 0 {
+				continue
 			}
+			if win.Hists == nil {
+				win.Hists = make(map[string]HistStat)
+			}
+			win.Hists[r.hists[id].name] = h.stat()
 		}
 	}
 	return s
