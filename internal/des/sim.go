@@ -35,24 +35,9 @@ const (
 	evTimer
 )
 
-// event is a single entry in the calendar. Events with equal times fire in
-// insertion order (seq), which keeps the simulation deterministic.
-//
-// The operand is a one-word tagged union discriminated by kind: a *Proc
-// (evStart, evResume), a *waiter (evWake, evBroadcast chain head, evTimer),
-// or a closure (evFunc). Keeping the event at one pointer word matters: the
-// calendar moves events constantly (heap sift, append growth), and every
-// pointer field pays a GC write barrier per move.
-type event struct {
-	t    Time
-	seq  uint64
-	arg  unsafe.Pointer
-	kind evKind
-}
-
 // funcArg packs a closure into an event operand. A func value is a single
 // pointer to its funcval, so the conversion is free and the GC still sees
-// (and keeps alive) the closure through the unsafe.Pointer field.
+// (and keeps alive) the closure through the calendar's operand arena.
 func funcArg(fn func()) unsafe.Pointer {
 	return *(*unsafe.Pointer)(unsafe.Pointer(&fn))
 }
@@ -62,61 +47,12 @@ func argFunc(arg unsafe.Pointer) func() {
 	return *(*func())(unsafe.Pointer(&arg))
 }
 
-// eventHeap is a binary min-heap ordered by (t, seq).
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = event{}
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
-	}
-	return top
-}
-
 // Simulation owns the virtual clock, the event calendar, and all processes.
 // It is not safe for concurrent use: the kernel and at most one process run
 // at any instant, handing control back and forth explicitly.
 type Simulation struct {
 	now     Time
-	heap    eventHeap
+	cal     calendar
 	seq     uint64
 	yielded chan struct{} // single-slot parker the kernel blocks on
 	procs   []*Proc
@@ -127,16 +63,10 @@ type Simulation struct {
 	waiterPool []*waiter // waiter free list (see getWaiter/putWaiter)
 }
 
-// initialHeapCap preallocates the calendar. Paper-scale runs execute
-// ≈300–400 k events, but the heap only holds the pending ones — a few
-// thousand at peak — so a fixed preallocation absorbs the append-growth
-// reallocations of a whole run without noticeable idle cost.
-const initialHeapCap = 4096
-
 // New returns an empty simulation at time zero.
 func New() *Simulation {
 	return &Simulation{
-		heap:    make(eventHeap, 0, initialHeapCap),
+		cal:     newCalendar(),
 		yielded: make(chan struct{}, 1),
 	}
 }
@@ -158,10 +88,7 @@ func (s *Simulation) Reset() {
 			s.procPool = append(s.procPool, p)
 		}
 	}
-	for i := range s.heap {
-		s.heap[i] = event{} // release closure/waiter references to the GC
-	}
-	s.heap = s.heap[:0]
+	s.cal.reset()
 	s.procs = s.procs[:0]
 	s.curr = nil
 	s.now, s.seq, s.events = 0, 0, 0
@@ -177,7 +104,7 @@ func (s *Simulation) Events() uint64 { return s.events }
 
 // PendingEvents reports how many calendar entries are currently queued,
 // including tombstoned timers that have not reached their deadline yet.
-func (s *Simulation) PendingEvents() int { return len(s.heap) }
+func (s *Simulation) PendingEvents() int { return len(s.cal.h) }
 
 // Procs reports how many processes are currently registered (done or not);
 // zero after a Reset.
@@ -190,7 +117,7 @@ func (s *Simulation) push(t Time, kind evKind, arg unsafe.Pointer) {
 		t = s.now
 	}
 	s.seq++
-	s.heap.push(event{t: t, seq: s.seq, kind: kind, arg: arg})
+	s.cal.push(t, s.seq, kind, arg)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -248,17 +175,17 @@ func (e *DeadlockError) Error() string {
 // never block its goroutine, and without the yield the GC's background
 // worker runs only at forced preemption, stretching every mark phase.
 func (s *Simulation) Run() error {
-	for len(s.heap) > 0 {
-		e := s.heap.pop()
-		s.now = e.t
+	for len(s.cal.h) > 0 {
+		t, kind, arg := s.cal.pop()
+		s.now = t
 		if s.events++; s.events%1024 == 0 {
 			runtime.Gosched()
 		}
-		if e.kind == evFunc { // fast path: skip the dispatch switch
-			argFunc(e.arg)()
+		if kind == evFunc { // fast path: skip the dispatch switch
+			argFunc(arg)()
 			continue
 		}
-		s.dispatch(&e)
+		s.dispatch(kind, arg)
 	}
 	var blocked []string
 	for _, p := range s.procs {
@@ -276,28 +203,28 @@ func (s *Simulation) Run() error {
 // RunUntil executes events with time ≤ limit, leaving later events queued.
 // It reports whether the calendar still holds events past the limit.
 func (s *Simulation) RunUntil(limit Time) bool {
-	for len(s.heap) > 0 && s.heap[0].t <= limit {
-		e := s.heap.pop()
-		s.now = e.t
+	for len(s.cal.h) > 0 && s.cal.h[0].t <= limit {
+		t, kind, arg := s.cal.pop()
+		s.now = t
 		s.events++
-		if e.kind == evFunc {
-			argFunc(e.arg)()
+		if kind == evFunc {
+			argFunc(arg)()
 			continue
 		}
-		s.dispatch(&e)
+		s.dispatch(kind, arg)
 	}
-	return len(s.heap) > 0
+	return len(s.cal.h) > 0
 }
 
 // dispatch performs a popped event's action. It runs in kernel context.
-func (s *Simulation) dispatch(e *event) {
-	switch e.kind {
+func (s *Simulation) dispatch(kind evKind, arg unsafe.Pointer) {
+	switch kind {
 	case evResume:
-		s.transferTo((*Proc)(e.arg))
+		s.transferTo((*Proc)(arg))
 	case evFunc:
-		argFunc(e.arg)()
+		argFunc(arg)()
 	case evWake:
-		w := (*waiter)(e.arg)
+		w := (*waiter)(arg)
 		p := w.p
 		w.queued = false
 		if !w.timer {
@@ -310,7 +237,7 @@ func (s *Simulation) dispatch(e *event) {
 		// schedule "now", are identical to the per-waiter events the old
 		// kernel queued: chained waiters held consecutive sequence numbers,
 		// so nothing could interleave between their wakes.
-		for w := (*waiter)(e.arg); w != nil; {
+		for w := (*waiter)(arg); w != nil; {
 			next := w.next // w may be recycled and reused during transferTo
 			p := w.p
 			w.queued = false
@@ -321,7 +248,7 @@ func (s *Simulation) dispatch(e *event) {
 			w = next
 		}
 	case evTimer:
-		w := (*waiter)(e.arg)
+		w := (*waiter)(arg)
 		w.timer = false
 		if w.p.timer == w {
 			w.p.timer = nil
@@ -340,7 +267,7 @@ func (s *Simulation) dispatch(e *event) {
 		s.transferTo(w.p)
 		// The waiter is reclaimed by Proc.TimedOut once it reads timedOut.
 	case evStart:
-		p := (*Proc)(e.arg)
+		p := (*Proc)(arg)
 		if p.machine != nil {
 			s.stepFSM(p)
 			return
