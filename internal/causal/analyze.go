@@ -75,23 +75,25 @@ func (r *Recorder) CriticalPathBetween(proc string, lo, hi des.Time) *Attributio
 	}
 
 	// The process whose recorded timeline reaches furthest; ties break
-	// lexicographically (Procs() is sorted) for determinism. It is the start
-	// when no explicit proc was given (or the given one is unknown).
-	var furthest string
+	// lexicographically for determinism. It is the start when no explicit
+	// proc was given (or the given one is unknown).
+	var furthest uint32
 	var maxEnd des.Time = -1
-	for _, name := range r.Procs() {
-		tl := r.timelines[name]
+	for id, tl := range r.timelines {
 		if n := len(tl); n > 0 {
-			if e := tl[n-1].end; e > maxEnd {
-				maxEnd, furthest = e, name
+			e := tl[n-1].end
+			if e > maxEnd || (e == maxEnd && r.names[id] < r.names[furthest]) {
+				maxEnd, furthest = e, uint32(id)
 			}
 		}
 	}
-	startProc := proc
-	if _, known := r.timelines[startProc]; !known {
-		startProc = furthest
+	id, known := r.lookup(proc)
+	if !known {
+		id = furthest
 	}
-	att.EndProc = startProc
+	if maxEnd >= 0 {
+		att.EndProc = r.names[id]
+	}
 
 	bill := func(proc string, blo, bhi des.Time, cat Category) {
 		if blo < lo {
@@ -114,23 +116,20 @@ func (r *Recorder) CriticalPathBetween(proc string, lo, hi des.Time) *Attributio
 	}
 
 	t := hi
-	if startProc == "" {
+	if att.EndProc == "" {
 		bill("", lo, hi, CatOther)
 		return att
 	}
-	proc = startProc
+	proc = att.EndProc
 	// Anything after the last recorded interval is uninstrumented tail
 	// (e.g. stale resilient-protocol timers draining the calendar). With an
 	// explicit start proc, the tail is measured against that proc's own
 	// timeline — its uninstrumented time is still "other".
-	if tl := r.timelines[proc]; len(tl) > 0 {
+	if tl := r.timelines[id]; len(tl) > 0 {
 		if e := tl[len(tl)-1].end; e < t {
 			bill(proc, e, t, CatOther)
 			t = e
 		}
-	} else if maxEnd < t {
-		bill(proc, maxEnd, t, CatOther)
-		t = maxEnd
 	}
 
 	// Safety bound: each recorded interval can be visited at most once per
@@ -143,14 +142,14 @@ func (r *Recorder) CriticalPathBetween(proc string, lo, hi des.Time) *Attributio
 			att.Truncated = true
 			break
 		}
-		tl := r.timelines[proc]
+		tl := r.timelines[id]
 		// Find the last interval on this timeline starting strictly before t.
 		idx := sort.Search(len(tl), func(i int) bool { return tl[i].start >= t }) - 1
 		if idx < 0 {
 			bill(proc, lo, t, CatOther)
 			break
 		}
-		iv := tl[idx]
+		iv := &tl[idx]
 		if iv.end < t {
 			// Gap between instrumented intervals.
 			bill(proc, iv.end, t, CatOther)
@@ -159,23 +158,22 @@ func (r *Recorder) CriticalPathBetween(proc string, lo, hi des.Time) *Attributio
 		}
 		switch iv.kind {
 		case kindBusy, kindPlain:
-			bill(proc, iv.start, t, iv.cat)
+			bill(proc, iv.start, t, Category(iv.cat))
 			t = iv.start
 		case kindEdge:
-			if iv.edgeAt < t {
-				if _, ok := r.timelines[iv.edgeProc]; ok {
-					bill(proc, iv.edgeAt, t, iv.cat)
-					proc, t = iv.edgeProc, iv.edgeAt
-					continue
-				}
+			if at := des.Time(iv.arg); at < t && len(r.timelines[iv.ref]) > 0 {
+				bill(proc, at, t, Category(iv.cat))
+				id, proc, t = iv.ref, r.names[iv.ref], at
+				continue
 			}
 			// Degenerate edge (cause at/after t, or unknown proc): treat as
 			// a plain wait so progress is still strict.
-			bill(proc, iv.start, t, iv.cat)
+			bill(proc, iv.start, t, Category(iv.cat))
 			t = iv.start
 		case kindChain:
-			for k := len(iv.chain) - 1; k >= 0 && t > iv.start; k-- {
-				seg := iv.chain[k]
+			chain := r.chain(iv)
+			for k := len(chain) - 1; k >= 0 && t > iv.start; k-- {
+				seg := chain[k]
 				if seg.At >= t {
 					continue
 				}

@@ -108,19 +108,20 @@ const (
 
 // interval is one recorded span on a process timeline. Timelines are
 // append-only and, because each simulated process is sequential and records
-// at completion, sorted by both start and end.
+// at completion, sorted by both start and end. An interval holds no pointer
+// and is 32 bytes, so timelines are storage the GC never scans.
 type interval struct {
 	start, end des.Time
-	cat        Category
-	kind       intervalKind
 
-	// For kindEdge: the causally preceding event — the process that released
-	// this wait, and the time on that process to resume the walk from.
-	edgeProc string
-	edgeAt   des.Time
+	// ref and arg are the kind's operands. For kindEdge: the id of the
+	// process that released this wait and the time on it to resume the walk
+	// from. For kindChain: the offset and length of the interval's boundary
+	// decomposition in the recorder's chain arena.
+	arg int64
+	ref uint32
 
-	// For kindChain: boundary decomposition covering [start, end].
-	chain []Segment
+	cat  uint8 // a Category; unused for kindChain
+	kind intervalKind
 }
 
 // Flow is one recorded message edge: a payload that left From at Sent and
@@ -137,16 +138,26 @@ type Flow struct {
 // kernel is single-threaded, so no locking is needed). The zero value is not
 // usable; call NewRecorder. All recording methods are safe on a nil receiver
 // so instrumentation sites can call unconditionally.
+//
+// Each process name is interned once to a dense id; timelines are indexed by
+// id, and a respawned incarnation (a new des.Proc under the same name) keeps
+// extending its predecessor's timeline. Recording sites pass their
+// des.Proc, whose ID caches the interned id, so a record hashes no name.
+// Chain decompositions share one segment arena.
 type Recorder struct {
-	timelines    map[string][]interval
-	procs        []string // insertion-ordered keys of timelines
+	ids          map[string]uint32
+	names        []string     // id → name, in first-seen order
+	timelines    [][]interval // by id; empty for a process seen only as an edge cause
+	byProc       []uint32     // des.Proc.ID() → interned id + 1; 0 when not cached
+	segs         []Segment    // chain arena (see interval.ref)
+	intervals    int
 	flows        []Flow
 	captureFlows bool
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{timelines: make(map[string][]interval)}
+	return &Recorder{ids: make(map[string]uint32)}
 }
 
 // SetCaptureFlows enables recording of per-message flow edges (Perfetto
@@ -160,78 +171,114 @@ func (r *Recorder) SetCaptureFlows(on bool) {
 // CapturesFlows reports whether message flows are being recorded.
 func (r *Recorder) CapturesFlows() bool { return r != nil && r.captureFlows }
 
-func (r *Recorder) append(proc string, iv interval) {
-	if iv.end <= iv.start {
-		return
+// intern returns name's dense id, assigning the next one on first sight.
+func (r *Recorder) intern(name string) uint32 {
+	if id, ok := r.ids[name]; ok {
+		return id
 	}
-	tl, ok := r.timelines[proc]
-	if !ok {
-		r.procs = append(r.procs, proc)
-	}
-	r.timelines[proc] = append(tl, iv)
+	id := uint32(len(r.names))
+	r.ids[name] = id
+	r.names = append(r.names, name)
+	r.timelines = append(r.timelines, nil)
+	return id
 }
 
-// Busy records that proc actively spent [start, end) on cat work.
-func (r *Recorder) Busy(proc string, cat Category, start, end des.Time) {
-	if r == nil {
-		return
+// procID returns p's interned id. The cache is keyed by p.ID() and checked
+// against p's name, so a recorder that outlives its simulation's Reset
+// still files each record under the right name.
+func (r *Recorder) procID(p *des.Proc) uint32 {
+	pid := p.ID()
+	for len(r.byProc) <= pid {
+		r.byProc = append(r.byProc, 0)
 	}
-	r.append(proc, interval{start: start, end: end, cat: cat, kind: kindBusy})
+	if id := r.byProc[pid]; id != 0 && r.names[id-1] == p.Name() {
+		return id - 1
+	}
+	id := r.intern(p.Name())
+	r.byProc[pid] = id + 1
+	return id
 }
 
-// WaitEdge records that proc was blocked over [start, end) on cat, and that
-// the wait was resolved by a causally preceding event on fromProc at fromAt
+// lookup returns the id of a process with a non-empty timeline.
+func (r *Recorder) lookup(name string) (uint32, bool) {
+	id, ok := r.ids[name]
+	return id, ok && len(r.timelines[id]) > 0
+}
+
+// append adds iv to p's timeline; callers have checked iv.end > iv.start.
+func (r *Recorder) append(p *des.Proc, iv interval) {
+	id := r.procID(p)
+	r.timelines[id] = append(r.timelines[id], iv)
+	r.intervals++
+}
+
+// Busy records that p actively spent [start, end) on cat work.
+func (r *Recorder) Busy(p *des.Proc, cat Category, start, end des.Time) {
+	if r == nil || end <= start {
+		return
+	}
+	r.append(p, interval{start: start, end: end, cat: uint8(cat), kind: kindBusy})
+}
+
+// WaitEdge records that p was blocked over [start, end) on cat, and that
+// the wait was resolved by a causally preceding event on from at fromAt
 // (e.g. a message send, or the last arrival at a barrier). The critical-path
-// walk attributes [fromAt, end) to cat on this proc and then continues on
-// fromProc at fromAt.
-func (r *Recorder) WaitEdge(proc string, start, end des.Time, cat Category, fromProc string, fromAt des.Time) {
-	if r == nil {
+// walk attributes [fromAt, end) to cat on p and then continues on from at
+// fromAt.
+func (r *Recorder) WaitEdge(p *des.Proc, start, end des.Time, cat Category, from *des.Proc, fromAt des.Time) {
+	if r == nil || end <= start {
 		return
 	}
-	r.append(proc, interval{
-		start: start, end: end, cat: cat, kind: kindEdge,
-		edgeProc: fromProc, edgeAt: fromAt,
+	r.append(p, interval{
+		start: start, end: end, cat: uint8(cat), kind: kindEdge,
+		ref: r.procID(from), arg: int64(fromAt),
 	})
 }
 
-// WaitChain records that proc was blocked over [start, end) and that the wait
+// WaitChain records that p was blocked over [start, end) and that the wait
 // decomposes locally into the given boundary segments (e.g. a PVFS request's
 // transit → queue → service → transit pipeline). Segments are clamped into
 // [start, end) and made monotone; uncovered prefixes inherit the first
 // segment's category.
-func (r *Recorder) WaitChain(proc string, start, end des.Time, segs []Segment) {
-	if r == nil {
+func (r *Recorder) WaitChain(p *des.Proc, start, end des.Time, segs []Segment) {
+	if r == nil || end <= start {
 		return
 	}
 	if len(segs) == 0 {
-		r.append(proc, interval{start: start, end: end, cat: CatOther, kind: kindPlain})
+		r.append(p, interval{start: start, end: end, cat: uint8(CatOther), kind: kindPlain})
 		return
 	}
-	clamped := make([]Segment, 0, len(segs))
+	off := len(r.segs)
 	lo := start
-	for _, s := range segs {
-		at := s.At
+	for _, seg := range segs {
+		at := seg.At
 		if at < lo {
 			at = lo
 		}
 		if at > end {
 			at = end
 		}
-		clamped = append(clamped, Segment{At: at, Cat: s.Cat})
+		r.segs = append(r.segs, Segment{At: at, Cat: seg.Cat})
 		lo = at
 	}
-	// Cover [start, clamped[0].At) with the first segment's category.
-	clamped[0].At = start
-	r.append(proc, interval{start: start, end: end, kind: kindChain, chain: clamped})
+	// Cover [start, first boundary) with the first segment's category.
+	r.segs[off].At = start
+	r.append(p, interval{start: start, end: end, kind: kindChain,
+		ref: uint32(off), arg: int64(len(segs))})
 }
 
-// WaitPlain records that proc was blocked over [start, end) on cat with no
+// chain returns a kindChain interval's boundary segments.
+func (r *Recorder) chain(iv *interval) []Segment {
+	return r.segs[iv.ref : int64(iv.ref)+iv.arg]
+}
+
+// WaitPlain records that p was blocked over [start, end) on cat with no
 // usable remote cause (e.g. waiting out one's own send NIC, or a timeout).
-func (r *Recorder) WaitPlain(proc string, start, end des.Time, cat Category) {
-	if r == nil {
+func (r *Recorder) WaitPlain(p *des.Proc, start, end des.Time, cat Category) {
+	if r == nil || end <= start {
 		return
 	}
-	r.append(proc, interval{start: start, end: end, cat: cat, kind: kindPlain})
+	r.append(p, interval{start: start, end: end, cat: uint8(cat), kind: kindPlain})
 }
 
 // Flow records a message edge for Perfetto arrows. No-op unless
@@ -280,18 +327,19 @@ func (r *Recorder) Totals() Breakdown {
 		return b
 	}
 	for _, tl := range r.timelines {
-		for _, iv := range tl {
-			switch iv.kind {
-			case kindChain:
-				for k, seg := range iv.chain {
-					hi := iv.end
-					if k+1 < len(iv.chain) {
-						hi = iv.chain[k+1].At
-					}
-					b[seg.Cat] += hi - seg.At
-				}
-			default:
+		for i := range tl {
+			iv := &tl[i]
+			if iv.kind != kindChain {
 				b[iv.cat] += iv.end - iv.start
+				continue
+			}
+			chain := r.chain(iv)
+			for k, seg := range chain {
+				hi := iv.end
+				if k+1 < len(chain) {
+					hi = chain[k+1].At
+				}
+				b[seg.Cat] += hi - seg.At
 			}
 		}
 	}
@@ -303,7 +351,12 @@ func (r *Recorder) Procs() []string {
 	if r == nil {
 		return nil
 	}
-	out := append([]string(nil), r.procs...)
+	var out []string
+	for id, tl := range r.timelines {
+		if len(tl) > 0 {
+			out = append(out, r.names[id])
+		}
+	}
 	sort.Strings(out)
 	return out
 }
@@ -313,9 +366,5 @@ func (r *Recorder) Intervals() int {
 	if r == nil {
 		return 0
 	}
-	n := 0
-	for _, tl := range r.timelines {
-		n += len(tl)
-	}
-	return n
+	return r.intervals
 }

@@ -9,15 +9,32 @@ import (
 
 const ms = des.Millisecond
 
+// idle is a machine that never runs: the tests record against processes of
+// a simulation that is never started.
+type idle struct{}
+
+func (idle) Step(*des.Proc) {}
+
+// newProcs returns processes A and B and one that never records, ghost,
+// spawned on one simulation.
+func newProcs() map[string]*des.Proc {
+	sim := des.New()
+	procs := map[string]*des.Proc{}
+	for _, name := range []string{"A", "B", "ghost"} {
+		procs[name] = sim.SpawnFSM(name, idle{})
+	}
+	return procs
+}
+
 // TestWalkFollowsEdges builds the canonical two-process exchange: A computes,
 // sends to B at t=10ms; B waits from 2ms, the message lands at 12ms; B then
 // computes until 20ms. The path must be: B compute [12,20] ← transit [10,12]
 // ← jump to A ← A compute [0,10].
 func TestWalkFollowsEdges(t *testing.T) {
-	r := NewRecorder()
-	r.Busy("A", CatCompute, 0, 10*ms)
-	r.WaitEdge("B", 2*ms, 12*ms, CatTransit, "A", 10*ms)
-	r.Busy("B", CatCompute, 12*ms, 20*ms)
+	r, p := NewRecorder(), newProcs()
+	r.Busy(p["A"], CatCompute, 0, 10*ms)
+	r.WaitEdge(p["B"], 2*ms, 12*ms, CatTransit, p["A"], 10*ms)
+	r.Busy(p["B"], CatCompute, 12*ms, 20*ms)
 
 	att := r.CriticalPath(20 * ms)
 	if err := att.Check(); err != nil {
@@ -36,9 +53,9 @@ func TestWalkFollowsEdges(t *testing.T) {
 
 // TestWalkChainDecomposition pins the PVFS-style local decomposition.
 func TestWalkChainDecomposition(t *testing.T) {
-	r := NewRecorder()
-	r.Busy("A", CatCompute, 0, 4*ms)
-	r.WaitChain("A", 4*ms, 20*ms, []Segment{
+	r, p := NewRecorder(), newProcs()
+	r.Busy(p["A"], CatCompute, 0, 4*ms)
+	r.WaitChain(p["A"], 4*ms, 20*ms, []Segment{
 		{At: 4 * ms, Cat: CatTransit},
 		{At: 6 * ms, Cat: CatIOQueue},
 		{At: 10 * ms, Cat: CatIOService},
@@ -61,8 +78,8 @@ func TestWalkChainDecomposition(t *testing.T) {
 // TestWalkGapsGoToOther: uninstrumented time must surface as CatOther, not
 // vanish (that would break conservation).
 func TestWalkGapsGoToOther(t *testing.T) {
-	r := NewRecorder()
-	r.Busy("A", CatCompute, 2*ms, 5*ms)
+	r, p := NewRecorder(), newProcs()
+	r.Busy(p["A"], CatCompute, 2*ms, 5*ms)
 	// Gap [0,2), gap [5,8), then a tail beyond the last interval [8,10).
 	att := r.CriticalPath(10 * ms)
 	if err := att.Check(); err != nil {
@@ -79,9 +96,9 @@ func TestWalkGapsGoToOther(t *testing.T) {
 // TestWalkDegenerateEdge: an edge pointing at an unknown process or into the
 // future must degrade to a plain wait, never wedge or double-count.
 func TestWalkDegenerateEdge(t *testing.T) {
-	r := NewRecorder()
-	r.WaitEdge("A", 0, 5*ms, CatSyncWait, "ghost", 3*ms)
-	r.WaitEdge("A", 5*ms, 8*ms, CatTransit, "A", 9*ms) // cause after wait end
+	r, p := NewRecorder(), newProcs()
+	r.WaitEdge(p["A"], 0, 5*ms, CatSyncWait, p["ghost"], 3*ms)
+	r.WaitEdge(p["A"], 5*ms, 8*ms, CatTransit, p["A"], 9*ms) // cause after wait end
 	att := r.CriticalPath(8 * ms)
 	if err := att.Check(); err != nil {
 		t.Fatal(err)
@@ -110,9 +127,9 @@ func TestWalkEmptyRecorder(t *testing.T) {
 
 // TestBetweenPartitions: windows must partition the path exactly.
 func TestBetweenPartitions(t *testing.T) {
-	r := NewRecorder()
-	r.Busy("A", CatCompute, 0, 6*ms)
-	r.WaitPlain("A", 6*ms, 10*ms, CatSyncWait)
+	r, p := NewRecorder(), newProcs()
+	r.Busy(p["A"], CatCompute, 0, 6*ms)
+	r.WaitPlain(p["A"], 6*ms, 10*ms, CatSyncWait)
 	att := r.CriticalPath(10 * ms)
 	var sum Breakdown
 	sum.Add(att.Between(0, 3*ms))
@@ -160,10 +177,11 @@ func TestFlowEventsPairUp(t *testing.T) {
 // TestNilRecorderSafe: every recording method must be callable on nil.
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
-	r.Busy("A", CatCompute, 0, ms)
-	r.WaitEdge("A", 0, ms, CatTransit, "B", 0)
-	r.WaitChain("A", 0, ms, nil)
-	r.WaitPlain("A", 0, ms, CatOther)
+	p := newProcs()
+	r.Busy(p["A"], CatCompute, 0, ms)
+	r.WaitEdge(p["A"], 0, ms, CatTransit, p["B"], 0)
+	r.WaitChain(p["A"], 0, ms, nil)
+	r.WaitPlain(p["A"], 0, ms, CatOther)
 	r.Flow(1, "m", "A", "B", 0, ms)
 	r.SetCaptureFlows(true)
 	if r.Intervals() != 0 || r.Totals() != (Breakdown{}) || r.Procs() != nil {
@@ -174,10 +192,10 @@ func TestNilRecorderSafe(t *testing.T) {
 // TestTotalsCountsEverything: Totals aggregates busy and blocked intervals
 // across processes, decomposing chains.
 func TestTotalsCountsEverything(t *testing.T) {
-	r := NewRecorder()
-	r.Busy("A", CatCompute, 0, 4*ms)
-	r.Busy("B", CatCompute, 0, 2*ms)
-	r.WaitChain("B", 2*ms, 6*ms, []Segment{
+	r, p := NewRecorder(), newProcs()
+	r.Busy(p["A"], CatCompute, 0, 4*ms)
+	r.Busy(p["B"], CatCompute, 0, 2*ms)
+	r.WaitChain(p["B"], 2*ms, 6*ms, []Segment{
 		{At: 2 * ms, Cat: CatIOQueue},
 		{At: 5 * ms, Cat: CatIOService},
 	})
@@ -194,10 +212,10 @@ func TestTotalsCountsEverything(t *testing.T) {
 // from (proc, hi) down to lo conserves exactly hi−lo, tiles [lo, hi), and
 // follows edges across processes inside the window.
 func TestCriticalPathBetweenWindow(t *testing.T) {
-	r := NewRecorder()
-	r.Busy("A", CatCompute, 0, 10*ms)
-	r.WaitEdge("B", 2*ms, 12*ms, CatTransit, "A", 10*ms)
-	r.Busy("B", CatCompute, 12*ms, 20*ms)
+	r, p := NewRecorder(), newProcs()
+	r.Busy(p["A"], CatCompute, 0, 10*ms)
+	r.WaitEdge(p["B"], 2*ms, 12*ms, CatTransit, p["A"], 10*ms)
+	r.Busy(p["B"], CatCompute, 12*ms, 20*ms)
 
 	// Full-range window from the furthest proc equals CriticalPath.
 	full := r.CriticalPathBetween("", 0, 20*ms)
@@ -238,8 +256,8 @@ func TestCriticalPathBetweenWindow(t *testing.T) {
 // TestCriticalPathBetweenDegenerate covers empty windows, unknown procs, and
 // nil recorders: always conserving, never panicking.
 func TestCriticalPathBetweenDegenerate(t *testing.T) {
-	r := NewRecorder()
-	r.Busy("A", CatCompute, 0, 4*ms)
+	r, p := NewRecorder(), newProcs()
+	r.Busy(p["A"], CatCompute, 0, 4*ms)
 	if att := r.CriticalPathBetween("A", 4*ms, 4*ms); att.Total != 0 {
 		t.Fatalf("empty window total %v", att.Total)
 	}

@@ -359,7 +359,7 @@ func (rt *runtime) buildGroups() {
 // master or worker, batch formatting before a write).
 func (rt *runtime) billMerge(p *des.Proc, start des.Time) {
 	if c := rt.cfg.Causal; c != nil {
-		c.Busy(p.Name(), causal.CatMerge, start, rt.sim.Now())
+		c.Busy(p, causal.CatMerge, start, rt.sim.Now())
 	}
 }
 

@@ -982,7 +982,7 @@ func (m *workerFSM) stepTask() bool {
 				return false
 			}
 			if c := r.World().Causal(); c != nil {
-				c.Busy(r.Proc().Name(), causal.CatCompute, m.sleepStart, r.Now())
+				c.Busy(r.Proc(), causal.CatCompute, m.sleepStart, r.Now())
 			}
 			// Step 8: merge with previous results for this query.
 			if rt.taskStrat(m.t).WorkerWriting() {

@@ -28,7 +28,7 @@ type Barrier struct {
 // barrierEpoch remembers who completed a barrier generation and when.
 type barrierEpoch struct {
 	gen  uint64
-	proc string
+	proc *des.Proc
 	at   des.Time
 	set  bool
 }

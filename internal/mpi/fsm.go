@@ -173,7 +173,7 @@ func (op *WaitAnyOp) Step() bool {
 func (op *WaitAnyOp) timeout() bool {
 	r := op.r
 	if c := r.w.causal; c != nil && r.Now() > op.start {
-		c.WaitPlain(r.proc.Name(), op.start, r.Now(), causal.CatRecovery)
+		c.WaitPlain(r.proc, op.start, r.Now(), causal.CatRecovery)
 	}
 	op.timedOut = true
 	return true
@@ -236,7 +236,7 @@ func (op *EventWaitOp) Step() bool {
 		if !op.timedOut {
 			r.recordEventWake(c, op.start)
 		} else if end := r.Now(); end > op.start {
-			c.WaitPlain(p.Name(), op.start, end, causal.CatRecovery)
+			c.WaitPlain(p, op.start, end, causal.CatRecovery)
 		}
 	}
 	return true
@@ -273,7 +273,7 @@ func (op *BarrierOp) Init(b *Barrier, r *Rank) {
 	if b.arrived == b.n {
 		if c := b.w.causal; c != nil {
 			b.lastArriver[gen%uint64(len(b.lastArriver))] =
-				barrierEpoch{gen: gen, proc: r.proc.Name(), at: b.w.sim.Now(), set: true}
+				barrierEpoch{gen: gen, proc: r.proc, at: b.w.sim.Now(), set: true}
 		}
 		op.delay = b.releaseDelay()
 		b.release()
@@ -300,7 +300,7 @@ func (op *BarrierOp) Step() bool {
 	}
 	if op.pc == barrierBusy {
 		if c := b.w.causal; c != nil {
-			c.Busy(p.Name(), causal.CatSyncWait, op.start, r.Now())
+			c.Busy(p, causal.CatSyncWait, op.start, r.Now())
 		}
 		return true
 	}
@@ -316,9 +316,9 @@ func (op *BarrierOp) Step() bool {
 		// to that process at its arrival instant. An epoch released by
 		// Deregister (a dead peer's teardown) has no recorded arriver.
 		if e := b.lastArriver[op.gen%uint64(len(b.lastArriver))]; e.set && e.gen == op.gen {
-			c.WaitEdge(p.Name(), op.start, r.Now(), causal.CatSyncWait, e.proc, e.at)
+			c.WaitEdge(p, op.start, r.Now(), causal.CatSyncWait, e.proc, e.at)
 		} else {
-			c.WaitPlain(p.Name(), op.start, r.Now(), causal.CatSyncWait)
+			c.WaitPlain(p, op.start, r.Now(), causal.CatSyncWait)
 		}
 	}
 	return true

@@ -65,7 +65,7 @@ type Message struct {
 	// Causal stamps, populated only when a recorder is installed: who pushed
 	// the message into the network, when, and a world-unique flow id. They
 	// let a blocked receiver resolve its wait to the sending process.
-	sentBy string
+	sentBy *des.Proc
 	sentAt des.Time
 	id     uint64
 }

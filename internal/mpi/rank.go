@@ -59,7 +59,7 @@ func (r *Rank) Compute(d des.Time) {
 	if c := r.w.causal; c != nil {
 		start := r.Now()
 		r.proc.Sleep(d)
-		c.Busy(r.proc.Name(), causal.CatCompute, start, r.Now())
+		c.Busy(r.proc, causal.CatCompute, start, r.Now())
 		return
 	}
 	r.proc.Sleep(d)
@@ -136,7 +136,7 @@ func (r *Rank) Isend(dest, tag int, bytes int64, payload any) *Request {
 	r.msgsSent++
 	r.bytesSent += uint64(bytes)
 	if w.causal != nil {
-		m.sentBy = r.proc.Name()
+		m.sentBy = r.proc
 		m.sentAt = w.sim.Now()
 		m.id = w.msgsSent
 	}
@@ -224,7 +224,7 @@ func (t *transfer) step() {
 			w.msgsToDead++
 		} else {
 			if c := w.causal; c != nil && c.CapturesFlows() && dst.proc != nil {
-				c.Flow(m.id, fmt.Sprintf("msg.%d", m.Tag), m.sentBy,
+				c.Flow(m.id, fmt.Sprintf("msg.%d", m.Tag), m.sentBy.Name(),
 					dst.proc.Name(), m.sentAt, w.sim.Now())
 			}
 			dst.deliver(m)
@@ -302,14 +302,13 @@ func (r *Rank) recordWait(c *causal.Recorder, start des.Time, q *Request) {
 	if end <= start {
 		return
 	}
-	name := r.proc.Name()
 	switch {
-	case q.msg != nil && q.msg.sentBy != "":
-		c.WaitEdge(name, start, end, causal.CatTransit, q.msg.sentBy, q.msg.sentAt)
+	case q.msg != nil && q.msg.sentBy != nil:
+		c.WaitEdge(r.proc, start, end, causal.CatTransit, q.msg.sentBy, q.msg.sentAt)
 	case q.cancelled:
-		c.WaitPlain(name, start, end, causal.CatRecovery)
+		c.WaitPlain(r.proc, start, end, causal.CatRecovery)
 	default:
-		c.WaitPlain(name, start, end, causal.CatTransit)
+		c.WaitPlain(r.proc, start, end, causal.CatTransit)
 	}
 }
 
@@ -352,12 +351,11 @@ func (r *Rank) recordEventWake(c *causal.Recorder, start des.Time) {
 	if end <= start {
 		return
 	}
-	name := r.proc.Name()
-	if r.lastMsg != nil && r.lastMsgAt == end && r.lastMsg.sentBy != "" {
-		c.WaitEdge(name, start, end, causal.CatTransit, r.lastMsg.sentBy, r.lastMsg.sentAt)
+	if r.lastMsg != nil && r.lastMsgAt == end && r.lastMsg.sentBy != nil {
+		c.WaitEdge(r.proc, start, end, causal.CatTransit, r.lastMsg.sentBy, r.lastMsg.sentAt)
 		return
 	}
-	c.WaitPlain(name, start, end, causal.CatRecovery)
+	c.WaitPlain(r.proc, start, end, causal.CatRecovery)
 }
 
 // Cancel retires a posted receive that has not matched yet: the request

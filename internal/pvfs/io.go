@@ -179,7 +179,7 @@ func (op *IssueOp) Step() bool {
 		op.launched = true
 		if c := fs.causal; c != nil {
 			// Request marshaling is part of delivering I/O service.
-			c.Busy(p.Name(), causal.CatIOService, op.issueStart, sim.Now())
+			c.Busy(p, causal.CatIOService, op.issueStart, sim.Now())
 		}
 		op.launch()
 		op.waitStart = sim.Now()
@@ -194,14 +194,14 @@ func (op *IssueOp) Step() bool {
 		if op.last.ok {
 			// The wait ended when the slowest request's ack cleared the
 			// client NIC; bill its pipeline stages.
-			c.WaitChain(p.Name(), op.waitStart, sim.Now(), []causal.Segment{
+			c.WaitChain(p, op.waitStart, sim.Now(), []causal.Segment{
 				{At: op.waitStart, Cat: causal.CatTransit},
 				{At: op.last.submit, Cat: causal.CatIOQueue},
 				{At: op.last.start, Cat: causal.CatIOService},
 				{At: op.last.done, Cat: causal.CatTransit},
 			})
 		} else {
-			c.WaitPlain(p.Name(), op.waitStart, sim.Now(), causal.CatTransit)
+			c.WaitPlain(p, op.waitStart, sim.Now(), causal.CatTransit)
 		}
 	}
 	return true

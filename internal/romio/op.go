@@ -327,7 +327,7 @@ func (op *CollWriteOp) Step() bool {
 		case collPlanSleep:
 			if c := r.World().Causal(); c != nil {
 				// Flattening the union pattern is I/O software overhead.
-				c.Busy(p.Name(), causal.CatIOService, op.planStart, r.Now())
+				c.Busy(p, causal.CatIOService, op.planStart, r.Now())
 			}
 			// Phase 2: redistribute to aggregators and write the domains.
 			op.startExchange()

@@ -347,7 +347,7 @@ func (op *CollReadOp) Step() bool {
 			}
 		case rcollPlanSleep:
 			if c := r.World().Causal(); c != nil {
-				c.Busy(p.Name(), causal.CatIOService, op.planStart, r.Now())
+				c.Busy(p, causal.CatIOService, op.planStart, r.Now())
 			}
 			// Phase 2: aggregators read their domains, then scatter the data
 			// back to contributors — the write exchange reversed.
