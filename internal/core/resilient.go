@@ -118,6 +118,7 @@ type resilientState struct {
 	pendingJoin []int // ranks
 
 	batches     []*rbatch
+	durableTo   int // batches[:durableTo] are durable (see nextDeadline)
 	collTainted bool
 
 	workReq  *mpi.Request
@@ -316,9 +317,14 @@ func (m *masterFSM) nextDeadline() des.Time {
 			m.arm(l.deadline)
 		}
 	}
-	for _, b := range m.batches {
-		for _, d := range b.owed {
-			m.arm(d.deadline)
+	// Durability is final and a durable batch owes nothing, so the scan
+	// starts past the durable prefix.
+	for m.durableTo < len(m.batches) && m.batches[m.durableTo].durable {
+		m.durableTo++
+	}
+	for _, b := range m.batches[m.durableTo:] {
+		for j := range b.owed {
+			m.arm(b.owed[j].deadline)
 		}
 	}
 	return min(m.nextSweep, m.due)
