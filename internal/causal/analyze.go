@@ -88,10 +88,10 @@ func (r *Recorder) CriticalPathBetween(proc string, lo, hi des.Time) *Attributio
 		}
 	}
 	id, known := r.lookup(proc)
-	if !known {
-		id = furthest
+	if !known && maxEnd >= 0 {
+		id, known = furthest, true
 	}
-	if maxEnd >= 0 {
+	if known {
 		att.EndProc = r.names[id]
 	}
 

@@ -16,7 +16,6 @@ func rewind(r *Recorder) {
 		r.timelines[i] = r.timelines[i][:0]
 	}
 	r.segs = r.segs[:0]
-	r.intervals = 0
 }
 
 // benchProcs spawns n processes on one simulation that is never started.

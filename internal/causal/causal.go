@@ -150,7 +150,6 @@ type Recorder struct {
 	timelines    [][]interval // by id; empty for a process seen only as an edge cause
 	byProc       []uint32     // des.Proc.ID() → interned id + 1; 0 when not cached
 	segs         []Segment    // chain arena (see interval.ref)
-	intervals    int
 	flows        []Flow
 	captureFlows bool
 }
@@ -209,7 +208,6 @@ func (r *Recorder) lookup(name string) (uint32, bool) {
 func (r *Recorder) append(p *des.Proc, iv interval) {
 	id := r.procID(p)
 	r.timelines[id] = append(r.timelines[id], iv)
-	r.intervals++
 }
 
 // Busy records that p actively spent [start, end) on cat work.
@@ -250,15 +248,15 @@ func (r *Recorder) WaitChain(p *des.Proc, start, end des.Time, segs []Segment) {
 	}
 	off := len(r.segs)
 	lo := start
-	for _, seg := range segs {
-		at := seg.At
+	for _, s := range segs {
+		at := s.At
 		if at < lo {
 			at = lo
 		}
 		if at > end {
 			at = end
 		}
-		r.segs = append(r.segs, Segment{At: at, Cat: seg.Cat})
+		r.segs = append(r.segs, Segment{At: at, Cat: s.Cat})
 		lo = at
 	}
 	// Cover [start, first boundary) with the first segment's category.
@@ -327,19 +325,19 @@ func (r *Recorder) Totals() Breakdown {
 		return b
 	}
 	for _, tl := range r.timelines {
-		for i := range tl {
-			iv := &tl[i]
-			if iv.kind != kindChain {
-				b[iv.cat] += iv.end - iv.start
-				continue
-			}
-			chain := r.chain(iv)
-			for k, seg := range chain {
-				hi := iv.end
-				if k+1 < len(chain) {
-					hi = chain[k+1].At
+		for _, iv := range tl {
+			switch iv.kind {
+			case kindChain:
+				chain := r.chain(&iv)
+				for k, seg := range chain {
+					hi := iv.end
+					if k+1 < len(chain) {
+						hi = chain[k+1].At
+					}
+					b[seg.Cat] += hi - seg.At
 				}
-				b[seg.Cat] += hi - seg.At
+			default:
+				b[iv.cat] += iv.end - iv.start
 			}
 		}
 	}
@@ -366,5 +364,9 @@ func (r *Recorder) Intervals() int {
 	if r == nil {
 		return 0
 	}
-	return r.intervals
+	n := 0
+	for _, tl := range r.timelines {
+		n += len(tl)
+	}
+	return n
 }
