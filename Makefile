@@ -24,15 +24,17 @@ race:
 	$(GO) test -race ./internal/obs/ ./internal/experiments/ ./internal/search/ ./internal/core/ ./internal/fault/ ./internal/causal/ ./internal/serve/ ./internal/pvfs/ ./internal/romio/ ./internal/adapt/ ./internal/des/ ./internal/mpi/
 
 # A short pass over every fuzz target: the chaos-spec parser, the pvfs
-# descriptor extent map, the FASTA reader, the seekable payload content
-# and the lazily seeded substream source against math/rand (longer
-# sessions: raise -fuzztime).
+# descriptor extent map, the FASTA reader, the seekable payload content,
+# the lazily seeded substream source against math/rand and the DES
+# calendar's pop order against a reference list (longer sessions: raise
+# -fuzztime).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime 15s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzExtentMap$$' -fuzztime 15s ./internal/pvfs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFASTA$$' -fuzztime 15s ./internal/bio/
 	$(GO) test -run '^$$' -fuzz '^FuzzContent$$' -fuzztime 15s ./internal/search/
 	$(GO) test -run '^$$' -fuzz '^FuzzSource$$' -fuzztime 15s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz '^FuzzCalendar$$' -fuzztime 15s ./internal/des/
 
 vet:
 	$(GO) vet ./...
@@ -50,14 +52,15 @@ bench-quick:
 # descriptor store, in-place verifier and romio read ops (DESIGN.md §14),
 # substream seeding and long-stream draws (DESIGN.md §6), the metrics
 # registry's string and handle paths with and without windows, including
-# one pvfs request's five calls (DESIGN.md §8), and one
+# one pvfs request's five calls (DESIGN.md §8), the causal recorder's
+# three hot recording calls (DESIGN.md §10), and one
 # resilient-master wake with nothing due (DESIGN.md §9). The core
 # pattern names that one benchmark: internal/core also holds the
 # minute-long BenchmarkScaleWorkers. The steady-state paths must stay
 # 0 allocs/op.
 bench-kernel:
 	$(GO) test -run '^$$' -bench '^BenchmarkRMasterIdleWake$$' -benchmem -benchtime=1s ./internal/core/
-	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/ ./internal/pvfs/ ./internal/romio/ ./internal/stats/ ./internal/obs/
+	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/ ./internal/pvfs/ ./internal/romio/ ./internal/stats/ ./internal/obs/ ./internal/causal/
 
 # Rank-scaling benchmark (DESIGN.md §12): 1k/10k/100k-rank cells on the
 # FSM worker engine, reporting events/sec and peak memory per rank. The
