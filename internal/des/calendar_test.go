@@ -11,15 +11,16 @@ import (
 //
 //	op%5 == 0, 1: push at now+arg%16 (small offsets make equal-time ties)
 //	op%5 == 2:    push at now−arg%16 (clamped to now)
-//	op%5 == 3:    RunUntil(now+arg%32); each firing callback may push a
-//	              child event from the next byte pair
+//	op%5 == 3:    RunUntil(now+arg%32)
 //	op%5 == 4:    Reset when arg is 0, otherwise RunUntil(now)
 //
-// and a final Run drains the calendar. It asserts that each pop is the
-// pending event least by (t, seq) — so the pop order is a stable sort by
-// time of the insertion order — that RunUntil leaves nothing at or before
-// its limit, and that the operand arena holds exactly the queued events'
-// operands: no slot keeps one after its pop or after Reset.
+// and a final Run drains the calendar. Each firing event consumes the next
+// byte pair and, when its op is even, pushes a child at now+arg%16, so
+// pushes also interleave with pops inside a run. It asserts that each pop
+// is the pending event least by (t, seq) — so the pop order is a stable
+// sort by time of the insertion order — that RunUntil leaves nothing at or
+// before its limit, and that the operand arena holds exactly the queued
+// events' operands: no slot keeps one after its pop or after Reset.
 func checkCalendar(t *testing.T, data []byte) {
 	type ref struct {
 		t   Time
