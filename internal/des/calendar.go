@@ -92,15 +92,15 @@ func (c *calendar) pop() (Time, evKind, unsafe.Pointer) {
 			m := first
 			if first+3 < n {
 				// All four children: a two-round tournament.
-				c := h[first : first+4 : first+4]
+				kids := h[first : first+4 : first+4]
 				a, b := 0, 2
-				if c[1].before(&c[0]) {
+				if kids[1].before(&kids[0]) {
 					a = 1
 				}
-				if c[3].before(&c[2]) {
+				if kids[3].before(&kids[2]) {
 					b = 3
 				}
-				if c[b].before(&c[a]) {
+				if kids[b].before(&kids[a]) {
 					a = b
 				}
 				m += a
