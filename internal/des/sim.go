@@ -104,19 +104,21 @@ func (s *Simulation) Events() uint64 { return s.events }
 
 // PendingEvents reports how many calendar entries are currently queued,
 // including tombstoned timers that have not reached their deadline yet.
-func (s *Simulation) PendingEvents() int { return len(s.cal.h) }
+func (s *Simulation) PendingEvents() int { return s.cal.len() }
 
 // Procs reports how many processes are currently registered (done or not);
 // zero after a Reset.
 func (s *Simulation) Procs() int { return len(s.procs) }
 
 // push schedules a tagged event at absolute time t (clamped to the
-// present), assigning the next insertion sequence number.
+// present), assigning the next insertion sequence number. An event at the
+// present time goes to the calendar's now lane, any other to its heap.
 func (s *Simulation) push(t Time, kind evKind, arg unsafe.Pointer) {
-	if t < s.now {
-		t = s.now
-	}
 	s.seq++
+	if t <= s.now {
+		s.cal.pushNow(s.now, s.seq, kind, arg)
+		return
+	}
 	s.cal.push(t, s.seq, kind, arg)
 }
 
@@ -127,9 +129,16 @@ func (s *Simulation) At(t Time, fn func()) {
 }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
+// Callers pass the same few fixed delays (wire latencies) again and again,
+// so a positive d goes to the calendar's lane for d.
 func (s *Simulation) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
+	}
+	if t := s.now + d; t > s.now {
+		s.seq++
+		s.cal.pushAfter(d, t, s.seq, evFunc, funcArg(fn))
+		return
 	}
 	s.At(s.now+d, fn)
 }
@@ -175,8 +184,11 @@ func (e *DeadlockError) Error() string {
 // never block its goroutine, and without the yield the GC's background
 // worker runs only at forced preemption, stretching every mark phase.
 func (s *Simulation) Run() error {
-	for len(s.cal.h) > 0 {
-		t, kind, arg := s.cal.pop()
+	for {
+		t, kind, arg, ok := s.cal.pop(endOfTime)
+		if !ok {
+			break
+		}
 		s.now = t
 		if s.events++; s.events%1024 == 0 {
 			runtime.Gosched()
@@ -203,8 +215,11 @@ func (s *Simulation) Run() error {
 // RunUntil executes events with time ≤ limit, leaving later events queued.
 // It reports whether the calendar still holds events past the limit.
 func (s *Simulation) RunUntil(limit Time) bool {
-	for len(s.cal.h) > 0 && s.cal.h[0].t <= limit {
-		t, kind, arg := s.cal.pop()
+	for {
+		t, kind, arg, ok := s.cal.pop(limit)
+		if !ok {
+			break
+		}
 		s.now = t
 		s.events++
 		if kind == evFunc {
@@ -213,7 +228,7 @@ func (s *Simulation) RunUntil(limit Time) bool {
 		}
 		s.dispatch(kind, arg)
 	}
-	return len(s.cal.h) > 0
+	return s.cal.len() > 0
 }
 
 // dispatch performs a popped event's action. It runs in kernel context.

@@ -4,7 +4,7 @@
 // processes (one goroutine each, exactly one runnable at a time), condition
 // signals, and FCFS resources with both blocking and callback interfaces.
 //
-// Determinism: all wakeups flow through a single event heap ordered by
+// Determinism: all wakeups flow through a single event calendar ordered by
 // (time, insertion sequence), so identical inputs yield identical schedules
 // regardless of goroutine scheduling by the Go runtime.
 package des
