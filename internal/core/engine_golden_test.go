@@ -301,14 +301,23 @@ var resilientCases = []engineCase{
 	// A crash 10ms before the fault-free run would end, restarting 20ms
 	// later while 300ms delays hold the shutdown handshake open, revives the
 	// rank during shutdown. Crashing every worker for good fails the run.
-	{name: "stale-incarnation_WW-List", hash: "4e6f467122de74614d018ee1dfaf6b8a089d0b024f304fa4cde0a73c7e0de8d0", events: 25162,
+	{name: "stale-incarnation_WW-List", hash: "41c2329b202abcf7b23271e97d37f3d448b22f2ebb9383de9d480b54a04edbd0", events: 25080,
 		config: resilientCell(WWList, inFlightCrashPlan(5*des.Millisecond), nil)},
-	{name: "dead-incarnation_WW-List", hash: "7eff8735b05326b21b0840806bdaf4f182f9c38ba3b31ca1f743726b73fa37b8", events: 25288,
+	{name: "dead-incarnation_WW-List", hash: "cbc7bf5fa02909b3a2a4c02818e13fec406f44a32fee7ebd94897841713f088a", events: 25074,
 		config: resilientCell(WWList, inFlightCrashPlan(100*des.Millisecond), nil)},
 	{name: "late-revival_WW-List", hash: "98b1329534662be36ba984c52e1caf3cceecc32c89644743696f39c849329965", events: 25616,
 		config: resilientCell(WWList, &fault.Plan{Seed: 5, Events: []fault.Event{
 			{Kind: fault.Crash, At: 6_126_302_877, Rank: 5, Server: -1, Restart: 20 * des.Millisecond},
 			{Kind: fault.Delay, At: 5_836_302_877, Rank: -1, Server: -1, Prob: 1, Extra: 300 * des.Millisecond},
+		}}, nil)},
+	// A score rank 5 sent before crashing for good, delayed past the sweep
+	// that declares it dead: the master drops it (the lease is requeued)
+	// instead of merging placements for a rank that will never write them.
+	{name: "dead-score_WW-List", hash: "f7603227e26eb5752e46a2bcaf3a11db0e1d19b85dfdc6ec1f8c4063a46ce51a", events: 24065,
+		config: resilientCell(WWList, &fault.Plan{Seed: 5, Events: []fault.Event{
+			{Kind: fault.Crash, At: 1200 * des.Millisecond, Rank: 5, Server: -1},
+			{Kind: fault.Delay, At: 1100 * des.Millisecond, For: 200 * des.Millisecond,
+				Rank: -1, Server: -1, Prob: 1, Extra: 20 * des.Millisecond},
 		}}, nil)},
 	{name: "no-live-worker_WW-List", err: "core: group 0 has unfinished work but no live workers and no pending restart", events: 295,
 		config: resilientCell(WWList, &fault.Plan{Seed: 1, Events: []fault.Event{

@@ -64,11 +64,14 @@ type task struct {
 	Strat Strategy
 }
 
-// scoreMsg is a worker's report for one completed task.
+// scoreMsg is a worker's report for one completed task. Inc is the
+// sender's incarnation, as in workReqMsg: the resilient master drops a
+// score from a dead or superseded incarnation.
 type scoreMsg struct {
 	Task        task
 	Count       int   // results produced
 	ResultBytes int64 // total result payload bytes
+	Inc         int
 }
 
 // offsetMsg carries a worker's write placements for one flushed batch.

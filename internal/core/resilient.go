@@ -187,15 +187,22 @@ func (m *masterFSM) stepResilient() bool {
 		// as lost and requeue an already-finished task.
 		switch {
 		case m.scoreReq.Done():
-			// Clear the task's lease, then merge the report unless it is a
-			// duplicate from a re-executed task.
+			// Drop a score from a dead or superseded incarnation: its
+			// death already requeued the task, and the rank will never
+			// write placements merged for it. Otherwise clear the task's
+			// lease, then merge the report unless it is a duplicate from a
+			// re-executed task.
 			msg := m.scoreReq.Message()
 			m.scoreReq = r.Irecv(mpi.AnySource, tagScores)
-			t := msg.Payload.(scoreMsg).Task
-			if ws := &m.ws[m.slot(msg.Source)]; ws.lease != nil && ws.lease.t == t {
+			sm := msg.Payload.(scoreMsg)
+			ws := &m.ws[m.slot(msg.Source)]
+			if !ws.live || sm.Inc < ws.incarn {
+				return true
+			}
+			if ws.lease != nil && ws.lease.t == sm.Task {
 				ws.lease = nil
 			}
-			if m.taskDone[m.taskIndex(t)] {
+			if m.taskDone[m.taskIndex(sm.Task)] {
 				rt.fm.tasksDuplicate.Add(1)
 				return true
 			}

@@ -1060,7 +1060,7 @@ func (m *workerFSM) taskSend() {
 	}
 	m.pending = append(m.pending,
 		m.r.Isend(m.g.masterRank, tagScores, wire,
-			scoreMsg{Task: m.t, Count: m.taskCount, ResultBytes: m.taskBytes}))
+			scoreMsg{Task: m.t, Count: m.taskCount, ResultBytes: m.taskBytes, Inc: m.r.Incarnation()}))
 }
 
 // stampFlush records when a batch's data last became durable: the latest
