@@ -50,14 +50,15 @@ bench-quick:
 # layer riding on them, the adaptive controller's decision path
 # (DESIGN.md §16), payload fill throughput, the capture path's
 # descriptor store, in-place verifier and romio read ops (DESIGN.md §14),
-# substream seeding and long-stream draws (DESIGN.md §6), the metrics
+# the romio write ops (individual per method, collective two-phase and
+# list-sync), substream seeding and long-stream draws (DESIGN.md §6), the metrics
 # registry's string and handle paths with and without windows, including
 # one pvfs request's five calls (DESIGN.md §8), the causal recorder's
 # three hot recording calls (DESIGN.md §10), and one
 # resilient-master wake with nothing due (DESIGN.md §9). The core
 # pattern names that one benchmark: internal/core also holds the
 # minute-long BenchmarkScaleWorkers. The steady-state paths must stay
-# 0 allocs/op.
+# 0 allocs/op; the romio ops still allocate (ROADMAP item 9).
 bench-kernel:
 	$(GO) test -run '^$$' -bench '^BenchmarkRMasterIdleWake$$' -benchmem -benchtime=1s ./internal/core/
 	$(GO) test -bench=. -benchmem -benchtime=1s ./internal/des/ ./internal/mpi/ ./internal/adapt/ ./internal/search/ ./internal/pvfs/ ./internal/romio/ ./internal/stats/ ./internal/obs/ ./internal/causal/
