@@ -125,23 +125,22 @@ func (c *calendar) pushNow(t Time, seq uint64, kind evKind, arg unsafe.Pointer) 
 // lane holds d, an empty lane is rekeyed to it; if every lane holds another
 // delay, the entry goes to the heap.
 func (c *calendar) pushAfter(d, t Time, seq uint64, kind evKind, arg unsafe.Pointer) {
-	var spare *lane
+	var l *lane
 	for i := 1; i < laneCount; i++ {
-		l := &c.lanes[i]
-		if l.delay == d {
-			l.push(entry{t: t, seq: seq, slot: c.hold(arg), kind: kind})
-			return
+		if c.lanes[i].delay == d {
+			l = &c.lanes[i]
+			break
 		}
-		if spare == nil && l.n == 0 {
-			spare = l
+		if l == nil && c.lanes[i].n == 0 {
+			l = &c.lanes[i]
 		}
 	}
-	if spare == nil {
+	if l == nil {
 		c.push(t, seq, kind, arg)
 		return
 	}
-	spare.delay = d
-	spare.push(entry{t: t, seq: seq, slot: c.hold(arg), kind: kind})
+	l.delay = d
+	l.push(entry{t: t, seq: seq, slot: c.hold(arg), kind: kind})
 }
 
 // push appends e at the lane's tail, doubling the ring when it is full.
@@ -155,6 +154,9 @@ func (l *lane) push(e entry) {
 	l.ring[(l.head+l.n)&uint32(len(l.ring)-1)] = e
 	l.n++
 }
+
+// endOfTime is the pop limit that admits every entry.
+const endOfTime = Time(math.MaxInt64)
 
 // pop removes the earliest entry if its time is at most limit, and returns
 // its time, kind and operand, freeing the operand's slot. ok is false, and
@@ -238,9 +240,6 @@ func (c *calendar) popHeap() {
 	}
 	c.h = h
 }
-
-// endOfTime is the pop limit that admits every entry.
-const endOfTime = Time(math.MaxInt64)
 
 // reset empties the calendar, keeping its storage and releasing every
 // operand it still held to the GC.
