@@ -66,12 +66,13 @@ type task struct {
 
 // scoreMsg is a worker's report for one completed task. Inc is the
 // sender's incarnation, as in workReqMsg: the resilient master drops a
-// score from a dead or superseded incarnation.
+// score from a dead or superseded incarnation. Count and Inc are int32 so
+// that a score, boxed once per task, fits the 48-byte size class.
 type scoreMsg struct {
 	Task        task
-	Count       int   // results produced
+	Count       int32 // results produced
+	Inc         int32
 	ResultBytes int64 // total result payload bytes
-	Inc         int
 }
 
 // offsetMsg carries a worker's write placements for one flushed batch.

@@ -196,7 +196,7 @@ func (m *masterFSM) stepResilient() bool {
 			m.scoreReq = r.Irecv(mpi.AnySource, tagScores)
 			sm := msg.Payload.(scoreMsg)
 			ws := &m.ws[m.slot(msg.Source)]
-			if !ws.live || sm.Inc < ws.incarn {
+			if !ws.live || int(sm.Inc) < ws.incarn {
 				return true
 			}
 			if ws.lease != nil && ws.lease.t == sm.Task {

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"s3asim/internal/des"
 	"s3asim/internal/fault"
@@ -211,5 +212,13 @@ func BenchmarkRMasterIdleWake(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		idleWake(rt, m)
+	}
+}
+
+// TestScoreMsgIs48Bytes pins the score's size: one is boxed per task, and
+// the incarnation field must not push it into the 64-byte size class.
+func TestScoreMsgIs48Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(scoreMsg{}); n != 48 {
+		t.Fatalf("scoreMsg is %d bytes, want 48", n)
 	}
 }

@@ -1060,7 +1060,7 @@ func (m *workerFSM) taskSend() {
 	}
 	m.pending = append(m.pending,
 		m.r.Isend(m.g.masterRank, tagScores, wire,
-			scoreMsg{Task: m.t, Count: m.taskCount, ResultBytes: m.taskBytes, Inc: m.r.Incarnation()}))
+			scoreMsg{Task: m.t, Count: int32(m.taskCount), Inc: int32(m.r.Incarnation()), ResultBytes: m.taskBytes}))
 }
 
 // stampFlush records when a batch's data last became durable: the latest
