@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test short race fuzz vet bench bench-quick bench-kernel bench-scale bench-readback bench-adaptive perfbench-build perfbench-test check
+.PHONY: build test short race fuzz vet destest-guard bench bench-quick bench-kernel bench-scale bench-readback bench-adaptive perfbench-build perfbench-test check
 
 build:
 	$(GO) build ./...
@@ -18,10 +18,12 @@ short:
 # The sweep executor, workload cache, engine, fault layer, the serving
 # traffic generator, the file-system and ROMIO layers (shared by the
 # verified read path), the adaptive controller, the shared
-# observability sinks/registry under concurrent cells, and the DES kernel
-# and MPI layer every rank's state machine runs on.
+# observability sinks/registry under concurrent cells, the DES kernel
+# and MPI layer every rank's state machine runs on, and the test adapter
+# that hands control between the kernel and a straight-line body's
+# goroutine.
 race:
-	$(GO) test -race ./internal/obs/ ./internal/experiments/ ./internal/search/ ./internal/core/ ./internal/fault/ ./internal/causal/ ./internal/serve/ ./internal/pvfs/ ./internal/romio/ ./internal/adapt/ ./internal/des/ ./internal/mpi/
+	$(GO) test -race ./internal/obs/ ./internal/experiments/ ./internal/search/ ./internal/core/ ./internal/fault/ ./internal/causal/ ./internal/serve/ ./internal/pvfs/ ./internal/romio/ ./internal/adapt/ ./internal/des/ ./internal/mpi/ ./internal/des/destest/
 
 # A short pass over every fuzz target: the chaos-spec parser, the pvfs
 # descriptor extent map, the FASTA reader, the seekable payload content,
@@ -38,6 +40,15 @@ fuzz:
 
 vet:
 	$(GO) vet ./...
+
+# internal/des/destest runs straight-line test bodies on goroutines; it is
+# test support only. Fail if any non-test package of the module imports it
+# (.Imports lists non-test imports only), so the run path keeps one
+# process form: des.Machine.
+destest-guard:
+	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | \
+		awk '{ for (i = 2; i <= NF; i++) if ($$i == "s3asim/internal/des/destest") print $$1 }'); \
+	if [ -n "$$bad" ]; then echo "non-test packages import s3asim/internal/des/destest:" $$bad >&2; exit 1; fi
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
@@ -95,4 +106,4 @@ perfbench-build:
 perfbench-test:
 	$(GO) -C perfbench test -run 'TestGolden|TestHeldOutSeed'
 
-check: build vet test race perfbench-build perfbench-test
+check: build vet destest-guard test race perfbench-build perfbench-test

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 	"s3asim/internal/stats"
 )
 
@@ -280,14 +281,14 @@ func TestStrategyParseRoundTrip(t *testing.T) {
 func TestPhaseTimer(t *testing.T) {
 	sim := des.New()
 	var buckets [NumPhases]des.Time
-	sim.Spawn("p", func(p *des.Proc) {
+	destest.Spawn(sim, "p", func(p *des.Proc) {
 		pt := NewPhaseTimer(sim)
 		pt.Switch(PhaseCompute)
-		p.Sleep(5 * des.Second)
+		destest.Sleep(p, 5*des.Second)
 		pt.Switch(PhaseIO)
-		p.Sleep(3 * des.Second)
+		destest.Sleep(p, 3*des.Second)
 		pt.Switch(PhaseIO) // no-op
-		p.Sleep(des.Second)
+		destest.Sleep(p, des.Second)
 		pt.Finish()
 		pt.Switch(PhaseSync) // after Finish: ignored
 		buckets = pt.Buckets()

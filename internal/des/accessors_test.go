@@ -1,39 +1,42 @@
-package des
+package des_test
 
 import (
 	"strings"
 	"testing"
+
+	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 func TestTimeConversions(t *testing.T) {
-	if FromSeconds(1.5) != Second+Second/2 {
-		t.Fatalf("FromSeconds(1.5) = %v", FromSeconds(1.5))
+	if des.FromSeconds(1.5) != des.Second+des.Second/2 {
+		t.Fatalf("FromSeconds(1.5) = %v", des.FromSeconds(1.5))
 	}
-	if (2 * Second).Seconds() != 2 {
-		t.Fatalf("Seconds = %v", (2 * Second).Seconds())
+	if (2 * des.Second).Seconds() != 2 {
+		t.Fatalf("Seconds = %v", (2 * des.Second).Seconds())
 	}
-	if (3 * Microsecond).Micros() != 3 {
-		t.Fatalf("Micros = %v", (3 * Microsecond).Micros())
+	if (3 * des.Microsecond).Micros() != 3 {
+		t.Fatalf("Micros = %v", (3 * des.Microsecond).Micros())
 	}
-	if got := (1500 * Millisecond).String(); got != "1.500000s" {
+	if got := (1500 * des.Millisecond).String(); got != "1.500000s" {
 		t.Fatalf("String = %q", got)
 	}
-	if Minute != 60*Second || Hour != 60*Minute {
+	if des.Minute != 60*des.Second || des.Hour != 60*des.Minute {
 		t.Fatal("calendar constants off")
 	}
 }
 
 func TestProcAccessors(t *testing.T) {
-	s := New()
-	var p *Proc
-	p = s.Spawn("worker", func(self *Proc) {
+	s := des.New()
+	var p *des.Proc
+	p = destest.Spawn(s, "worker", func(self *des.Proc) {
 		if self.Name() != "worker" || self.ID() != 0 || self.Sim() != s {
 			t.Error("proc accessors wrong inside body")
 		}
 		if self.Done() {
 			t.Error("Done true while running")
 		}
-		self.Sleep(1)
+		destest.Sleep(self, 1)
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -44,7 +47,7 @@ func TestProcAccessors(t *testing.T) {
 }
 
 func TestResourceAccessorsAndValidation(t *testing.T) {
-	s := New()
+	s := des.New()
 	r := s.NewResource("disk", 2)
 	if r.Name() != "disk" || r.Capacity() != 2 {
 		t.Fatalf("accessors: %s %d", r.Name(), r.Capacity())
@@ -66,7 +69,7 @@ func TestResourceAccessorsAndValidation(t *testing.T) {
 }
 
 func TestGatePending(t *testing.T) {
-	s := New()
+	s := des.New()
 	g := s.NewGate(2)
 	if g.Pending() != 2 {
 		t.Fatalf("Pending = %d", g.Pending())
@@ -78,9 +81,9 @@ func TestGatePending(t *testing.T) {
 }
 
 func TestDeadlockErrorMessage(t *testing.T) {
-	s := New()
+	s := des.New()
 	sig := s.NewSignal()
-	s.Spawn("stuck-proc", func(p *Proc) { sig.Wait(p) })
+	destest.Spawn(s, "stuck-proc", func(p *des.Proc) { destest.Wait(p, sig) })
 	err := s.Run()
 	if err == nil || !strings.Contains(err.Error(), "stuck-proc") ||
 		!strings.Contains(err.Error(), "deadlock") {

@@ -7,7 +7,7 @@ import (
 
 // entry is one calendar entry. Entries with equal times fire in insertion
 // order (seq), which keeps the simulation deterministic. An entry holds no
-// pointer: its operand — a *Proc (evStart, evResume), a *waiter (evWake,
+// pointer: its operand — a *Proc (evResume), a *waiter (evWake,
 // evBroadcast chain head, evTimer) or a closure (evFunc), discriminated by
 // kind — lives in the calendar's operand arena at slot. The heap array and
 // the lane rings are therefore never scanned by the GC, and moving an entry

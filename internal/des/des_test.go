@@ -1,14 +1,17 @@
-package des
+package des_test
 
 import (
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 func TestEventOrdering(t *testing.T) {
-	s := New()
+	s := des.New()
 	var got []int
 	s.At(30, func() { got = append(got, 3) })
 	s.At(10, func() { got = append(got, 1) })
@@ -32,8 +35,8 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestSchedulingInPastClamps(t *testing.T) {
-	s := New()
-	var fired Time = -1
+	s := des.New()
+	var fired des.Time = -1
 	s.At(100, func() {
 		s.At(5, func() { fired = s.Now() }) // in the past
 	})
@@ -46,7 +49,7 @@ func TestSchedulingInPastClamps(t *testing.T) {
 }
 
 func TestAfterNegativeClamps(t *testing.T) {
-	s := New()
+	s := des.New()
 	ran := false
 	s.After(-50, func() { ran = true })
 	if err := s.Run(); err != nil {
@@ -58,36 +61,36 @@ func TestAfterNegativeClamps(t *testing.T) {
 }
 
 func TestProcSleepAdvancesTime(t *testing.T) {
-	s := New()
-	var wake Time
-	s.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(5 * Second)
+	s := des.New()
+	var wake des.Time
+	destest.Spawn(s, "sleeper", func(p *des.Proc) {
+		destest.Sleep(p, 5*des.Second)
 		wake = p.Now()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if wake != 5*Second {
+	if wake != 5*des.Second {
 		t.Fatalf("woke at %v, want 5s", wake)
 	}
 }
 
 func TestProcsInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
-		s := New()
+		s := des.New()
 		var order []string
 		for _, spec := range []struct {
 			name string
-			gaps []Time
+			gaps []des.Time
 		}{
-			{"a", []Time{3, 3}},
-			{"b", []Time{2, 5}},
-			{"c", []Time{4, 1}},
+			{"a", []des.Time{3, 3}},
+			{"b", []des.Time{2, 5}},
+			{"c", []des.Time{4, 1}},
 		} {
 			spec := spec
-			s.Spawn(spec.name, func(p *Proc) {
+			destest.Spawn(s, spec.name, func(p *des.Proc) {
 				for _, g := range spec.gaps {
-					p.Sleep(g)
+					destest.Sleep(p, g)
 					order = append(order, spec.name)
 				}
 			})
@@ -115,18 +118,18 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 }
 
 func TestSignalBroadcastWakesAllFIFO(t *testing.T) {
-	s := New()
+	s := des.New()
 	sig := s.NewSignal()
 	var order []string
 	for _, name := range []string{"w1", "w2", "w3"} {
 		name := name
-		s.Spawn(name, func(p *Proc) {
-			sig.Wait(p)
+		destest.Spawn(s, name, func(p *des.Proc) {
+			destest.Wait(p, sig)
 			order = append(order, name)
 		})
 	}
-	s.Spawn("waker", func(p *Proc) {
-		p.Sleep(10)
+	destest.Spawn(s, "waker", func(p *des.Proc) {
+		destest.Sleep(p, 10)
 		if sig.Waiters() != 3 {
 			t.Errorf("waiters = %d, want 3", sig.Waiters())
 		}
@@ -144,19 +147,19 @@ func TestSignalBroadcastWakesAllFIFO(t *testing.T) {
 }
 
 func TestSignalWakesOne(t *testing.T) {
-	s := New()
+	s := des.New()
 	sig := s.NewSignal()
 	woken := 0
 	for i := 0; i < 3; i++ {
-		s.Spawn("w", func(p *Proc) {
-			sig.Wait(p)
+		destest.Spawn(s, "w", func(p *des.Proc) {
+			destest.Wait(p, sig)
 			woken++
 		})
 	}
-	s.Spawn("waker", func(p *Proc) {
-		p.Sleep(1)
+	destest.Spawn(s, "waker", func(p *des.Proc) {
+		destest.Sleep(p, 1)
 		sig.Signal()
-		p.Sleep(1)
+		destest.Sleep(p, 1)
 		sig.Broadcast() // release the rest so Run doesn't deadlock
 	})
 	if err := s.Run(); err != nil {
@@ -168,11 +171,11 @@ func TestSignalWakesOne(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	s := New()
+	s := des.New()
 	sig := s.NewSignal()
-	s.Spawn("stuck", func(p *Proc) { sig.Wait(p) })
+	destest.Spawn(s, "stuck", func(p *des.Proc) { destest.Wait(p, sig) })
 	err := s.Run()
-	de, ok := err.(*DeadlockError)
+	de, ok := err.(*des.DeadlockError)
 	if !ok {
 		t.Fatalf("err = %v, want *DeadlockError", err)
 	}
@@ -181,47 +184,55 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// join waits for g's count to reach zero.
+func join(p *des.Proc, g *des.Gate) {
+	for g.Pending() > 0 {
+		g.Park(p)
+		destest.Yield(p)
+	}
+}
+
 func TestGateJoin(t *testing.T) {
-	s := New()
+	s := des.New()
 	g := s.NewGate(3)
-	var doneAt Time = -1
-	s.Spawn("joiner", func(p *Proc) {
-		g.Wait(p)
+	var doneAt des.Time = -1
+	destest.Spawn(s, "joiner", func(p *des.Proc) {
+		join(p, g)
 		doneAt = p.Now()
 	})
 	for i := 1; i <= 3; i++ {
-		d := Time(i) * Second
-		s.Spawn("worker", func(p *Proc) {
-			p.Sleep(d)
+		d := des.Time(i) * des.Second
+		destest.Spawn(s, "worker", func(p *des.Proc) {
+			destest.Sleep(p, d)
 			g.Done()
 		})
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if doneAt != 3*Second {
+	if doneAt != 3*des.Second {
 		t.Fatalf("gate opened at %v, want 3s", doneAt)
 	}
 }
 
 func TestGateWaitWhenAlreadyZero(t *testing.T) {
-	s := New()
+	s := des.New()
 	g := s.NewGate(0)
 	passed := false
-	s.Spawn("p", func(p *Proc) {
-		g.Wait(p)
+	destest.Spawn(s, "p", func(p *des.Proc) {
+		join(p, g)
 		passed = true
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !passed {
-		t.Fatal("Wait on zero gate should not block")
+		t.Fatal("waiting on a zero gate should not block")
 	}
 }
 
 func TestGateNegativePanics(t *testing.T) {
-	s := New()
+	s := des.New()
 	g := s.NewGate(0)
 	defer func() {
 		if recover() == nil {
@@ -232,9 +243,9 @@ func TestGateNegativePanics(t *testing.T) {
 }
 
 func TestResourceFCFSSerialization(t *testing.T) {
-	s := New()
+	s := des.New()
 	r := s.NewResource("disk", 1)
-	var completions []Time
+	var completions []des.Time
 	// Three 10-unit requests submitted at t=0 must finish at 10, 20, 30.
 	for i := 0; i < 3; i++ {
 		r.Submit(10, func() { completions = append(completions, s.Now()) })
@@ -242,7 +253,7 @@ func TestResourceFCFSSerialization(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []Time{10, 20, 30}
+	want := []des.Time{10, 20, 30}
 	for i := range want {
 		if completions[i] != want[i] {
 			t.Fatalf("completions %v, want %v", completions, want)
@@ -255,16 +266,16 @@ func TestResourceFCFSSerialization(t *testing.T) {
 }
 
 func TestResourceCapacityParallelism(t *testing.T) {
-	s := New()
+	s := des.New()
 	r := s.NewResource("nic", 2)
-	var completions []Time
+	var completions []des.Time
 	for i := 0; i < 4; i++ {
 		r.Submit(10, func() { completions = append(completions, s.Now()) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []Time{10, 10, 20, 20}
+	want := []des.Time{10, 10, 20, 20}
 	for i := range want {
 		if completions[i] != want[i] {
 			t.Fatalf("completions %v, want %v", completions, want)
@@ -273,15 +284,17 @@ func TestResourceCapacityParallelism(t *testing.T) {
 }
 
 func TestResourceUseBlocksProc(t *testing.T) {
-	s := New()
+	s := des.New()
 	r := s.NewResource("disk", 1)
-	var aDone, bDone Time
-	s.Spawn("a", func(p *Proc) {
+	var aDone, bDone des.Time
+	destest.Spawn(s, "a", func(p *des.Proc) {
 		r.Use(p, 7)
+		destest.Yield(p)
 		aDone = p.Now()
 	})
-	s.Spawn("b", func(p *Proc) {
+	destest.Spawn(s, "b", func(p *des.Proc) {
 		r.Use(p, 5)
+		destest.Yield(p)
 		bDone = p.Now()
 	})
 	if err := s.Run(); err != nil {
@@ -293,9 +306,9 @@ func TestResourceUseBlocksProc(t *testing.T) {
 }
 
 func TestResourceIdleGapResetsQueue(t *testing.T) {
-	s := New()
+	s := des.New()
 	r := s.NewResource("disk", 1)
-	var second Time
+	var second des.Time
 	r.Submit(5, nil)
 	s.At(100, func() {
 		r.Submit(5, func() { second = s.Now() })
@@ -312,9 +325,9 @@ func TestResourceIdleGapResetsQueue(t *testing.T) {
 }
 
 func TestRunUntilStopsAtLimit(t *testing.T) {
-	s := New()
-	var fired []Time
-	for _, at := range []Time{5, 15, 25} {
+	s := des.New()
+	var fired []des.Time
+	for _, at := range []des.Time{5, 15, 25} {
 		at := at
 		s.At(at, func() { fired = append(fired, at) })
 	}
@@ -334,13 +347,13 @@ func TestRunUntilStopsAtLimit(t *testing.T) {
 }
 
 func TestBytesOver(t *testing.T) {
-	if got := BytesOver(1000, 1000); got != Second {
+	if got := des.BytesOver(1000, 1000); got != des.Second {
 		t.Fatalf("1000B at 1000B/s = %v, want 1s", got)
 	}
-	if got := BytesOver(0, 100); got != 0 {
+	if got := des.BytesOver(0, 100); got != 0 {
 		t.Fatalf("0 bytes = %v, want 0", got)
 	}
-	if got := BytesOver(100, 0); got != 0 {
+	if got := des.BytesOver(100, 0); got != 0 {
 		t.Fatalf("zero rate = %v, want 0 (infinite bw)", got)
 	}
 }
@@ -349,10 +362,10 @@ func TestBytesOver(t *testing.T) {
 // insertion order.
 func TestPropertyEventTimeMonotonic(t *testing.T) {
 	f := func(raw []uint16) bool {
-		s := New()
-		var fired []Time
+		s := des.New()
+		var fired []des.Time
 		for _, r := range raw {
-			at := Time(r)
+			at := des.Time(r)
 			s.At(at, func() { fired = append(fired, s.Now()) })
 		}
 		if err := s.Run(); err != nil {
@@ -370,15 +383,15 @@ func TestPropertyEventTimeMonotonic(t *testing.T) {
 // t=0, and per-request completions are the prefix sums.
 func TestPropertyResourceConservation(t *testing.T) {
 	f := func(raw []uint8) bool {
-		s := New()
+		s := des.New()
 		r := s.NewResource("r", 1)
-		var completions []Time
-		var prefix []Time
-		var sum Time
+		var completions []des.Time
+		var prefix []des.Time
+		var sum des.Time
 		for _, d := range raw {
-			sum += Time(d)
+			sum += des.Time(d)
 			prefix = append(prefix, sum)
-			r.Submit(Time(d), func() { completions = append(completions, s.Now()) })
+			r.Submit(des.Time(d), func() { completions = append(completions, s.Now()) })
 		}
 		if err := s.Run(); err != nil {
 			return false
@@ -408,15 +421,15 @@ func TestPropertyResourceCapacityRespected(t *testing.T) {
 	}
 	f := func(reqs []req, capRaw uint8) bool {
 		capacity := int(capRaw%4) + 1
-		s := New()
+		s := des.New()
 		r := s.NewResource("r", capacity)
-		type iv struct{ start, end Time }
+		type iv struct{ start, end des.Time }
 		var ivs []iv
 		for _, q := range reqs {
 			q := q
-			s.At(Time(q.At), func() {
-				end := r.Submit(Time(q.Dur), nil)
-				ivs = append(ivs, iv{end - Time(q.Dur), end})
+			s.At(des.Time(q.At), func() {
+				end := r.Submit(des.Time(q.Dur), nil)
+				ivs = append(ivs, iv{end - des.Time(q.Dur), end})
 			})
 		}
 		if err := s.Run(); err != nil {
@@ -424,7 +437,7 @@ func TestPropertyResourceCapacityRespected(t *testing.T) {
 		}
 		// Max overlap of half-open intervals [start,end) with dur>0.
 		type edge struct {
-			t     Time
+			t     des.Time
 			delta int
 		}
 		var edges []edge
@@ -457,22 +470,23 @@ func TestPropertyResourceCapacityRespected(t *testing.T) {
 // Fuzz-ish determinism check: random workloads produce identical event
 // counts and final times across repeated runs.
 func TestPropertyDeterministicReplay(t *testing.T) {
-	build := func(seed int64) (Time, uint64) {
+	build := func(seed int64) (des.Time, uint64) {
 		rng := rand.New(rand.NewSource(seed))
-		s := New()
+		s := des.New()
 		r := s.NewResource("r", 2)
 		sig := s.NewSignal()
 		n := 5 + rng.Intn(10)
 		for i := 0; i < n; i++ {
-			gaps := make([]Time, 3)
+			gaps := make([]des.Time, 3)
 			for j := range gaps {
-				gaps[j] = Time(rng.Intn(1000))
+				gaps[j] = des.Time(rng.Intn(1000))
 			}
 			last := i == n-1
-			s.Spawn("p", func(p *Proc) {
+			destest.Spawn(s, "p", func(p *des.Proc) {
 				for _, g := range gaps {
-					p.Sleep(g)
+					destest.Sleep(p, g)
 					r.Use(p, g/2)
+					destest.Yield(p)
 				}
 				if last {
 					sig.Broadcast()

@@ -1,19 +1,22 @@
-package des
+package des_test
 
 import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 // sleeperFSM parks on a fixed-period Sleep forever: the idle-rank shape the
 // scale benchmarks measure.
 type sleeperFSM struct {
-	period Time
+	period des.Time
 	count  int
 }
 
-func (m *sleeperFSM) Step(p *Proc) {
+func (m *sleeperFSM) Step(p *des.Proc) {
 	for {
 		m.count++
 		p.Sleep(m.period)
@@ -26,11 +29,11 @@ func (m *sleeperFSM) Step(p *Proc) {
 // countdownFSM sleeps n times, then finishes.
 type countdownFSM struct {
 	n      int
-	period Time
+	period des.Time
 	done   *int
 }
 
-func (m *countdownFSM) Step(p *Proc) {
+func (m *countdownFSM) Step(p *des.Proc) {
 	for m.n > 0 {
 		m.n--
 		p.Sleep(m.period)
@@ -41,16 +44,15 @@ func (m *countdownFSM) Step(p *Proc) {
 	*m.done++
 }
 
-// signalWaiterFSM mirrors the goroutine waiter of TestBroadcastBatchOrdering:
-// wait once, log the wake, schedule a post event.
+// signalWaiterFSM waits once, logs the wake, and schedules a post event.
 type signalWaiterFSM struct {
-	cond *Signal
+	cond *des.Signal
 	log  *[]string
 	name string
 	pc   int
 }
 
-func (m *signalWaiterFSM) Step(p *Proc) {
+func (m *signalWaiterFSM) Step(p *des.Proc) {
 	switch m.pc {
 	case 0:
 		m.pc = 1
@@ -65,16 +67,16 @@ func (m *signalWaiterFSM) Step(p *Proc) {
 	}
 }
 
-// rewaitFSM waits, counts its wake, and immediately re-enters the wait list —
-// the mid-chain re-wait shape of TestBroadcastRewaitNotRewoken.
+// rewaitFSM waits, counts its wake, and immediately re-enters the wait list
+// (the mid-chain re-wait shape of TestBroadcastRewaitNotRewoken).
 type rewaitFSM struct {
-	cond  *Signal
+	cond  *des.Signal
 	wakes map[string]int
 	name  string
 	pc    int
 }
 
-func (m *rewaitFSM) Step(p *Proc) {
+func (m *rewaitFSM) Step(p *des.Proc) {
 	switch m.pc {
 	case 0:
 		m.pc = 1
@@ -89,15 +91,15 @@ func (m *rewaitFSM) Step(p *Proc) {
 }
 
 // resourceClientFSM issues n blocking Resource.Use calls, then retires one
-// gate unit — the FSM twin of the goroutine client in the mixed-mode test.
+// gate unit.
 type resourceClientFSM struct {
-	res *Resource
-	d   Time
+	res *des.Resource
+	d   des.Time
 	n   int
-	g   *Gate
+	g   *des.Gate
 }
 
-func (m *resourceClientFSM) Step(p *Proc) {
+func (m *resourceClientFSM) Step(p *des.Proc) {
 	for m.n > 0 {
 		m.n--
 		m.res.Use(p, m.d)
@@ -108,13 +110,13 @@ func (m *resourceClientFSM) Step(p *Proc) {
 	m.g.Done()
 }
 
-// gateJoinFSM runs Gate.Wait's predicate loop in resumable form.
+// gateJoinFSM waits for the gate with the Pending/Park re-check loop.
 type gateJoinFSM struct {
-	g      *Gate
-	doneAt *Time
+	g      *des.Gate
+	doneAt *des.Time
 }
 
-func (m *gateJoinFSM) Step(p *Proc) {
+func (m *gateJoinFSM) Step(p *des.Proc) {
 	for m.g.Pending() > 0 {
 		m.g.Park(p)
 		if p.Yielded() {
@@ -127,24 +129,24 @@ func (m *gateJoinFSM) Step(p *Proc) {
 // TestFSMCompletes: an FSM process runs to completion across several parks,
 // and the simulation accounts for it like any other process.
 func TestFSMCompletes(t *testing.T) {
-	s := New()
+	s := des.New()
 	done := 0
-	p := s.SpawnFSM("c", &countdownFSM{n: 3, period: Microsecond, done: &done})
+	p := s.SpawnFSM("c", &countdownFSM{n: 3, period: des.Microsecond, done: &done})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if done != 1 || !p.Done() {
 		t.Fatalf("done=%d p.Done()=%v, want the machine to finish exactly once", done, p.Done())
 	}
-	if s.Now() != 3*Microsecond {
+	if s.Now() != 3*des.Microsecond {
 		t.Fatalf("end time %v, want 3µs (three sleeps)", s.Now())
 	}
 }
 
 // TestFSMDeadlockDiagnosed: a parked FSM process that can never be woken is
-// reported in DeadlockError with its block reason, like a stuck goroutine.
+// reported in DeadlockError with its block reason.
 func TestFSMDeadlockDiagnosed(t *testing.T) {
-	s := New()
+	s := des.New()
 	cond := s.NewSignal()
 	s.SpawnFSM("stuck", &signalWaiterFSM{cond: cond, log: new([]string), name: "stuck"})
 	err := s.Run()
@@ -156,71 +158,83 @@ func TestFSMDeadlockDiagnosed(t *testing.T) {
 	}
 }
 
-// TestMixedKindsEventEquivalence pins the tentpole's core determinism claim:
-// the same program produces the same schedule — end time, event count, join
-// time — whether its processes are goroutines or state machines, including
-// when the two kinds contend for one Resource and one Gate in the same run.
+// TestMixedKindsEventEquivalence: a straight-line body run through the
+// destest adapter and a hand-written machine replay the same schedule,
+// whether a run uses one kind or mixes both. Three programs cover it:
+// clients contending for one Resource and joined by a Gate; a broadcast
+// chain, whose waiters wake in FIFO order before anything they schedule
+// "now" runs; and re-waiters, which the same broadcast must not wake again.
 func TestMixedKindsEventEquivalence(t *testing.T) {
-	run := func(mixed bool) (Time, uint64, Time) {
-		s := New()
-		res := s.NewResource("disk", 1)
-		g := s.NewGate(3)
-		var joinAt Time
-		for i := 0; i < 3; i++ {
-			d := Time(i+1) * Microsecond
-			if mixed && i%2 == 0 {
-				s.SpawnFSM("client", &resourceClientFSM{res: res, d: d, n: 5, g: g})
-			} else {
-				s.Spawn("client", func(p *Proc) {
-					for k := 0; k < 5; k++ {
-						res.Use(p, d)
-					}
-					g.Done()
-				})
-			}
+	want := strings.Join([]string{
+		"contention end=0.000030s events=20 join=0.000030s",
+		"broadcast [cast cast-returned wake-a wake-b wake-c wake-d post-a post-b post-c post-d]",
+		"rewait deadlock=true wakes=map[a:1 b:1] waiters=2",
+	}, "\n")
+	for _, kinds := range []string{"adapter", "machine", "mixed"} {
+		// machine reports whether the i-th process of a program is a
+		// hand-written machine.
+		machine := func(i int) bool { return kinds == "machine" || kinds == "mixed" && i%2 == 1 }
+		got := strings.Join([]string{
+			contentionRun(t, machine),
+			broadcastRun(t, machine),
+			rewaitRun(machine),
+		}, "\n")
+		if got != want {
+			t.Errorf("%s schedule:\n%s\nwant:\n%s", kinds, got, want)
 		}
-		if mixed {
-			s.SpawnFSM("join", &gateJoinFSM{g: g, doneAt: &joinAt})
-		} else {
-			s.Spawn("join", func(p *Proc) { g.Wait(p); joinAt = p.Now() })
-		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return s.Now(), s.Events(), joinAt
-	}
-	tg, eg, jg := run(false)
-	tf, ef, jf := run(true)
-	if tg != tf || eg != ef || jg != jf {
-		t.Fatalf("mixed-kind run diverged from all-goroutine run:\n goroutine (end=%v events=%d join=%v)\n mixed     (end=%v events=%d join=%v)",
-			tg, eg, jg, tf, ef, jf)
 	}
 }
 
-// TestBroadcastBatchOrderingMixedKinds extends the PR 5 broadcast-determinism
-// pin across process kinds: goroutine and FSM waiters interleaved on one
-// signal wake in FIFO order, and everything any of them schedules "now" runs
-// after ALL of the chain's wakes.
-func TestBroadcastBatchOrderingMixedKinds(t *testing.T) {
-	s := New()
+// contentionRun has three clients make five Resource.Use calls each on one
+// disk and retire a gate unit, while a joiner waits for the gate.
+func contentionRun(t *testing.T, machine func(int) bool) string {
+	s := des.New()
+	res := s.NewResource("disk", 1)
+	g := s.NewGate(3)
+	var joinAt des.Time
+	for i := 0; i < 3; i++ {
+		d := des.Time(i+1) * des.Microsecond
+		if machine(i) {
+			s.SpawnFSM("client", &resourceClientFSM{res: res, d: d, n: 5, g: g})
+			continue
+		}
+		destest.Spawn(s, "client", func(p *des.Proc) {
+			for k := 0; k < 5; k++ {
+				res.Use(p, d)
+				destest.Yield(p)
+			}
+			g.Done()
+		})
+	}
+	if machine(3) {
+		s.SpawnFSM("join", &gateJoinFSM{g: g, doneAt: &joinAt})
+	} else {
+		destest.Spawn(s, "join", func(p *des.Proc) { join(p, g); joinAt = p.Now() })
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("contention end=%v events=%d join=%v", s.Now(), s.Events(), joinAt)
+}
+
+// broadcastRun parks four waiters on one signal and broadcasts it.
+func broadcastRun(t *testing.T, machine func(int) bool) string {
+	s := des.New()
 	cond := s.NewSignal()
 	var order []string
-	spawnGoroutine := func(name string) {
-		s.Spawn(name, func(p *Proc) {
-			cond.Wait(p)
+	for i, name := range []string{"a", "b", "c", "d"} {
+		if machine(i) {
+			s.SpawnFSM(name, &signalWaiterFSM{cond: cond, log: &order, name: name})
+			continue
+		}
+		destest.Spawn(s, name, func(p *des.Proc) {
+			destest.Wait(p, cond)
 			order = append(order, "wake-"+name)
 			s.After(0, func() { order = append(order, "post-"+name) })
 		})
 	}
-	spawnMachine := func(name string) {
-		s.SpawnFSM(name, &signalWaiterFSM{cond: cond, log: &order, name: name})
-	}
-	spawnGoroutine("a")
-	spawnMachine("b")
-	spawnGoroutine("c")
-	spawnMachine("d")
-	s.Spawn("caster", func(p *Proc) {
-		p.Sleep(Millisecond)
+	destest.Spawn(s, "caster", func(p *des.Proc) {
+		destest.Sleep(p, des.Millisecond)
 		order = append(order, "cast")
 		cond.Broadcast()
 		order = append(order, "cast-returned")
@@ -228,54 +242,44 @@ func TestBroadcastBatchOrderingMixedKinds(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprint([]string{
-		"cast", "cast-returned",
-		"wake-a", "wake-b", "wake-c", "wake-d",
-		"post-a", "post-b", "post-c", "post-d",
-	})
-	if got := fmt.Sprint(order); got != want {
-		t.Fatalf("mixed-kind broadcast interleaving changed:\n got %s\nwant %s", got, want)
-	}
+	return fmt.Sprint("broadcast ", order)
 }
 
-// TestBroadcastRewaitNotRewokenMixedKinds: an FSM process that re-parks on
-// the signal while the broadcast chain is still resuming must not be re-woken
-// by the same broadcast, matching the goroutine rule.
-func TestBroadcastRewaitNotRewokenMixedKinds(t *testing.T) {
-	s := New()
+// rewaitRun has two waiters re-enter the wait list while the broadcast
+// chain that woke them is still resuming; the run must then deadlock.
+func rewaitRun(machine func(int) bool) string {
+	s := des.New()
 	cond := s.NewSignal()
 	wakes := make(map[string]int)
-	s.Spawn("a", func(p *Proc) {
-		cond.Wait(p)
-		wakes["a"]++
-		cond.Wait(p)
-		wakes["a"] += 100
-	})
-	s.SpawnFSM("b", &rewaitFSM{cond: cond, wakes: wakes, name: "b"})
-	s.Spawn("caster", func(p *Proc) {
-		p.Sleep(1)
+	for i, name := range []string{"a", "b"} {
+		if machine(i) {
+			s.SpawnFSM(name, &rewaitFSM{cond: cond, wakes: wakes, name: name})
+			continue
+		}
+		destest.Spawn(s, name, func(p *des.Proc) {
+			destest.Wait(p, cond)
+			wakes[name]++
+			destest.Wait(p, cond) // re-enter the wait list mid-chain
+			wakes[name] += 100
+		})
+	}
+	destest.Spawn(s, "caster", func(p *des.Proc) {
+		destest.Sleep(p, 1)
 		cond.Broadcast()
 	})
-	if err := s.Run(); err == nil {
-		t.Fatal("expected a deadlock: re-waiters must not be re-woken by the same broadcast")
-	}
-	if wakes["a"] != 1 || wakes["b"] != 1 {
-		t.Fatalf("wake counts = %v, want exactly one wake each", wakes)
-	}
-	if cond.Waiters() != 2 {
-		t.Fatalf("Waiters() = %d, want 2 re-entered waiters", cond.Waiters())
-	}
+	err := s.Run()
+	return fmt.Sprintf("rewait deadlock=%v wakes=%v waiters=%d", err != nil, wakes, cond.Waiters())
 }
 
 // TestFSMParkResumeSteadyStateAllocs pins the scale tentpole's allocation
 // budget: parking and resuming an idle FSM process costs nothing once the
 // kernel pools are warm.
 func TestFSMParkResumeSteadyStateAllocs(t *testing.T) {
-	s := New()
+	s := des.New()
 	for i := 0; i < 4; i++ {
-		s.SpawnFSM("p", &sleeperFSM{period: Microsecond})
+		s.SpawnFSM("p", &sleeperFSM{period: des.Microsecond})
 	}
-	if allocs := kernelSteadyStateAllocs(t, s, 8*Microsecond); allocs != 0 {
+	if allocs := kernelSteadyStateAllocs(t, s, 8*des.Microsecond); allocs != 0 {
 		t.Fatalf("steady-state FSM park/resume allocated %.1f/run, want 0", allocs)
 	}
 }
@@ -283,13 +287,13 @@ func TestFSMParkResumeSteadyStateAllocs(t *testing.T) {
 // doubleParkFSM blocks twice in one step without checking Yielded.
 type doubleParkFSM struct{}
 
-func (m *doubleParkFSM) Step(p *Proc) {
-	p.Sleep(Microsecond)
-	p.Sleep(Microsecond) // missing Yielded check: must panic
+func (m *doubleParkFSM) Step(p *des.Proc) {
+	p.Sleep(des.Microsecond)
+	p.Sleep(des.Microsecond) // missing Yielded check: must panic
 }
 
 // mustPanic runs the simulation and requires a panic mentioning want.
-func mustPanic(t *testing.T, s *Simulation, want string) {
+func mustPanic(t *testing.T, s *des.Simulation, want string) {
 	t.Helper()
 	defer func() {
 		r := recover()
@@ -306,7 +310,7 @@ func mustPanic(t *testing.T, s *Simulation, want string) {
 // TestFSMDoubleParkPanics: arming a second park in one step is a programming
 // error the kernel catches immediately instead of losing a wakeup.
 func TestFSMDoubleParkPanics(t *testing.T) {
-	s := New()
+	s := des.New()
 	s.SpawnFSM("bad", &doubleParkFSM{})
 	mustPanic(t, s, "blocked twice in one step")
 }
@@ -317,23 +321,23 @@ func TestFSMDoubleParkPanics(t *testing.T) {
 // timer), a deadline win, a deadline at the present (no park), and a win
 // after the timer fired.
 var timedScript = struct {
-	deadlines []Time
-	signals   []Time
+	deadlines []des.Time
+	signals   []des.Time
 }{
-	deadlines: []Time{10 * Microsecond, 10 * Microsecond, 20 * Microsecond, 20 * Microsecond, 30 * Microsecond},
-	signals:   []Time{3 * Microsecond, 5 * Microsecond, 25 * Microsecond},
+	deadlines: []des.Time{10 * des.Microsecond, 10 * des.Microsecond, 20 * des.Microsecond, 20 * des.Microsecond, 30 * des.Microsecond},
+	signals:   []des.Time{3 * des.Microsecond, 5 * des.Microsecond, 25 * des.Microsecond},
 }
 
 // timedScriptFSM runs timedScript's waits as a machine: arm, park, and read
 // the outcome with TimedOut on the resume.
 type timedScriptFSM struct {
-	cond   *Signal
+	cond   *des.Signal
 	i      int
 	parked bool
-	log    func(p *Proc, ok bool)
+	log    func(p *des.Proc, ok bool)
 }
 
-func (m *timedScriptFSM) Step(p *Proc) {
+func (m *timedScriptFSM) Step(p *des.Proc) {
 	for m.i < len(timedScript.deadlines) {
 		if m.parked {
 			m.parked = false
@@ -351,37 +355,29 @@ func (m *timedScriptFSM) Step(p *Proc) {
 	}
 }
 
-// runTimedScript runs timedScript on an FSM or a goroutine process and
-// returns one line per wait: wake time, outcome, and calendar size.
-func runTimedScript(fsm bool) []string {
-	s := New()
+// runTimedScript runs timedScript on a machine and returns one line per
+// wait: wake time, outcome, and calendar size.
+func runTimedScript() []string {
+	s := des.New()
 	cond := s.NewSignal()
 	var lines []string
-	log := func(p *Proc, ok bool) {
+	log := func(p *des.Proc, ok bool) {
 		lines = append(lines, fmt.Sprintf("t=%v ok=%v pending=%d", p.Now(), ok, s.PendingEvents()))
 	}
 	for _, at := range timedScript.signals {
 		s.At(at, cond.Signal)
 	}
-	if fsm {
-		s.SpawnFSM("waiter", &timedScriptFSM{cond: cond, log: log})
-	} else {
-		s.Spawn("waiter", func(p *Proc) {
-			for _, d := range timedScript.deadlines {
-				log(p, cond.WaitUntil(p, d))
-			}
-		})
-	}
+	s.SpawnFSM("waiter", &timedScriptFSM{cond: cond, log: log})
 	if err := s.Run(); err != nil {
 		lines = append(lines, err.Error())
 	}
 	return append(lines, fmt.Sprintf("end t=%v events=%d", s.Now(), s.Events()))
 }
 
-// TestFSMWaitUntilMatchesGoroutine: a timed wait on an FSM process replays
-// the goroutine form's schedule exactly — same wake times and outcomes,
-// same calendar entries (the revived tombstone included), same event count.
-func TestFSMWaitUntilMatchesGoroutine(t *testing.T) {
+// TestWaitUntilSchedule pins a timed wait's schedule: wake times and
+// outcomes, calendar entries (the revived tombstone included), and the
+// event count.
+func TestWaitUntilSchedule(t *testing.T) {
 	want := []string{
 		// Signal wins; the calendar holds the 5µs and 25µs signals and the
 		// 10µs timer.
@@ -397,49 +393,28 @@ func TestFSMWaitUntilMatchesGoroutine(t *testing.T) {
 		// fired or were skipped, and the 30µs tombstone.
 		"end t=0.000030s events=10",
 	}
-	gor, fsm := runTimedScript(false), runTimedScript(true)
-	if strings.Join(gor, "\n") != strings.Join(want, "\n") {
-		t.Errorf("goroutine schedule:\n%s\nwant:\n%s", strings.Join(gor, "\n"), strings.Join(want, "\n"))
-	}
-	if strings.Join(fsm, "\n") != strings.Join(gor, "\n") {
-		t.Errorf("FSM schedule:\n%s\ngoroutine:\n%s", strings.Join(fsm, "\n"), strings.Join(gor, "\n"))
+	if got := runTimedScript(); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("schedule:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-type gateWaitFSM struct{ g *Gate }
-
-func (m *gateWaitFSM) Step(p *Proc) { m.g.Wait(p) }
-
-// TestFSMGateWaitPanics: the hidden predicate loop in Gate.Wait is rejected
-// for FSM processes, which must use the Park/Pending re-check pattern.
-func TestFSMGateWaitPanics(t *testing.T) {
-	s := New()
-	s.SpawnFSM("bad", &gateWaitFSM{g: s.NewGate(1)})
-	mustPanic(t, s, "Gate.Wait is not supported for FSM processes")
-}
-
-// TestFSMResetReuse: finished FSM processes are recycled by Reset and can be
-// reused by either spawn form; a goroutine respawn lazily creates the parker
-// channel an FSM process never needed.
+// TestFSMResetReuse: finished processes are recycled by Reset and reused
+// by the next SpawnFSM.
 func TestFSMResetReuse(t *testing.T) {
-	s := New()
+	s := des.New()
 	done := 0
-	s.SpawnFSM("c", &countdownFSM{n: 2, period: Microsecond, done: &done})
+	first := s.SpawnFSM("c", &countdownFSM{n: 2, period: des.Microsecond, done: &done})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	s.Reset()
-	if len(s.procPool) == 0 {
+	if again := s.SpawnFSM("f", &countdownFSM{n: 1, period: des.Microsecond, done: &done}); again != first {
 		t.Fatal("Reset recycled no FSM processes")
 	}
-	ranGoroutine := false
-	s.Spawn("g", func(p *Proc) { p.Sleep(Microsecond); ranGoroutine = true })
-	s.SpawnFSM("f", &countdownFSM{n: 1, period: Microsecond, done: &done})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !ranGoroutine || done != 2 {
-		t.Fatalf("reuse run incomplete: goroutine ran=%v, machines finished=%d (want 2)",
-			ranGoroutine, done)
+	if done != 2 {
+		t.Fatalf("machines finished=%d, want 2", done)
 	}
 }

@@ -2,17 +2,16 @@ package des
 
 import "unsafe"
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
-// kernel. Exactly one Proc (or the kernel) runs at a time; a Proc gives up
-// control only by blocking in Sleep, Signal.Wait, Gate.Wait, or
-// Resource.Use, so code inside a Proc body needs no locking.
+// Proc is a simulated process: a Machine the kernel steps on its own stack
+// each time the process is scheduled (see SpawnFSM). Exactly one Proc (or
+// the kernel) runs at a time; a Proc gives up control only by parking in
+// Sleep, Signal.Wait, Signal.WaitUntil, Gate.Park, or Resource.Use and
+// returning from Step, so its machine needs no locking.
 type Proc struct {
 	sim     *Simulation
 	name    string
 	id      int
-	resume  chan struct{} // single-slot parker this process blocks on (goroutine form only)
-	body    func(p *Proc) // pending body between Spawn and the evStart event
-	machine Machine       // state-machine body (SpawnFSM); nil for goroutine processes
+	machine Machine // the process body; nil once it has finished
 
 	// timer caches this process's most recent timed waiter so a WaitUntil
 	// re-armed at the same deadline on the same signal can revive the
@@ -28,9 +27,7 @@ type Proc struct {
 	blockReason string
 }
 
-// newProc pops a pooled process (or allocates one) and registers it. The
-// parker channel is created lazily by Spawn: FSM processes never block a
-// goroutine, so the ~100k ranks of a scale run skip the channel entirely.
+// newProc pops a pooled process (or allocates one) and registers it.
 func (s *Simulation) newProc(name string) *Proc {
 	var p *Proc
 	if n := len(s.procPool); n > 0 {
@@ -51,21 +48,7 @@ func (s *Simulation) newProc(name string) *Proc {
 	return p
 }
 
-// Spawn creates a process that starts executing body at the current virtual
-// time (after already-queued events at this time). The body runs to
-// completion unless the simulation deadlocks or is abandoned. Finished
-// processes recycled by Reset are reused here, parker channel and all.
-func (s *Simulation) Spawn(name string, body func(p *Proc)) *Proc {
-	p := s.newProc(name)
-	if p.resume == nil {
-		p.resume = make(chan struct{}, 1)
-	}
-	p.body = body
-	s.push(s.now, evStart, unsafe.Pointer(p))
-	return p
-}
-
-// Name returns the process name given at Spawn.
+// Name returns the process name given at SpawnFSM.
 func (p *Proc) Name() string { return p.name }
 
 // ID returns the process's spawn-order index, unique within the simulation.
@@ -77,28 +60,22 @@ func (p *Proc) Sim() *Simulation { return p.sim }
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 
-// Done reports whether the process body has returned.
+// Done reports whether the process has finished: its machine returned from
+// Step without parking.
 func (p *Proc) Done() bool { return p.done }
 
-// park yields control to the kernel until some event resumes this process.
-// reason is kept for deadlock diagnostics. For an FSM process nothing blocks:
-// the park is armed as a flag and the caller is expected to unwind out of
-// Machine.Step (checking Yielded after every potentially-blocking call).
+// park arms this process's wakeup: nothing blocks, the park is a flag and
+// the caller is expected to unwind out of Machine.Step (checking Yielded
+// after every potentially-blocking call). reason is kept for deadlock
+// diagnostics.
 func (p *Proc) park(reason string) {
-	if p.machine != nil {
-		if p.parked {
-			panic("des: FSM process " + p.name +
-				" blocked twice in one step (missing Yielded check after \"" +
-				p.blockReason + "\")")
-		}
-		p.parked = true
-		p.blockReason = reason
-		return
+	if p.parked {
+		panic("des: FSM process " + p.name +
+			" blocked twice in one step (missing Yielded check after \"" +
+			p.blockReason + "\")")
 	}
+	p.parked = true
 	p.blockReason = reason
-	p.sim.yielded <- struct{}{}
-	<-p.resume
-	p.blockReason = ""
 }
 
 // Sleep advances this process's virtual time by d. Other events and
@@ -113,10 +90,13 @@ func (p *Proc) Sleep(d Time) {
 }
 
 // Signal is a broadcast/FIFO-wakeup condition variable for processes.
-// The usual pattern is a predicate loop:
+// The usual pattern is a predicate loop that re-checks on every Step:
 //
 //	for !ready() {
 //		cond.Wait(p)
+//		if p.Yielded() {
+//			return
+//		}
 //	}
 //
 // Wakeups are edge-triggered; a Broadcast with no waiters is a no-op.
@@ -195,13 +175,10 @@ func (sig *Signal) Wait(p *Proc) {
 }
 
 // WaitUntil parks p until the next Signal/Broadcast or until the absolute
-// virtual time deadline, whichever comes first. It reports true if p was
-// woken by the signal, false on timeout. A deadline at or before the
-// present returns false without parking.
-//
-// On an FSM process the park is armed and WaitUntil returns true at once;
-// the machine returns from Step (p.Yielded) and, once resumed, asks
-// p.TimedOut how the wait ended.
+// virtual time deadline, whichever comes first. It reports whether it
+// armed the park: a deadline at or before the present returns false without
+// parking. After a park the machine returns from Step (p.Yielded) and, once
+// resumed, asks p.TimedOut how the wait ended.
 //
 // A signal wakeup leaves the deadline entry queued as a tombstone, but the
 // calendar cannot grow under the re-arm pattern of predicate loops (wake by
@@ -230,10 +207,7 @@ func (sig *Signal) WaitUntil(p *Proc, deadline Time) bool {
 	sig.enqueue(w)
 	p.twait = w
 	p.park("waiting on signal (timed)")
-	if p.machine != nil {
-		return true
-	}
-	return !p.TimedOut()
+	return true
 }
 
 // TimedOut reports whether the timed wait p last parked in (WaitUntil)
@@ -293,9 +267,10 @@ func (sig *Signal) Signal() {
 func (sig *Signal) Waiters() int { return sig.n }
 
 // Gate is a join counter (a WaitGroup for simulated processes): Add
-// registers pending work, Done retires it, and Wait blocks until the count
-// reaches zero. Unlike sync.WaitGroup it may be reused freely and Add may
-// interleave with Wait, because everything runs under the DES kernel.
+// registers pending work, Done retires it, and a process waits for the
+// count to reach zero by re-checking Pending around Park. Unlike
+// sync.WaitGroup it may be reused freely and Add may interleave with the
+// wait, because everything runs under the DES kernel.
 type Gate struct {
 	n    int
 	cond *Signal
@@ -324,9 +299,8 @@ func (g *Gate) Done() { g.Add(-1) }
 // Pending reports the current count.
 func (g *Gate) Pending() int { return g.n }
 
-// Wait parks p until the count is zero. Returns immediately if it already is.
-// FSM processes cannot run this hidden predicate loop; they use the
-// equivalent re-check pattern over Park:
+// Park enqueues p on the gate's condition for one wakeup. A machine waits
+// for the gate with the re-check pattern:
 //
 //	for g.Pending() > 0 {
 //		g.Park(p)
@@ -334,19 +308,6 @@ func (g *Gate) Pending() int { return g.n }
 //			return // resume this state on the next Step
 //		}
 //	}
-func (g *Gate) Wait(p *Proc) {
-	if p.machine != nil {
-		panic("des: Gate.Wait is not supported for FSM processes; use Gate.Park")
-	}
-	for g.n > 0 {
-		g.cond.Wait(p)
-	}
-}
-
-// Park enqueues p on the gate's condition for one wakeup — the single
-// iteration of Wait's predicate loop, split out so FSM machines can re-check
-// Pending between parks. The waiter records and wake events are identical to
-// Wait's, so the two forms replay the same schedule.
 func (g *Gate) Park(p *Proc) {
 	g.cond.Wait(p)
 }

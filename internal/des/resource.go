@@ -11,8 +11,8 @@ import "unsafe"
 //
 //   - Submit: callback style, usable without a Proc. The completion callback
 //     fires when service finishes. This is the fast path used by the network
-//     and storage layers (no goroutine per request).
-//   - Use: blocking style for code running inside a Proc.
+//     and storage layers (no process per request).
+//   - Use: blocking style for a Proc: it arms a park until service ends.
 //
 // Because service times are known on submission and the discipline is FCFS,
 // completion times can be computed immediately and the queue never needs to
@@ -88,7 +88,7 @@ func (r *Resource) Submit(d Time, fn func()) Time {
 	return done
 }
 
-// Use blocks p through queueing plus service time d. The wakeup is a tagged
+// Use parks p through queueing plus service time d. The wakeup is a tagged
 // resume event: no closure, no allocation.
 func (r *Resource) Use(p *Proc, d Time) {
 	s := r.sim

@@ -18,10 +18,8 @@ type evKind uint8
 const (
 	// evFunc runs an ad-hoc callback.
 	evFunc evKind = iota
-	// evStart launches a spawned process's goroutine and runs it until its
-	// first yield.
-	evStart
-	// evResume hands control to a parked process (Sleep, Resource.Use).
+	// evResume steps a process: its first Step (SpawnFSM) or its wakeup
+	// from Sleep or Resource.Use.
 	evResume
 	// evWake resumes a single signal waiter (Signal.Signal).
 	evWake
@@ -48,16 +46,14 @@ func argFunc(arg unsafe.Pointer) func() {
 }
 
 // Simulation owns the virtual clock, the event calendar, and all processes.
-// It is not safe for concurrent use: the kernel and at most one process run
-// at any instant, handing control back and forth explicitly.
+// It is not safe for concurrent use: the kernel steps one process at a time
+// on its own goroutine.
 type Simulation struct {
-	now     Time
-	cal     calendar
-	seq     uint64
-	yielded chan struct{} // single-slot parker the kernel blocks on
-	procs   []*Proc
-	curr    *Proc
-	events  uint64 // total events executed
+	now    Time
+	cal    calendar
+	seq    uint64
+	procs  []*Proc
+	events uint64 // total events executed
 
 	procPool   []*Proc   // finished processes available for respawn reuse
 	waiterPool []*waiter // waiter free list (see getWaiter/putWaiter)
@@ -65,10 +61,7 @@ type Simulation struct {
 
 // New returns an empty simulation at time zero.
 func New() *Simulation {
-	return &Simulation{
-		cal:     newCalendar(),
-		yielded: make(chan struct{}, 1),
-	}
+	return &Simulation{cal: newCalendar()}
 }
 
 // Reset returns the simulation to time zero with an empty calendar and no
@@ -80,8 +73,8 @@ func New() *Simulation {
 // run (signals, gates, resources, processes) must not be used after Reset.
 //
 // Resetting after a deadlocked run is safe: processes that never finished
-// are simply abandoned (their goroutines stay parked on channels nothing
-// references anymore) rather than recycled.
+// are simply abandoned (their machines become garbage) rather than
+// recycled.
 func (s *Simulation) Reset() {
 	for _, p := range s.procs {
 		if p.done {
@@ -90,7 +83,6 @@ func (s *Simulation) Reset() {
 	}
 	s.cal.reset()
 	s.procs = s.procs[:0]
-	s.curr = nil
 	s.now, s.seq, s.events = 0, 0, 0
 }
 
@@ -180,9 +172,9 @@ func (e *DeadlockError) Error() string {
 // Run executes events until the calendar is empty. It returns a
 // *DeadlockError if any spawned process has neither finished nor been
 // rescheduled when the calendar drains, and nil otherwise.
-// Every 1024 events it yields to the Go scheduler: state-machine processes
-// never block its goroutine, and without the yield the GC's background
-// worker runs only at forced preemption, stretching every mark phase.
+// Every 1024 events it yields to the Go scheduler: processes never block
+// its goroutine, and without the yield the GC's background worker runs only
+// at forced preemption, stretching every mark phase.
 func (s *Simulation) Run() error {
 	for {
 		t, kind, arg, ok := s.cal.pop(endOfTime)
@@ -235,7 +227,7 @@ func (s *Simulation) RunUntil(limit Time) bool {
 func (s *Simulation) dispatch(kind evKind, arg unsafe.Pointer) {
 	switch kind {
 	case evResume:
-		s.transferTo((*Proc)(arg))
+		s.stepFSM((*Proc)(arg))
 	case evFunc:
 		argFunc(arg)()
 	case evWake:
@@ -245,7 +237,7 @@ func (s *Simulation) dispatch(kind evKind, arg unsafe.Pointer) {
 		if !w.timer {
 			s.putWaiter(w)
 		}
-		s.transferTo(p)
+		s.stepFSM(p)
 	case evBroadcast:
 		// Resume the whole FIFO chain within this one calendar entry. The
 		// wake order, and the ordering of any events the woken processes
@@ -253,13 +245,13 @@ func (s *Simulation) dispatch(kind evKind, arg unsafe.Pointer) {
 		// kernel queued: chained waiters held consecutive sequence numbers,
 		// so nothing could interleave between their wakes.
 		for w := (*waiter)(arg); w != nil; {
-			next := w.next // w may be recycled and reused during transferTo
+			next := w.next // w may be recycled and reused during stepFSM
 			p := w.p
 			w.queued = false
 			if !w.timer {
 				s.putWaiter(w)
 			}
-			s.transferTo(p)
+			s.stepFSM(p)
 			w = next
 		}
 	case evTimer:
@@ -279,40 +271,7 @@ func (s *Simulation) dispatch(kind evKind, arg unsafe.Pointer) {
 		w.out = true
 		w.timedOut = true
 		w.sig.unlink(w)
-		s.transferTo(w.p)
+		s.stepFSM(w.p)
 		// The waiter is reclaimed by Proc.TimedOut once it reads timedOut.
-	case evStart:
-		p := (*Proc)(arg)
-		if p.machine != nil {
-			s.stepFSM(p)
-			return
-		}
-		go func() {
-			<-p.resume
-			p.body(p)
-			p.body = nil
-			p.done = true
-			s.yielded <- struct{}{}
-		}()
-		s.transferTo(p)
 	}
-}
-
-// transferTo hands control from the kernel to p and waits for p to yield.
-// Must only be called from kernel context (inside an event dispatch). For an
-// FSM process this is a direct method call on the kernel's stack; for a
-// goroutine process both directions use single-slot (capacity-1) channels:
-// the handing-off side deposits its token without blocking and only the
-// receiving side parks, so a context switch costs one blocking receive per
-// side instead of the two full rendezvous an unbuffered pair would.
-func (s *Simulation) transferTo(p *Proc) {
-	if p.machine != nil {
-		s.stepFSM(p)
-		return
-	}
-	prev := s.curr
-	s.curr = p
-	p.resume <- struct{}{}
-	<-s.yielded
-	s.curr = prev
 }

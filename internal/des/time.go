@@ -1,12 +1,15 @@
 // Package des implements a deterministic, process-oriented discrete-event
 // simulation kernel. It is the substrate under the simulated MPI, PVFS2, and
-// MPI-IO layers: virtual time, an event calendar, cooperatively scheduled
-// processes (one goroutine each, exactly one runnable at a time), condition
-// signals, and FCFS resources with both blocking and callback interfaces.
+// MPI-IO layers: virtual time, an event calendar, processes written as
+// resumable state machines (Machine) that the kernel steps one at a time on
+// its own goroutine, condition signals, and FCFS resources with both
+// blocking and callback interfaces.
 //
 // Determinism: all wakeups flow through a single event calendar ordered by
-// (time, insertion sequence), so identical inputs yield identical schedules
-// regardless of goroutine scheduling by the Go runtime.
+// (time, insertion sequence), so identical inputs yield identical schedules.
+//
+// Tests that want straight-line process bodies use the destest
+// subpackage, which adapts a goroutine body to a Machine.
 package des
 
 import "fmt"

@@ -7,6 +7,7 @@ import (
 
 	"s3asim/internal/core"
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 	"s3asim/internal/stats"
 )
 
@@ -38,7 +39,7 @@ func TestSimPoolRecyclesAfterError(t *testing.T) {
 	// Drive a kernel into an error: one process parks on a signal nobody
 	// ever fires, so Run diagnoses a deadlock.
 	dead := des.New()
-	dead.Spawn("stuck", func(p *des.Proc) { dead.NewSignal().Wait(p) })
+	destest.Spawn(dead, "stuck", func(p *des.Proc) { destest.Wait(p, dead.NewSignal()) })
 	if err := dead.Run(); err == nil {
 		t.Fatal("expected a deadlock diagnosis")
 	}

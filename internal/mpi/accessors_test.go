@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 func TestWorldAccessors(t *testing.T) {
@@ -49,11 +50,11 @@ func TestUncontendNodeRemovesSerialization(t *testing.T) {
 		var last des.Time
 		for src := 0; src < 2; src++ {
 			src := src
-			w.Spawn(src, "s", func(r *Rank) { r.Isend(2, 0, 2000, nil) })
+			spawn(w, src, "s", func(r *Rank) { r.Isend(2, 0, 2000, nil) })
 		}
-		w.Spawn(2, "d", func(r *Rank) {
-			r.Recv(AnySource, 0)
-			r.Recv(AnySource, 0)
+		spawn(w, 2, "d", func(r *Rank) {
+			wait(r, r.Irecv(AnySource, 0))
+			wait(r, r.Irecv(AnySource, 0))
 			last = r.Now()
 		})
 		if err := sim.Run(); err != nil {
@@ -70,19 +71,19 @@ func TestUncontendNodeRemovesSerialization(t *testing.T) {
 func TestProcAndMessageAccessors(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
-	w.Spawn(0, "s", func(r *Rank) {
+	spawn(w, 0, "s", func(r *Rank) {
 		if r.Proc() == nil || r.Proc().Name() != "s" {
 			t.Error("Proc accessor wrong")
 		}
 		req := r.Isend(1, 0, 10, "x")
-		r.Wait(req)
+		wait(r, req)
 		if req.Message() != nil {
 			t.Error("send request should carry no message")
 		}
 	})
-	w.Spawn(1, "d", func(r *Rank) {
+	spawn(w, 1, "d", func(r *Rank) {
 		req := r.Irecv(0, 0)
-		m := r.Wait(req)
+		m := wait(r, req)
 		if !req.Done() || req.Message() != m || m.Payload != "x" {
 			t.Error("recv request accessors wrong")
 		}
@@ -96,19 +97,19 @@ func TestWaitAnyEmptyPanics(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 1, fastNet())
 	panicked := false
-	w.Spawn(0, "p", func(r *Rank) {
+	spawn(w, 0, "p", func(r *Rank) {
 		defer func() {
 			if recover() != nil {
 				panicked = true
 			}
 		}()
-		r.WaitAny(nil)
+		new(WaitAnyOp).Init(r, nil)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !panicked {
-		t.Fatal("WaitAny(nil) should panic")
+		t.Fatal("WaitAnyOp over an empty set should panic")
 	}
 }
 
@@ -120,15 +121,15 @@ func TestTeamSizeAndForeignRank(t *testing.T) {
 		t.Fatalf("Size = %d", team.Size())
 	}
 	panicked := false
-	w.Spawn(3, "foreign", func(r *Rank) {
+	spawn(w, 3, "foreign", func(r *Rank) {
 		defer func() {
 			if recover() != nil {
 				panicked = true
 			}
 		}()
-		team.Bcast(r, 0, 8, nil)
+		new(BcastOp).Init(team, r, 0, 8, nil)
 	})
-	w.Spawn(0, "a", func(r *Rank) { r.Compute(1) })
+	spawn(w, 0, "a", func(r *Rank) { destest.Sleep(r.Proc(), 1) })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +152,11 @@ func TestEagerRendezvousBoundary(t *testing.T) {
 		sim := des.New()
 		w := NewWorld(sim, 2, cfg)
 		var sendDone des.Time
-		w.Spawn(0, "s", func(r *Rank) {
-			r.Send(1, 0, tc.bytes, nil)
+		spawn(w, 0, "s", func(r *Rank) {
+			wait(r, r.Isend(1, 0, tc.bytes, nil))
 			sendDone = r.Now()
 		})
-		w.Spawn(1, "d", func(r *Rank) { r.Recv(0, 0) })
+		spawn(w, 1, "d", func(r *Rank) { wait(r, r.Irecv(0, 0)) })
 		if err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestSendToInvalidRankPanics(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
 	panicked := false
-	w.Spawn(0, "s", func(r *Rank) {
+	spawn(w, 0, "s", func(r *Rank) {
 		defer func() {
 			if recover() != nil {
 				panicked = true

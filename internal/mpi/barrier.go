@@ -88,15 +88,5 @@ func (b *Barrier) releaseDelay() des.Time {
 	return des.Time(steps) * b.w.cfg.Latency
 }
 
-// Arrive blocks the calling rank until all n participants of the current
-// generation have arrived, plus the modeled release delay. The operation
-// itself lives in BarrierOp (so FSM processes can run it resumably); this
-// wrapper drives it to completion for goroutine processes.
-func (b *Barrier) Arrive(r *Rank) {
-	var op BarrierOp
-	op.Init(b, r)
-	op.Step()
-}
-
 // Epochs reports how many times the barrier has fully released.
 func (b *Barrier) Epochs() uint64 { return b.epochs }

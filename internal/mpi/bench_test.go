@@ -4,22 +4,23 @@ import (
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 // BenchmarkPingPong measures a blocking round trip between two ranks.
 func BenchmarkPingPong(b *testing.B) {
 	sim := des.New()
 	w := NewWorld(sim, 2, Myrinet2000())
-	w.Spawn(0, "a", func(r *Rank) {
+	spawn(w, 0, "a", func(r *Rank) {
 		for i := 0; i < b.N; i++ {
-			r.Send(1, 0, 64, nil)
-			r.Recv(1, 1)
+			wait(r, r.Isend(1, 0, 64, nil))
+			wait(r, r.Irecv(1, 1))
 		}
 	})
-	w.Spawn(1, "b", func(r *Rank) {
+	spawn(w, 1, "b", func(r *Rank) {
 		for i := 0; i < b.N; i++ {
-			r.Recv(0, 0)
-			r.Send(0, 1, 64, nil)
+			wait(r, r.Irecv(0, 0))
+			wait(r, r.Isend(0, 1, 64, nil))
 		}
 	})
 	b.ReportAllocs()
@@ -37,15 +38,15 @@ func BenchmarkFanIn(b *testing.B) {
 	w := NewWorld(sim, senders+1, Myrinet2000())
 	per := b.N/senders + 1
 	for i := 1; i <= senders; i++ {
-		w.Spawn(i, "s", func(r *Rank) {
+		spawn(w, i, "s", func(r *Rank) {
 			for j := 0; j < per; j++ {
 				r.Isend(0, 0, 1024, nil)
 			}
 		})
 	}
-	w.Spawn(0, "sink", func(r *Rank) {
+	spawn(w, 0, "sink", func(r *Rank) {
 		for j := 0; j < per*senders; j++ {
-			r.Recv(AnySource, 0)
+			wait(r, r.Irecv(AnySource, 0))
 		}
 	})
 	b.ResetTimer()
@@ -62,9 +63,11 @@ func BenchmarkBarrier(b *testing.B) {
 	bar := w.NewBarrier(ranks)
 	rounds := b.N/ranks + 1
 	for i := 0; i < ranks; i++ {
-		w.Spawn(i, "p", func(r *Rank) {
+		spawn(w, i, "p", func(r *Rank) {
 			for j := 0; j < rounds; j++ {
-				bar.Arrive(r)
+				var op BarrierOp
+				op.Init(bar, r)
+				destest.Await(r.Proc(), op.Step)
 			}
 		})
 	}

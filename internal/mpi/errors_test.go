@@ -36,7 +36,7 @@ func wantProto(t *testing.T, op string, f func()) {
 // panic it raised to the caller's goroutine (sim.Run wraps proc panics).
 func inProc(t *testing.T, w *World, rank int, body func(r *Rank)) {
 	t.Helper()
-	w.Spawn(rank, "t", body)
+	spawn(w, rank, "t", body)
 	if err := w.Sim().Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,15 +48,15 @@ func TestProtocolErrorNewWorldEmpty(t *testing.T) {
 
 func TestProtocolErrorSpawnTwice(t *testing.T) {
 	w := NewWorld(des.New(), 1, fastNet())
-	w.Spawn(0, "first", func(r *Rank) {})
-	wantProto(t, "Spawn", func() { w.Spawn(0, "second", func(r *Rank) {}) })
+	spawn(w, 0, "first", func(r *Rank) {})
+	wantProto(t, "SpawnFSM", func() { spawn(w, 0, "second", func(r *Rank) {}) })
 }
 
 func TestProtocolErrorRespawnMisuse(t *testing.T) {
 	w := NewWorld(des.New(), 2, fastNet())
 	wantProto(t, "Respawn", func() { w.Respawn(0, "x", machineFunc(func(*des.Proc) {})) })
 
-	w.Spawn(0, "alive", func(r *Rank) {})
+	spawn(w, 0, "alive", func(r *Rank) {})
 	if err := w.Sim().Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestProtocolErrorIsendOutsideWorld(t *testing.T) {
 	for _, dest := range []int{-1, 3} {
 		sim := des.New()
 		w := NewWorld(sim, 3, fastNet())
-		w.Spawn(0, "sender", func(r *Rank) {
+		spawn(w, 0, "sender", func(r *Rank) {
 			wantProto(t, "Isend", func() { r.Isend(dest, 0, 8, nil) })
 		})
 		if err := sim.Run(); err != nil {
@@ -80,7 +80,7 @@ func TestProtocolErrorIsendOutsideWorld(t *testing.T) {
 func TestProtocolErrorWaitAnyEmpty(t *testing.T) {
 	w := NewWorld(des.New(), 1, fastNet())
 	inProc(t, w, 0, func(r *Rank) {
-		wantProto(t, "WaitAny", func() { r.WaitAny(nil) })
+		wantProto(t, "WaitAny", func() { new(WaitAnyOp).Init(r, nil) })
 	})
 }
 
@@ -100,7 +100,7 @@ func TestProtocolErrorTeamMisuse(t *testing.T) {
 
 	team := w.NewTeam([]int{0, 1})
 	inProc(t, w, 2, func(r *Rank) {
-		wantProto(t, "Team", func() { team.Bcast(r, 0, 8, nil) })
+		wantProto(t, "Team", func() { new(BcastOp).Init(team, r, 0, 8, nil) })
 	})
 }
 
@@ -108,11 +108,7 @@ func TestProtocolErrorCollectiveRootOutsideTeam(t *testing.T) {
 	w := NewWorld(des.New(), 4, fastNet())
 	team := w.NewTeam([]int{0, 1})
 	inProc(t, w, 0, func(r *Rank) {
-		wantProto(t, "Bcast", func() { team.Bcast(r, 3, 8, nil) })
-		wantProto(t, "Gather", func() { team.Gather(r, 3, 8, nil) })
-		wantProto(t, "Reduce", func() {
-			team.Reduce(r, 3, 8, 0, func(a, b float64) float64 { return a })
-		})
+		wantProto(t, "Bcast", func() { new(BcastOp).Init(team, r, 3, 8, nil) })
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"s3asim/internal/causal"
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 // machineFunc is a state-machine body that runs f on every step; a body
@@ -44,8 +45,9 @@ func armEventWait(op *EventWaitOp, r *Rank, deadline des.Time) {
 	}
 }
 
-// runEventWait parks rank 0 in one EventWaitOp (FSM or goroutine form),
-// with a receive posted, while rank 1 sends it a message at sendAt (never when 0) and a kernel
+// runEventWait parks rank 0 in one EventWaitOp (a hand-written machine when
+// fsm is set, else a straight-line body awaiting the op), with a receive
+// posted, while rank 1 sends it a message at sendAt (never when 0) and a kernel
 // callback wakes it out of band at wakeAt (never when 0). It returns the
 // wake line and the causal totals.
 func runEventWait(fsm bool, deadline, sendAt, wakeAt des.Time) (string, causal.Breakdown) {
@@ -57,17 +59,17 @@ func runEventWait(fsm bool, deadline, sendAt, wakeAt des.Time) (string, causal.B
 	if fsm {
 		w.SpawnFSM(0, "waiter", &eventWaitFSM{r: w.Rank(0), deadline: deadline, out: &out})
 	} else {
-		w.Spawn(0, "waiter", func(r *Rank) {
+		spawn(w, 0, "waiter", func(r *Rank) {
 			var op EventWaitOp
 			r.Irecv(1, 9)
 			armEventWait(&op, r, deadline)
-			op.Step()
+			destest.Await(r.Proc(), op.Step)
 			out = fmt.Sprintf("woke=%v timedOut=%v", r.Now(), op.TimedOut())
 		})
 	}
 	if sendAt > 0 {
-		w.Spawn(1, "sender", func(r *Rank) {
-			r.Proc().Sleep(sendAt)
+		spawn(w, 1, "sender", func(r *Rank) {
+			destest.Sleep(r.Proc(), sendAt)
 			r.Isend(0, 9, 10, nil)
 		})
 	}
@@ -82,7 +84,8 @@ func runEventWait(fsm bool, deadline, sendAt, wakeAt des.Time) (string, causal.B
 
 // TestEventWaitOp: an event wait ends at a message arrival (a transit edge
 // to the sender), at its deadline (recovery time), or at an out-of-band
-// wake (recovery time), and the FSM form replays the goroutine form.
+// wake (recovery time), whether a hand-written machine or a straight-line
+// destest body drives the op.
 func TestEventWaitOp(t *testing.T) {
 	cases := []struct {
 		name                     string

@@ -5,27 +5,18 @@ import (
 	"s3asim/internal/des"
 )
 
-// This file is the mpi layer's resumable-operation support: every blocking
-// composite (Wait, WaitAll, WaitAny, an event wait, Barrier.Arrive,
-// Team.Bcast) is implemented as an op struct whose Step method drives the
-// operation and reports completion. Ops call the ordinary blocking primitives and check
-// p.Yielded() after each, so:
-//
-//   - on a goroutine process the primitives really block and one Step call
-//     runs the whole operation — the classic blocking APIs are thin wrappers
-//     (Init + a single Step) over the same code;
-//   - on an FSM process (des.SpawnFSM) each Step advances to the next park
-//     and returns false, and the parent machine re-enters it on resume.
-//
-// One implementation serves both process kinds: the waiter enqueues,
-// calendar pushes, and causal records happen in exactly the same order
-// either way.
+// This file holds the mpi layer's resumable operations: every composite
+// wait (Wait, WaitAll, WaitAny, an event wait, a barrier arrival, a
+// broadcast) is an op struct whose Init arms it and whose Step drives it,
+// reporting completion. Step calls the kernel's blocking primitives, checks
+// p.Yielded() after each, and returns false at a park; the rank's machine
+// returns from its own Step and re-enters the op's on the next resume.
 
-// SpawnFSM starts rank i's program as a resumable state machine on the
-// simulation kernel — the scale path that backs a blocked rank with one
-// pooled struct instead of a goroutine stack. The machine typically holds
-// its *Rank and drives mpi ops from its Step method. Starting a rank twice
-// is a contract violation, as with Spawn.
+// SpawnFSM starts rank i's program as a state machine on the simulation
+// kernel: a blocked rank is one pooled struct, not a goroutine stack. The
+// machine typically holds its *Rank and drives mpi ops from its Step
+// method. Starting a rank twice is a contract violation (*ProtocolError);
+// see Respawn for reviving a killed rank.
 func (w *World) SpawnFSM(i int, name string, m des.Machine) *des.Proc {
 	r := w.ranks[i]
 	if r.proc != nil {
@@ -35,7 +26,7 @@ func (w *World) SpawnFSM(i int, name string, m des.Machine) *des.Proc {
 	return r.proc
 }
 
-// WaitOp is Rank.Wait as a resumable operation: park on the rank's activity
+// WaitOp is MPI_Wait as a resumable operation: park on the rank's activity
 // signal until the request completes, then record the wait causally.
 type WaitOp struct {
 	r     *Rank
@@ -43,14 +34,13 @@ type WaitOp struct {
 	start des.Time
 }
 
-// Init arms the op; the wait's causal start is the moment of arming, exactly
-// where the blocking Wait captures it.
+// Init arms the op; the wait's causal start is the moment of arming.
 func (op *WaitOp) Init(r *Rank, q *Request) {
 	op.r, op.q, op.start = r, q, r.Now()
 }
 
 // Step drives the wait; it returns true when the request has completed and
-// false when the process parked (FSM processes only).
+// false when the process parked.
 func (op *WaitOp) Step() bool {
 	r, q := op.r, op.q
 	for !q.done {
@@ -69,9 +59,8 @@ func (op *WaitOp) Step() bool {
 // only after Step has returned true.
 func (op *WaitOp) Message() *Message { return op.q.msg }
 
-// WaitAllOp is Rank.WaitAll as a resumable operation: each request is waited
-// in order, with a fresh causal start per request, matching the blocking
-// form's sequential Waits.
+// WaitAllOp is MPI_Waitall as a resumable operation: each request is waited
+// in order, with a fresh causal start per request, like sequential WaitOps.
 type WaitAllOp struct {
 	r     *Rank
 	qs    []*Request
@@ -102,16 +91,16 @@ func (op *WaitAllOp) Step() bool {
 	return true
 }
 
-// WaitAnyOp is Rank.WaitAny (Init) or Rank.WaitAnyUntil (InitUntil) as a
-// resumable operation. Nil entries are skipped, so callers can keep fixed
-// slots.
+// WaitAnyOp is MPI_Waitany (Init), or MPI_Waitany with a virtual-time
+// deadline (InitUntil), as a resumable operation. Nil entries are skipped,
+// so callers can keep fixed slots.
 type WaitAnyOp struct {
 	r        *Rank
 	qs       []*Request
 	start    des.Time
 	deadline des.Time
 	timed    bool // InitUntil: the wait also ends at deadline
-	parked   bool // a timed park is outstanding (FSM processes only)
+	parked   bool // a timed park is outstanding
 	timedOut bool
 	// Index is the position of the first completed request, valid once Step
 	// has returned true (-1 after a timeout).
@@ -119,8 +108,8 @@ type WaitAnyOp struct {
 }
 
 // Init arms the op over qs (not copied; callers may reuse a scratch slice
-// across operations). An empty set can never complete and panics, like the
-// blocking form.
+// across operations). An empty set can never complete; it is a contract
+// violation and panics with *ProtocolError.
 func (op *WaitAnyOp) Init(r *Rank, qs []*Request) {
 	if len(qs) == 0 {
 		protoPanic("WaitAny", r.rank, "empty request set")
@@ -246,7 +235,9 @@ func (op *EventWaitOp) Step() bool {
 // has returned true.
 func (op *EventWaitOp) TimedOut() bool { return op.timedOut }
 
-// BarrierOp is Barrier.Arrive as a resumable operation. Init performs the
+// BarrierOp is one arrival at a Barrier as a resumable operation: it
+// returns once all n participants of the current generation have arrived,
+// plus the modeled release delay. Init performs the
 // arrival bookkeeping (count, epoch release when this rank completes the
 // barrier); Step pays the release delay or parks until the epoch releases.
 type BarrierOp struct {
@@ -324,8 +315,10 @@ func (op *BarrierOp) Step() bool {
 	return true
 }
 
-// BcastOp is Team.Bcast as a resumable operation: receive from the binomial
-// parent, forward to children, wait out the sends.
+// BcastOp is a team broadcast as a resumable operation: it distributes
+// payload (of the given simulated size) from root to every team member
+// along a binomial tree — receive from the binomial parent, forward to
+// children, wait out the sends.
 type BcastOp struct {
 	t       *Team
 	r       *Rank
@@ -347,8 +340,9 @@ const (
 	bcastSend              // children notified; waiting out the sends
 )
 
-// Init arms one broadcast round for r, reserving the member's collective tag
-// (so it must be called exactly when the blocking Bcast would have been).
+// Init arms one broadcast round for r, reserving the member's collective tag,
+// so every member must arm its team's broadcasts in the same order. root is
+// a world rank that must belong to the team.
 func (op *BcastOp) Init(t *Team, r *Rank, root int, bytes int64, payload any) {
 	op.t, op.r, op.bytes, op.payload = t, r, bytes, payload
 	op.n = len(t.ranks)

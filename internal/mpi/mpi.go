@@ -1,8 +1,8 @@
 // Package mpi implements a simulated Message Passing Interface over the
 // discrete-event kernel in internal/des: a world of ranks mapped onto nodes,
-// standard and nonblocking point-to-point operations with tag/source
-// matching (including wildcards), requests with Test/Wait semantics, and
-// reusable barriers.
+// nonblocking point-to-point operations with tag/source matching (including
+// wildcards), resumable ops that wait on their requests, binomial
+// broadcasts, and reusable barriers.
 //
 // The network model is deliberately simple but captures the contention
 // effects the paper depends on: every node has one send-side and one
@@ -26,7 +26,7 @@ import (
 	"s3asim/internal/des"
 )
 
-// Wildcards for Recv/Irecv matching.
+// Wildcards for Irecv matching.
 const (
 	AnySource = -1
 	AnyTag    = -1
@@ -162,20 +162,6 @@ func (w *World) UncontendNode(i, capacity int) {
 	nd := w.nodes[i/w.cfg.ProcsPerNode]
 	nd.send = w.sim.NewResource(fmt.Sprintf("node%d.sendNIC+", i), capacity)
 	nd.recv = w.sim.NewResource(fmt.Sprintf("node%d.recvNIC+", i), capacity)
-}
-
-// Spawn starts rank i's program in a new simulated process. Starting a rank
-// twice is a contract violation (*ProtocolError); see Respawn for reviving
-// a killed rank.
-func (w *World) Spawn(i int, name string, body func(r *Rank)) *des.Proc {
-	r := w.ranks[i]
-	if r.proc != nil {
-		protoPanic("Spawn", i, "rank already spawned")
-	}
-	r.proc = w.sim.Spawn(name, func(p *des.Proc) {
-		body(r)
-	})
-	return r.proc
 }
 
 // SetFaultModel installs the message-fate hook consulted once per Isend.

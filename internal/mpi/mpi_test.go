@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 // fastNet returns a config with easy arithmetic for assertions:
@@ -18,16 +19,30 @@ func fastNet() NetConfig {
 	}
 }
 
+// spawn starts rank i running body as straight-line code.
+func spawn(w *World, i int, name string, body func(r *Rank)) *des.Proc {
+	r := w.Rank(i)
+	return w.SpawnFSM(i, name, destest.Machine(func(*des.Proc) { body(r) }))
+}
+
+// wait awaits q on r and returns its message (nil for sends).
+func wait(r *Rank, q *Request) *Message {
+	var op WaitOp
+	op.Init(r, q)
+	destest.Await(r.Proc(), op.Step)
+	return q.Message()
+}
+
 func TestSendRecvDeliversPayload(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
 	var got any
 	var at des.Time
-	w.Spawn(0, "sender", func(r *Rank) {
-		r.Send(1, 7, 500, "hello")
+	spawn(w, 0, "sender", func(r *Rank) {
+		wait(r, r.Isend(1, 7, 500, "hello"))
 	})
-	w.Spawn(1, "receiver", func(r *Rank) {
-		m := r.Recv(0, 7)
+	spawn(w, 1, "receiver", func(r *Rank) {
+		m := wait(r, r.Irecv(0, 7))
 		got, at = m.Payload, r.Now()
 		if m.Source != 0 || m.Dest != 1 || m.Tag != 7 || m.Bytes != 500 {
 			t.Errorf("message header = %+v", m)
@@ -50,13 +65,13 @@ func TestEagerSendCompletesBeforeDelivery(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
 	var sendDone, recvDone des.Time
-	w.Spawn(0, "sender", func(r *Rank) {
+	spawn(w, 0, "sender", func(r *Rank) {
 		req := r.Isend(1, 0, 500, nil) // eager (≤1000)
-		r.Wait(req)
+		wait(r, req)
 		sendDone = r.Now()
 	})
-	w.Spawn(1, "receiver", func(r *Rank) {
-		r.Recv(0, 0)
+	spawn(w, 1, "receiver", func(r *Rank) {
+		wait(r, r.Irecv(0, 0))
 		recvDone = r.Now()
 	})
 	if err := sim.Run(); err != nil {
@@ -74,12 +89,12 @@ func TestLargeSendCompletesOnDelivery(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
 	var sendDone des.Time
-	w.Spawn(0, "sender", func(r *Rank) {
-		r.Send(1, 0, 2000, nil) // > eager limit
+	spawn(w, 0, "sender", func(r *Rank) {
+		wait(r, r.Isend(1, 0, 2000, nil)) // > eager limit
 		sendDone = r.Now()
 	})
-	w.Spawn(1, "receiver", func(r *Rank) {
-		r.Recv(0, 0)
+	spawn(w, 1, "receiver", func(r *Rank) {
+		wait(r, r.Irecv(0, 0))
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -96,13 +111,13 @@ func TestReceiverNICSerializesConcurrentSenders(t *testing.T) {
 	var last des.Time
 	for src := 0; src < 2; src++ {
 		src := src
-		w.Spawn(src, "sender", func(r *Rank) {
+		spawn(w, src, "sender", func(r *Rank) {
 			r.Isend(2, 0, 1000, nil)
 		})
 	}
-	w.Spawn(2, "sink", func(r *Rank) {
-		r.Recv(AnySource, 0)
-		r.Recv(AnySource, 0)
+	spawn(w, 2, "sink", func(r *Rank) {
+		wait(r, r.Irecv(AnySource, 0))
+		wait(r, r.Irecv(AnySource, 0))
 		last = r.Now()
 	})
 	if err := sim.Run(); err != nil {
@@ -121,16 +136,16 @@ func TestSharedNodeNICSerializesSenders(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 4, cfg)
 	var r0Done, r1Done des.Time
-	w.Spawn(0, "s0", func(r *Rank) {
-		r.Send(2, 0, 1000, nil)
+	spawn(w, 0, "s0", func(r *Rank) {
+		wait(r, r.Isend(2, 0, 1000, nil))
 		r0Done = r.Now()
 	})
-	w.Spawn(1, "s1", func(r *Rank) {
-		r.Send(3, 0, 1000, nil)
+	spawn(w, 1, "s1", func(r *Rank) {
+		wait(r, r.Isend(3, 0, 1000, nil))
 		r1Done = r.Now()
 	})
-	w.Spawn(2, "d2", func(r *Rank) { r.Recv(0, 0) })
-	w.Spawn(3, "d3", func(r *Rank) { r.Recv(1, 0) })
+	spawn(w, 2, "d2", func(r *Rank) { wait(r, r.Irecv(0, 0)) })
+	spawn(w, 3, "d3", func(r *Rank) { wait(r, r.Irecv(1, 0)) })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,17 +158,17 @@ func TestTagAndSourceMatching(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 3, fastNet())
 	var fromTag2, fromRank2 any
-	w.Spawn(0, "s0", func(r *Rank) {
+	spawn(w, 0, "s0", func(r *Rank) {
 		r.Isend(2, 1, 10, "r0t1")
 		r.Isend(2, 2, 10, "r0t2")
 	})
-	w.Spawn(1, "s1", func(r *Rank) {
+	spawn(w, 1, "s1", func(r *Rank) {
 		r.Isend(2, 1, 10, "r1t1")
 	})
-	w.Spawn(2, "recv", func(r *Rank) {
-		fromTag2 = r.Recv(AnySource, 2).Payload
-		fromRank2 = r.Recv(1, AnyTag).Payload
-		r.Recv(AnySource, AnyTag) // drain the remaining message
+	spawn(w, 2, "recv", func(r *Rank) {
+		fromTag2 = wait(r, r.Irecv(AnySource, 2)).Payload
+		fromRank2 = wait(r, r.Irecv(1, AnyTag)).Payload
+		wait(r, r.Irecv(AnySource, AnyTag)) // drain the remaining message
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -171,14 +186,14 @@ func TestPerSourceOrderingPreserved(t *testing.T) {
 	w := NewWorld(sim, 2, fastNet())
 	const n = 20
 	var order []int
-	w.Spawn(0, "s", func(r *Rank) {
+	spawn(w, 0, "s", func(r *Rank) {
 		for i := 0; i < n; i++ {
 			r.Isend(1, 0, 100, i)
 		}
 	})
-	w.Spawn(1, "d", func(r *Rank) {
+	spawn(w, 1, "d", func(r *Rank) {
 		for i := 0; i < n; i++ {
-			order = append(order, r.Recv(0, 0).Payload.(int))
+			order = append(order, wait(r, r.Irecv(0, 0)).Payload.(int))
 		}
 	})
 	if err := sim.Run(); err != nil {
@@ -195,17 +210,17 @@ func TestIrecvBeforeSendMatches(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
 	var ok bool
-	w.Spawn(1, "d", func(r *Rank) {
+	spawn(w, 1, "d", func(r *Rank) {
 		req := r.Irecv(0, 5)
-		if r.Test(req) {
+		if req.Done() {
 			t.Error("request complete before any send")
 		}
-		m := r.Wait(req)
+		m := wait(r, req)
 		ok = m.Payload.(string) == "x"
 	})
-	w.Spawn(0, "s", func(r *Rank) {
-		r.Compute(10 * des.Millisecond)
-		r.Send(1, 5, 10, "x")
+	spawn(w, 0, "s", func(r *Rank) {
+		destest.Sleep(r.Proc(), 10*des.Millisecond)
+		wait(r, r.Isend(1, 5, 10, "x"))
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -215,19 +230,22 @@ func TestIrecvBeforeSendMatches(t *testing.T) {
 	}
 }
 
+// TestProbe: an arrived but unreceived message waits in the inbox until a
+// receive consumes it.
 func TestProbe(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
 	var before, after bool
-	w.Spawn(0, "s", func(r *Rank) {
-		r.Send(1, 3, 10, nil)
+	spawn(w, 0, "s", func(r *Rank) {
+		wait(r, r.Isend(1, 3, 10, nil))
 	})
-	w.Spawn(1, "d", func(r *Rank) {
-		before = r.Probe(0, 3)
-		r.Compute(10 * des.Millisecond)
-		after = r.Probe(0, 3)
-		r.Recv(0, 3)
-		if r.Probe(0, 3) {
+	spawn(w, 1, "d", func(r *Rank) {
+		queued := func() bool { return len(r.inbox) == 1 && r.inbox[0].Tag == 3 }
+		before = queued()
+		destest.Sleep(r.Proc(), 10*des.Millisecond)
+		after = queued()
+		wait(r, r.Irecv(0, 3))
+		if len(r.inbox) != 0 {
 			t.Error("probe true after message consumed")
 		}
 	})
@@ -249,9 +267,11 @@ func TestBarrierReleasesTogether(t *testing.T) {
 	var releases []des.Time
 	for i := 0; i < 4; i++ {
 		i := i
-		w.Spawn(i, "p", func(r *Rank) {
-			r.Compute(des.Time(i) * des.Second)
-			b.Arrive(r)
+		spawn(w, i, "p", func(r *Rank) {
+			destest.Sleep(r.Proc(), des.Time(i)*des.Second)
+			var op BarrierOp
+			op.Init(b, r)
+			destest.Await(r.Proc(), op.Step)
 			releases = append(releases, r.Now())
 		})
 	}
@@ -277,10 +297,12 @@ func TestBarrierReusable(t *testing.T) {
 	counts := make([]int, 2)
 	for i := 0; i < 2; i++ {
 		i := i
-		w.Spawn(i, "p", func(r *Rank) {
+		spawn(w, i, "p", func(r *Rank) {
 			for round := 0; round < 5; round++ {
-				r.Compute(des.Time(i+1) * des.Millisecond)
-				b.Arrive(r)
+				destest.Sleep(r.Proc(), des.Time(i+1)*des.Millisecond)
+				var op BarrierOp
+				op.Init(b, r)
+				destest.Await(r.Proc(), op.Step)
 				counts[i]++
 				// Ranks must stay in lockstep.
 				if counts[0] != counts[1] && counts[0]-counts[1] != 0 {
@@ -306,21 +328,24 @@ func TestBarrierReusable(t *testing.T) {
 func TestWaitAllAndTestSome(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
-	w.Spawn(0, "s", func(r *Rank) {
+	spawn(w, 0, "s", func(r *Rank) {
 		reqs := []*Request{
 			r.Isend(1, 0, 10, 1),
 			r.Isend(1, 0, 10, 2),
 			r.Isend(1, 0, 10, 3),
 		}
-		r.WaitAll(reqs...)
-		idx := r.TestSome(reqs, nil)
-		if len(idx) != 3 {
-			t.Errorf("TestSome after WaitAll = %v", idx)
+		var op WaitAllOp
+		op.Init(r, reqs)
+		destest.Await(r.Proc(), op.Step)
+		for i, q := range reqs {
+			if !q.Done() {
+				t.Errorf("request %d not done after WaitAllOp", i)
+			}
 		}
 	})
-	w.Spawn(1, "d", func(r *Rank) {
+	spawn(w, 1, "d", func(r *Rank) {
 		for i := 0; i < 3; i++ {
-			r.Recv(0, 0)
+			wait(r, r.Irecv(0, 0))
 		}
 	})
 	if err := sim.Run(); err != nil {
@@ -331,13 +356,13 @@ func TestWaitAllAndTestSome(t *testing.T) {
 func TestWorldAccounting(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
-	w.Spawn(0, "s", func(r *Rank) {
-		r.Send(1, 0, 100, nil)
-		r.Send(1, 0, 200, nil)
+	spawn(w, 0, "s", func(r *Rank) {
+		wait(r, r.Isend(1, 0, 100, nil))
+		wait(r, r.Isend(1, 0, 200, nil))
 	})
-	w.Spawn(1, "d", func(r *Rank) {
-		r.Recv(0, 0)
-		r.Recv(0, 0)
+	spawn(w, 1, "d", func(r *Rank) {
+		wait(r, r.Irecv(0, 0))
+		wait(r, r.Irecv(0, 0))
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -357,14 +382,14 @@ func TestPropertyNoLossNoDuplication(t *testing.T) {
 		sim := des.New()
 		w := NewWorld(sim, 2, fastNet())
 		var got []int
-		w.Spawn(0, "s", func(r *Rank) {
+		spawn(w, 0, "s", func(r *Rank) {
 			for i, sz := range sizes {
 				r.Isend(1, 0, int64(sz)+1, i)
 			}
 		})
-		w.Spawn(1, "d", func(r *Rank) {
+		spawn(w, 1, "d", func(r *Rank) {
 			for range sizes {
-				got = append(got, r.Recv(0, 0).Payload.(int))
+				got = append(got, wait(r, r.Irecv(0, 0)).Payload.(int))
 			}
 		})
 		if err := sim.Run(); err != nil {
@@ -415,9 +440,11 @@ func TestPropertyBarrierReleaseTime(t *testing.T) {
 		okAll := true
 		for i := 0; i < n; i++ {
 			d := des.Time(delays[i])
-			w.Spawn(i, "p", func(r *Rank) {
-				r.Compute(d)
-				b.Arrive(r)
+			spawn(w, i, "p", func(r *Rank) {
+				destest.Sleep(r.Proc(), d)
+				var op BarrierOp
+				op.Init(b, r)
+				destest.Await(r.Proc(), op.Step)
 				if r.Now() != want {
 					okAll = false
 				}

@@ -8,7 +8,7 @@ import (
 )
 
 // Rank is one MPI process. All of its operations must be invoked from
-// inside the des.Proc that Spawn started for it.
+// inside the des.Proc that SpawnFSM (or Respawn) started for it.
 type Rank struct {
 	w    *World
 	rank int
@@ -54,17 +54,6 @@ func (r *Rank) Proc() *des.Proc { return r.proc }
 // Now returns the current virtual time.
 func (r *Rank) Now() des.Time { return r.w.sim.Now() }
 
-// Compute advances this rank's virtual clock by d, modeling local work.
-func (r *Rank) Compute(d des.Time) {
-	if c := r.w.causal; c != nil {
-		start := r.Now()
-		r.proc.Sleep(d)
-		c.Busy(r.proc, causal.CatCompute, start, r.Now())
-		return
-	}
-	r.proc.Sleep(d)
-}
-
 // Alive reports whether the rank is running (not killed by fault
 // injection). A fresh rank is alive; Kill clears it, Respawn restores it.
 func (r *Rank) Alive() bool { return !r.dead }
@@ -90,9 +79,9 @@ type Request struct {
 	dropped   bool     // send whose message the network lost (fault injection)
 }
 
-// Done reports whether the operation has completed (MPI_Test without
-// side effects; our Test is free of progress obligations because the DES
-// kernel advances the network independently).
+// Done reports whether the operation has completed (MPI_Test, free of
+// progress obligations because the DES kernel advances the network
+// independently).
 func (q *Request) Done() bool { return q.done }
 
 // Message returns the received message, or nil if not a completed receive.
@@ -243,11 +232,6 @@ func (w *World) release(t *transfer) {
 	w.free = append(w.free, t)
 }
 
-// Send is a blocking standard-mode send: Isend followed by Wait.
-func (r *Rank) Send(dest, tag int, bytes int64, payload any) {
-	r.Wait(r.Isend(dest, tag, bytes, payload))
-}
-
 // deliver runs in kernel context when a message clears the receiver NIC:
 // match the oldest satisfiable posted receive, else queue in arrival order.
 func (r *Rank) deliver(m *Message) {
@@ -280,20 +264,6 @@ func (r *Rank) Irecv(source, tag int) *Request {
 	return req
 }
 
-// Recv is a blocking receive: Irecv followed by Wait.
-func (r *Rank) Recv(source, tag int) *Message {
-	return r.Wait(r.Irecv(source, tag))
-}
-
-// Wait blocks this rank until the request completes, returning the matched
-// message for receives (nil for sends). Corresponds to MPI_Wait.
-func (r *Rank) Wait(q *Request) *Message {
-	var op WaitOp
-	op.Init(r, q)
-	op.Step()
-	return q.msg
-}
-
 // recordWait classifies a completed blocking wait: a received message makes
 // a transit edge back to its sender; a cancelled request is recovery
 // teardown; anything else (waiting out one's own send) is plain transit.
@@ -310,36 +280,6 @@ func (r *Rank) recordWait(c *causal.Recorder, start des.Time, q *Request) {
 	default:
 		c.WaitPlain(r.proc, start, end, causal.CatTransit)
 	}
-}
-
-// WaitAll blocks until every request has completed.
-func (r *Rank) WaitAll(qs ...*Request) {
-	var op WaitAllOp
-	op.Init(r, qs)
-	op.Step()
-}
-
-// WaitAny blocks until at least one of the requests has completed and
-// returns the index of the first completed one. Waiting on an empty set can
-// never complete; it is a contract violation and panics with
-// *ProtocolError.
-func (r *Rank) WaitAny(qs []*Request) int {
-	var op WaitAnyOp
-	op.Init(r, qs)
-	op.Step()
-	return op.Index
-}
-
-// WaitAnyUntil is WaitAny with an absolute virtual-time deadline: it
-// returns (index, true) when a request completes first, or (-1, false) if
-// the deadline passes with none complete. Nil entries are skipped, so
-// callers can keep fixed slots. An all-nil or empty set simply waits out
-// the deadline.
-func (r *Rank) WaitAnyUntil(qs []*Request, deadline des.Time) (int, bool) {
-	var op WaitAnyOp
-	op.InitUntil(r, qs, deadline)
-	op.Step()
-	return op.Index, !op.TimedOut()
 }
 
 // recordEventWake classifies an EventWaitOp wake: if a message arrived at
@@ -376,28 +316,4 @@ func (r *Rank) Cancel(q *Request) bool {
 	q.cancelled = true
 	q.complete(nil)
 	return true
-}
-
-// Test reports whether the request has completed (MPI_Test).
-func (r *Rank) Test(q *Request) bool { return q.done }
-
-// TestSome appends completed requests' indices to idx and returns it.
-func (r *Rank) TestSome(qs []*Request, idx []int) []int {
-	for i, q := range qs {
-		if q.done {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// Probe reports whether a message matching (source, tag) has arrived but
-// not been received (MPI_Iprobe).
-func (r *Rank) Probe(source, tag int) bool {
-	for _, m := range r.inbox {
-		if (source == AnySource || source == m.Source) && (tag == AnyTag || tag == m.Tag) {
-			return true
-		}
-	}
-	return false
 }

@@ -7,9 +7,9 @@ import "sort"
 const teamTagBase = 1 << 22
 
 // Team is a fixed group of ranks executing collectives together: broadcast
-// and reduce use binomial trees (log₂(n) rounds, as MPICH does), gather is
-// linear at the root. Every member must call each collective in the same
-// order; a generation counter isolates successive operations.
+// (BcastOp) uses a binomial tree (log₂(n) rounds, as MPICH does). Every
+// member must call each collective in the same order; a generation counter
+// isolates successive operations.
 type Team struct {
 	w       *World
 	ranks   []int
@@ -66,76 +66,4 @@ func (t *Team) opTag(r *Rank) int {
 	tag := teamTagBase + (t.memberGen[p] % (1 << 16))
 	t.memberGen[p]++
 	return tag
-}
-
-// Bcast distributes payload (of the given simulated size) from root to
-// every team member along a binomial tree. Returns the payload on every
-// member. root is a world rank that must belong to the team.
-func (t *Team) Bcast(r *Rank, root int, bytes int64, payload any) any {
-	// The binomial algorithm lives in BcastOp (so FSM processes can run it
-	// resumably); this wrapper drives it to completion for goroutine
-	// processes.
-	var op BcastOp
-	op.Init(t, r, root, bytes, payload)
-	op.Step()
-	return op.Result()
-}
-
-// Gather collects every member's payload at root (linear algorithm, as
-// MPICH uses for small teams). At root it returns payloads indexed by team
-// position; elsewhere it returns nil.
-func (t *Team) Gather(r *Rank, root int, bytes int64, payload any) []any {
-	tag := t.opTag(r)
-	rootPos, ok := t.indexOf[root]
-	if !ok {
-		protoPanic("Gather", root, "root not in team")
-	}
-	me := t.pos(r)
-	if me != rootPos {
-		r.Send(root, tag, bytes, gatherItem{Pos: me, Value: payload})
-		return nil
-	}
-	out := make([]any, len(t.ranks))
-	out[rootPos] = payload
-	for i := 0; i < len(t.ranks)-1; i++ {
-		m := r.Recv(AnySource, tag)
-		item := m.Payload.(gatherItem)
-		out[item.Pos] = item.Value
-	}
-	return out
-}
-
-type gatherItem struct {
-	Pos   int
-	Value any
-}
-
-// Reduce combines every member's float64 value with op along a binomial
-// tree, delivering the result at root (others receive 0). op must be
-// associative and commutative.
-func (t *Team) Reduce(r *Rank, root int, bytes int64, value float64, op func(a, b float64) float64) float64 {
-	n := len(t.ranks)
-	tag := t.opTag(r)
-	rootPos, ok := t.indexOf[root]
-	if !ok {
-		protoPanic("Reduce", root, "root not in team")
-	}
-	vr := t.vrank(t.pos(r), rootPos)
-	acc := value
-	mask := 1
-	for mask < n {
-		if vr&mask == 0 {
-			src := vr | mask
-			if src < n {
-				m := r.Recv(t.absRank(src, rootPos), tag)
-				acc = op(acc, m.Payload.(float64))
-			}
-		} else {
-			dst := t.absRank(vr&^mask, rootPos)
-			r.Send(dst, tag, bytes, acc)
-			return 0
-		}
-		mask <<= 1
-	}
-	return acc // only the root reaches here
 }

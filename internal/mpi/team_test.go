@@ -1,11 +1,10 @@
 package mpi
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 func teamFixture(t *testing.T, n int) (*des.Simulation, *World, *Team) {
@@ -25,12 +24,15 @@ func TestBcastDeliversToAll(t *testing.T) {
 		got := make([]any, n)
 		for i := 0; i < n; i++ {
 			i := i
-			w.Spawn(i, "p", func(r *Rank) {
+			spawn(w, i, "p", func(r *Rank) {
 				var payload any
 				if i == 2%n {
 					payload = "the-config"
 				}
-				got[i] = team.Bcast(r, 2%n, 100, payload)
+				var op BcastOp
+				op.Init(team, r, 2%n, 100, payload)
+				destest.Await(r.Proc(), op.Step)
+				got[i] = op.Result()
 			})
 		}
 		if err := sim.Run(); err != nil {
@@ -51,12 +53,15 @@ func TestBcastNonZeroRoot(t *testing.T) {
 	ok := true
 	for i := 0; i < n; i++ {
 		i := i
-		w.Spawn(i, "p", func(r *Rank) {
+		spawn(w, i, "p", func(r *Rank) {
 			var payload any
 			if i == root {
 				payload = 42
 			}
-			if team.Bcast(r, root, 8, payload) != 42 {
+			var op BcastOp
+			op.Init(team, r, root, 8, payload)
+			destest.Await(r.Proc(), op.Step)
+			if op.Result() != 42 {
 				ok = false
 			}
 		})
@@ -85,8 +90,10 @@ func TestBcastLogarithmicDepth(t *testing.T) {
 	var last des.Time
 	for i := 0; i < n; i++ {
 		i := i
-		w.Spawn(i, "p", func(r *Rank) {
-			team.Bcast(r, 0, 8, i == 0)
+		spawn(w, i, "p", func(r *Rank) {
+			var op BcastOp
+			op.Init(team, r, 0, 8, i == 0)
+			destest.Await(r.Proc(), op.Step)
 			if r.Now() > last {
 				last = r.Now()
 			}
@@ -101,85 +108,9 @@ func TestBcastLogarithmicDepth(t *testing.T) {
 	}
 }
 
-func TestGatherCollectsInPositionOrder(t *testing.T) {
-	const n = 6
-	sim, w, team := teamFixture(t, n)
-	var collected []any
-	for i := 0; i < n; i++ {
-		i := i
-		w.Spawn(i, "p", func(r *Rank) {
-			out := team.Gather(r, 0, 16, i*i)
-			if i == 0 {
-				collected = out
-			} else if out != nil {
-				t.Errorf("non-root rank %d got gather output", i)
-			}
-		})
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(collected) != n {
-		t.Fatalf("collected %d values", len(collected))
-	}
-	for i, v := range collected {
-		if v != i*i {
-			t.Fatalf("position %d = %v, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 7, 9} {
-		sim, w, team := teamFixture(t, n)
-		rng := rand.New(rand.NewSource(int64(n)))
-		values := make([]float64, n)
-		want := 0.0
-		for i := range values {
-			values[i] = rng.Float64() * 100
-			want += values[i]
-		}
-		var got float64
-		for i := 0; i < n; i++ {
-			i := i
-			w.Spawn(i, "p", func(r *Rank) {
-				res := team.Reduce(r, 0, 8, values[i], func(a, b float64) float64 { return a + b })
-				if i == 0 {
-					got = res
-				}
-			})
-		}
-		if err := sim.Run(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("n=%d: sum = %v, want %v", n, got, want)
-		}
-	}
-}
-
-func TestReduceMaxNonZeroRoot(t *testing.T) {
-	const n = 5
-	const root = 3
-	sim, w, team := teamFixture(t, n)
-	var got float64
-	for i := 0; i < n; i++ {
-		i := i
-		w.Spawn(i, "p", func(r *Rank) {
-			res := team.Reduce(r, root, 8, float64(i*10), math.Max)
-			if i == root {
-				got = res
-			}
-		})
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 40 {
-		t.Fatalf("max = %v, want 40", got)
-	}
-}
-
+// TestBackToBackCollectivesDoNotCrossTalk: successive broadcasts from
+// different roots carry their own tags, so a member that runs ahead never
+// receives the next round's payload in place of this one's.
 func TestBackToBackCollectivesDoNotCrossTalk(t *testing.T) {
 	const n = 4
 	sim, w, team := teamFixture(t, n)
@@ -187,18 +118,19 @@ func TestBackToBackCollectivesDoNotCrossTalk(t *testing.T) {
 	bad := false
 	for i := 0; i < n; i++ {
 		i := i
-		w.Spawn(i, "p", func(r *Rank) {
+		spawn(w, i, "p", func(r *Rank) {
+			var op BcastOp
 			for round := 0; round < rounds; round++ {
-				var payload any
-				if i == 0 {
-					payload = round
-				}
-				if got := team.Bcast(r, 0, 8, payload); got != round {
-					bad = true
-				}
-				sum := team.Reduce(r, 0, 8, float64(round), func(a, b float64) float64 { return a + b })
-				if i == 0 && sum != float64(round*n) {
-					bad = true
+				for root := 0; root < 2; root++ {
+					var payload any
+					if i == root {
+						payload = 10*round + root
+					}
+					op.Init(team, r, root, 8, payload)
+					destest.Await(r.Proc(), op.Step)
+					if op.Result() != 10*round+root {
+						bad = true
+					}
 				}
 			}
 		})
@@ -218,12 +150,14 @@ func TestTeamSubsetOfWorld(t *testing.T) {
 	var got []any
 	for _, i := range []int{1, 3, 5} {
 		i := i
-		w.Spawn(i, "p", func(r *Rank) {
-			v := team.Bcast(r, 3, 8, map[bool]any{true: "x", false: nil}[i == 3])
-			got = append(got, v)
+		spawn(w, i, "p", func(r *Rank) {
+			var op BcastOp
+			op.Init(team, r, 3, 8, map[bool]any{true: "x", false: nil}[i == 3])
+			destest.Await(r.Proc(), op.Step)
+			got = append(got, op.Result())
 		})
 	}
-	w.Spawn(0, "outsider", func(r *Rank) { r.Compute(des.Second) })
+	spawn(w, 0, "outsider", func(r *Rank) { destest.Sleep(r.Proc(), des.Second) })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 // TestExitWithPostedReceives pins the teardown contract the resilient
@@ -13,16 +14,16 @@ func TestExitWithPostedReceives(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
 	var orphan *Request
-	w.Spawn(0, "leaver", func(r *Rank) {
+	spawn(w, 0, "leaver", func(r *Rank) {
 		orphan = r.Irecv(AnySource, 42) // never matched
-		r.Compute(des.Millisecond)
+		destest.Sleep(r.Proc(), des.Millisecond)
 		// exit with the receive still posted
 	})
 	var sendReq *Request
-	w.Spawn(1, "peer", func(r *Rank) {
-		r.Compute(10 * des.Millisecond)
+	spawn(w, 1, "peer", func(r *Rank) {
+		destest.Sleep(r.Proc(), 10*des.Millisecond)
 		sendReq = r.Isend(0, 7, 100, "late") // wrong tag: lands in the inbox
-		r.Wait(sendReq)
+		wait(r, sendReq)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -35,38 +36,42 @@ func TestExitWithPostedReceives(t *testing.T) {
 	}
 }
 
-// TestWaitAnyMixedCompletedCancelled pins that WaitAny treats a cancelled
+// TestWaitAnyMixedCompletedCancelled pins that WaitAnyOp treats a cancelled
 // request as completed — teardown code draining a mixed request set must
 // not block on entries it already cancelled.
 func TestWaitAnyMixedCompletedCancelled(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
-	w.Spawn(0, "receiver", func(r *Rank) {
+	spawn(w, 0, "receiver", func(r *Rank) {
 		pending := r.Irecv(1, 1) // completes at ~2ms
 		doomed := r.Irecv(1, 2)  // never sent
 		if !r.Cancel(doomed) {
 			t.Error("Cancel on a pending receive returned false")
 		}
 		qs := []*Request{pending, doomed}
-		if i := r.WaitAny(qs); i != 1 {
-			t.Errorf("WaitAny = %d, want 1 (the cancelled slot)", i)
+		var op WaitAnyOp
+		op.Init(r, qs)
+		destest.Await(r.Proc(), op.Step)
+		if op.Index != 1 {
+			t.Errorf("WaitAnyOp index = %d, want 1 (the cancelled slot)", op.Index)
 		}
 		if !doomed.Cancelled() || doomed.Message() != nil {
 			t.Error("cancelled request must report Cancelled with nil message")
 		}
-		// With the cancelled slot nil'd out, WaitAnyUntil must skip it and
-		// find the real completion.
+		// With the cancelled slot nil'd out, a deadline wait must skip it
+		// and find the real completion.
 		qs[1] = nil
-		i, ok := r.WaitAnyUntil(qs, r.Now()+des.Second)
-		if !ok || i != 0 {
-			t.Errorf("WaitAnyUntil = (%d, %v), want (0, true)", i, ok)
+		op.InitUntil(r, qs, r.Now()+des.Second)
+		destest.Await(r.Proc(), op.Step)
+		if op.TimedOut() || op.Index != 0 {
+			t.Errorf("deadline WaitAnyOp = (%d, timed out %v), want (0, false)", op.Index, op.TimedOut())
 		}
 		if got := pending.Message(); got == nil || got.Payload != "ping" {
 			t.Errorf("message = %+v", pending.Message())
 		}
 	})
-	w.Spawn(1, "sender", func(r *Rank) {
-		r.Send(0, 1, 100, "ping")
+	spawn(w, 1, "sender", func(r *Rank) {
+		wait(r, r.Isend(0, 1, 100, "ping"))
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -78,11 +83,13 @@ func TestWaitAnyMixedCompletedCancelled(t *testing.T) {
 func TestWaitAnyUntilAllNilTimesOut(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 1, fastNet())
-	w.Spawn(0, "timer", func(r *Rank) {
+	spawn(w, 0, "timer", func(r *Rank) {
 		deadline := r.Now() + 5*des.Millisecond
-		i, ok := r.WaitAnyUntil([]*Request{nil, nil}, deadline)
-		if ok || i != -1 {
-			t.Errorf("WaitAnyUntil = (%d, %v), want (-1, false)", i, ok)
+		var op WaitAnyOp
+		op.InitUntil(r, []*Request{nil, nil}, deadline)
+		destest.Await(r.Proc(), op.Step)
+		if !op.TimedOut() || op.Index != -1 {
+			t.Errorf("deadline WaitAnyOp = (%d, timed out %v), want (-1, true)", op.Index, op.TimedOut())
 		}
 		if r.Now() != deadline {
 			t.Errorf("woke at %v, want deadline %v", r.Now(), deadline)
@@ -98,22 +105,22 @@ func TestWaitAnyUntilAllNilTimesOut(t *testing.T) {
 func TestCancelWithdrawsMatching(t *testing.T) {
 	sim := des.New()
 	w := NewWorld(sim, 2, fastNet())
-	w.Spawn(0, "receiver", func(r *Rank) {
+	spawn(w, 0, "receiver", func(r *Rank) {
 		first := r.Irecv(1, 3)
 		r.Cancel(first)
 		if r.Cancel(first) {
 			t.Error("second Cancel must be a no-op returning false")
 		}
 		second := r.Irecv(1, 3)
-		if m := r.Wait(second); m.Payload != "v" {
+		if m := wait(r, second); m.Payload != "v" {
 			t.Errorf("payload = %v", m.Payload)
 		}
 		if first.Message() != nil {
 			t.Error("cancelled receive matched a message")
 		}
 	})
-	w.Spawn(1, "sender", func(r *Rank) {
-		r.Send(0, 3, 64, "v")
+	spawn(w, 1, "sender", func(r *Rank) {
+		wait(r, r.Isend(0, 3, 64, "v"))
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -132,16 +139,16 @@ func TestKillTeardownAndRespawn(t *testing.T) {
 	w := NewWorld(sim, 2, fastNet())
 	var posted, toDead *Request
 	var revivedInc int
-	w.Spawn(0, "victim", func(r *Rank) {
+	spawn(w, 0, "victim", func(r *Rank) {
 		posted = r.Irecv(1, 9)
-		r.Compute(des.Millisecond)
+		destest.Sleep(r.Proc(), des.Millisecond)
 		w.Kill(0) // the dying rank's own proc tears itself down
 	})
-	w.Spawn(1, "peer", func(r *Rank) {
-		r.Compute(5 * des.Millisecond)
+	spawn(w, 1, "peer", func(r *Rank) {
+		destest.Sleep(r.Proc(), 5*des.Millisecond)
 		toDead = r.Isend(0, 9, 100, "to the dead")
-		r.Wait(toDead) // eager: completes at the sender NIC, before delivery
-		r.Compute(5 * des.Millisecond)
+		wait(r, toDead) // eager: completes at the sender NIC, before delivery
+		destest.Sleep(r.Proc(), 5*des.Millisecond)
 		// The victim's proc is done by now: revive it.
 		w.Respawn(0, "revived", machineFunc(func(*des.Proc) {
 			r2 := w.Rank(0)
@@ -149,7 +156,7 @@ func TestKillTeardownAndRespawn(t *testing.T) {
 			if !r2.Alive() {
 				t.Error("respawned rank not alive")
 			}
-			if r2.Probe(AnySource, AnyTag) {
+			if len(r2.inbox) != 0 {
 				t.Error("respawned rank inherited inbox traffic")
 			}
 		}))

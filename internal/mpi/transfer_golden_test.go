@@ -8,6 +8,7 @@ import (
 
 	"s3asim/internal/causal"
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 // This file pins a message's trip through the network (send NIC → wire
@@ -41,8 +42,9 @@ func transferGoldenRun(t *testing.T) (string, uint64) {
 	const big = 256 * 1024 // above the eager limit: rendezvous
 	var b strings.Builder
 	var sends []*Request
-	w.Spawn(0, "r0", func(r *Rank) {
-		r.Compute(10 * des.Microsecond) // rank 3 dies first
+	spawn(w, 0, "r0", func(r *Rank) {
+		destest.Sleep(r.Proc(), 10*des.Microsecond) // rank 3 dies first
+		rec.Busy(r.Proc(), causal.CatCompute, 0, r.Now())
 		qs := []*Request{
 			r.Isend(1, 0, 512, "eager"),
 			r.Isend(1, 3, 2048, "delayed"),
@@ -54,25 +56,28 @@ func transferGoldenRun(t *testing.T) (string, uint64) {
 			r.Isend(2, 3, big, "delayed rendezvous"),
 		}
 		sends = append(sends, qs...)
+		var op WaitAnyOp
 		for left := len(qs); left > 0; left-- {
-			i, _ := r.WaitAnyUntil(qs, des.Second)
+			op.InitUntil(r, qs, des.Second)
+			destest.Await(r.Proc(), op.Step)
+			i := op.Index
 			fmt.Fprintf(&b, "send %d done=%v dropped=%v\n", i, r.Now(), qs[i].Dropped())
 			qs[i] = nil
 		}
 	})
-	w.Spawn(1, "r1", func(r *Rank) {
+	spawn(w, 1, "r1", func(r *Rank) {
 		for k := 0; k < 2; k++ {
-			m := r.Recv(0, AnyTag)
+			m := wait(r, r.Irecv(0, AnyTag))
 			fmt.Fprintf(&b, "r1 got tag=%d %v at %v\n", m.Tag, m.Payload, r.Now())
 		}
 	})
-	w.Spawn(2, "r2", func(r *Rank) {
+	spawn(w, 2, "r2", func(r *Rank) {
 		for k := 0; k < 2; k++ {
-			m := r.Recv(AnySource, AnyTag)
+			m := wait(r, r.Irecv(AnySource, AnyTag))
 			fmt.Fprintf(&b, "r2 got tag=%d %v at %v\n", m.Tag, m.Payload, r.Now())
 		}
 	})
-	w.Spawn(3, "r3", func(r *Rank) { w.Kill(3) })
+	spawn(w, 3, "r3", func(r *Rank) { w.Kill(3) })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}

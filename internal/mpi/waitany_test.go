@@ -6,6 +6,7 @@ import (
 
 	"s3asim/internal/causal"
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 // waitAnyUntilFSM posts a receive from rank 1 into slot 1 of a two-slot set
@@ -36,8 +37,8 @@ func waitAnyLine(r *Rank, index int, ok bool) string {
 	return fmt.Sprintf("woke=%v index=%d ok=%v calendar=%d", r.Now(), index, ok, r.w.sim.PendingEvents())
 }
 
-// runWaitAnyUntil parks rank 0 in one deadline wait (FSM or goroutine
-// form) while rank 1 sends it a message at sendAt (never when 0) and
+// runWaitAnyUntil parks rank 0 in one deadline wait (a hand-written machine
+// when fsm is set, else a straight-line body awaiting the op) while rank 1 sends it a message at sendAt (never when 0) and
 // out-of-band wakes kick it at each of kicks, which makes it re-scan and
 // re-arm the same deadline. It returns the wake line, the causal totals and
 // the number of calendar events run.
@@ -50,14 +51,16 @@ func runWaitAnyUntil(fsm bool, deadline, sendAt des.Time, kicks ...des.Time) (st
 	if fsm {
 		w.SpawnFSM(0, "waiter", &waitAnyUntilFSM{r: w.Rank(0), deadline: deadline, out: &out})
 	} else {
-		w.Spawn(0, "waiter", func(r *Rank) {
-			i, ok := r.WaitAnyUntil([]*Request{nil, r.Irecv(1, 9)}, deadline)
-			out = waitAnyLine(r, i, ok)
+		spawn(w, 0, "waiter", func(r *Rank) {
+			var op WaitAnyOp
+			op.InitUntil(r, []*Request{nil, r.Irecv(1, 9)}, deadline)
+			destest.Await(r.Proc(), op.Step)
+			out = waitAnyLine(r, op.Index, !op.TimedOut())
 		})
 	}
 	if sendAt > 0 {
-		w.Spawn(1, "sender", func(r *Rank) {
-			r.Proc().Sleep(sendAt)
+		spawn(w, 1, "sender", func(r *Rank) {
+			destest.Sleep(r.Proc(), sendAt)
 			r.Isend(0, 9, 10, nil)
 		})
 	}
@@ -74,8 +77,9 @@ func runWaitAnyUntil(fsm bool, deadline, sendAt des.Time, kicks ...des.Time) (st
 // edge to the sender, skipping the nil slot) or at its deadline (recovery
 // time); re-arming the same deadline after a wake revives the tombstoned
 // timer rather than queueing a second one; a deadline at or before the
-// present ends the wait without parking. The FSM form replays the
-// goroutine form exactly.
+// present ends the wait without parking. The schedule is pinned for both
+// ways a process drives the op: from a hand-written machine's Step and from
+// a straight-line destest body, which must add no event of its own.
 func TestWaitAnyOpDeadline(t *testing.T) {
 	ms := des.Millisecond
 	cases := []struct {

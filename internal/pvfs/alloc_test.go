@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 // reuseMachine is an FSM client that runs one list write per kick on a
@@ -47,7 +48,7 @@ func listWriteAllocs(t *testing.T, servers int) float64 {
 	sim := des.New()
 	fs := New(sim, FeynmanLike())
 	var f *File
-	sim.Spawn("setup", func(p *des.Proc) { f = fs.Create(p, "out") })
+	destest.Spawn(sim, "setup", func(p *des.Proc) { f = fs.Create(p, "out"); destest.Yield(p) })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}

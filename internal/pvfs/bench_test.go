@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 // benchFS builds a Feynman-like file system without data capture.
@@ -18,10 +19,13 @@ func BenchmarkWriteContig(b *testing.B) {
 	sim := des.New()
 	fs := benchFS(sim)
 	port := &Port{Send: sim.NewResource("s", 1), Recv: sim.NewResource("r", 1)}
-	sim.Spawn("c", func(p *des.Proc) {
+	destest.Spawn(sim, "c", func(p *des.Proc) {
+		var op IssueOp
 		f := fs.Create(p, "bench")
+		destest.Yield(p)
 		for i := 0; i < b.N; i++ {
-			f.Write(p, port, int64(i)*1<<20, 1<<20, int64(i)*1<<20)
+			op.InitWrite(p, f, port, int64(i)*1<<20, 1<<20, int64(i)*1<<20)
+			destest.Await(p, op.Step)
 		}
 	})
 	b.ReportAllocs()
@@ -38,15 +42,18 @@ func BenchmarkWriteList(b *testing.B) {
 	sim := des.New()
 	fs := benchFS(sim)
 	port := &Port{Send: sim.NewResource("s", 1), Recv: sim.NewResource("r", 1)}
-	sim.Spawn("c", func(p *des.Proc) {
+	destest.Spawn(sim, "c", func(p *des.Proc) {
+		var op IssueOp
 		f := fs.Create(p, "bench")
+		destest.Yield(p)
 		for i := 0; i < b.N; i++ {
 			segs := make([]Segment, 64)
 			base := int64(i) * 64 * 128 * 1024
 			for j := range segs {
 				segs[j] = Segment{Offset: base + int64(j)*128*1024, Length: 4096}
 			}
-			f.WriteList(p, port, segs)
+			op.InitWriteList(p, f, port, segs)
+			destest.Await(p, op.Step)
 		}
 	})
 	b.ReportAllocs()

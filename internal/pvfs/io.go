@@ -114,10 +114,7 @@ func (fs *FileSystem) groupRequests(reqs []*serverRequest, pieces []serverPiece,
 // the client recv NIC.
 //
 // Arm it with one of the Init* constructors, then call Step until it returns
-// true. On a goroutine process one Step call completes the whole operation
-// (the blocking File methods are wrappers doing exactly that); an FSM
-// process re-enters Step after each park. Both forms run this one code path,
-// so their event schedules are identical.
+// true: the client process re-enters Step after each park.
 type IssueOp struct {
 	f    *File
 	p    *des.Proc
@@ -403,47 +400,6 @@ func (op *IssueOp) ReadSegsPieces() [][]Segment {
 		out[i] = op.f.data.read(s.Offset, s.Length, nil)
 	}
 	return out
-}
-
-// Write performs a contiguous write of n bytes at off holding stream
-// content from src; see IssueOp.InitWrite.
-func (f *File) Write(p *des.Proc, port *Port, off, n, src int64) {
-	var op IssueOp
-	op.InitWrite(p, f, port, off, n, src)
-	op.Step()
-}
-
-// WriteList performs a native noncontiguous list-I/O write; see
-// IssueOp.InitWriteList.
-func (f *File) WriteList(p *des.Proc, port *Port, segs []Segment) {
-	var op IssueOp
-	op.InitWriteList(p, f, port, segs)
-	op.Step()
-}
-
-// Read performs a contiguous read; with capture enabled the descriptor
-// pieces tiling the range are returned, otherwise nil.
-func (f *File) Read(p *des.Proc, port *Port, off, n int64) []Segment {
-	var op IssueOp
-	op.InitRead(p, f, port, off, n)
-	op.Step()
-	return op.ReadPieces()
-}
-
-// ReadList performs a native noncontiguous list-I/O read; with capture
-// enabled the descriptor pieces per segment are returned, otherwise nil.
-func (f *File) ReadList(p *des.Proc, port *Port, segs []Segment) [][]Segment {
-	var op IssueOp
-	op.InitReadList(p, f, port, segs)
-	op.Step()
-	return op.ReadSegsPieces()
-}
-
-// Sync flushes every server's dirty data; see IssueOp.InitSync.
-func (f *File) Sync(p *des.Proc, port *Port) {
-	var op IssueOp
-	op.InitSync(p, f, port)
-	op.Step()
 }
 
 // lockUnits appends to dst the lock resources a write request must

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 func TestRequestTraceRecordsRequests(t *testing.T) {
@@ -12,10 +13,14 @@ func TestRequestTraceRecordsRequests(t *testing.T) {
 	fs := New(sim, testConfig())
 	fs.EnableRequestTrace()
 	port := freePort(sim)
-	sim.Spawn("c", func(p *des.Proc) {
+	destest.Spawn(sim, "c", func(p *des.Proc) {
+		var op IssueOp
 		f := fs.Create(p, "x")
-		f.Write(p, port, 0, 250, 0) // spans servers 0,1,2
-		f.Sync(p, port)
+		destest.Yield(p)
+		op.InitWrite(p, f, port, 0, 250, 0) // spans servers 0,1,2
+		destest.Await(p, op.Step)
+		op.InitSync(p, f, port)
+		destest.Await(p, op.Step)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -50,9 +55,12 @@ func TestRequestTraceOffByDefault(t *testing.T) {
 	sim := des.New()
 	fs := New(sim, testConfig())
 	port := freePort(sim)
-	sim.Spawn("c", func(p *des.Proc) {
+	destest.Spawn(sim, "c", func(p *des.Proc) {
+		var op IssueOp
 		f := fs.Create(p, "x")
-		f.Write(p, port, 0, 100, 0)
+		destest.Yield(p)
+		op.InitWrite(p, f, port, 0, 100, 0)
+		destest.Await(p, op.Step)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)

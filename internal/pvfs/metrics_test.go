@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 	"s3asim/internal/obs"
 )
 
@@ -12,12 +13,16 @@ func TestResetRequestTrace(t *testing.T) {
 	fs := New(sim, testConfig())
 	fs.EnableRequestTrace()
 	port := freePort(sim)
-	sim.Spawn("c", func(p *des.Proc) {
+	destest.Spawn(sim, "c", func(p *des.Proc) {
+		var op IssueOp
 		f := fs.Create(p, "x")
-		f.Write(p, port, 0, 250, 0)
-		p.Sleep(des.Second)
+		destest.Yield(p)
+		op.InitWrite(p, f, port, 0, 250, 0)
+		destest.Await(p, op.Step)
+		destest.Sleep(p, des.Second)
 		fs.ResetRequestTrace() // new measurement window
-		f.Write(p, port, 1000, 50, 1000)
+		op.InitWrite(p, f, port, 1000, 50, 1000)
+		destest.Await(p, op.Step)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -37,11 +42,16 @@ func TestMetricsRecordedPerRequest(t *testing.T) {
 	reg := obs.NewRegistry()
 	fs.SetMetrics(reg)
 	port := freePort(sim)
-	sim.Spawn("c", func(p *des.Proc) {
+	destest.Spawn(sim, "c", func(p *des.Proc) {
+		var op IssueOp
 		f := fs.Create(p, "x")
-		f.Write(p, port, 0, 250, 0) // strips of 100 B: servers 0,1,2
-		f.Read(p, port, 0, 100)
-		f.Sync(p, port)
+		destest.Yield(p)
+		op.InitWrite(p, f, port, 0, 250, 0) // strips of 100 B: servers 0,1,2
+		destest.Await(p, op.Step)
+		op.InitRead(p, f, port, 0, 100)
+		destest.Await(p, op.Step)
+		op.InitSync(p, f, port)
+		destest.Await(p, op.Step)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -78,9 +88,12 @@ func TestMetricsOffByDefault(t *testing.T) {
 	sim := des.New()
 	fs := New(sim, testConfig())
 	port := freePort(sim)
-	sim.Spawn("c", func(p *des.Proc) {
+	destest.Spawn(sim, "c", func(p *des.Proc) {
+		var op IssueOp
 		f := fs.Create(p, "x")
-		f.Write(p, port, 0, 100, 0)
+		destest.Yield(p)
+		op.InitWrite(p, f, port, 0, 100, 0)
+		destest.Await(p, op.Step)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err) // a nil registry must not panic the request path

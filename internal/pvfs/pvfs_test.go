@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 func testConfig() Config {
@@ -160,7 +161,7 @@ func TestSplitByServerStriping(t *testing.T) {
 	sim := des.New()
 	fs := New(sim, testConfig())
 	var f *File
-	sim.Spawn("setup", func(p *des.Proc) { f = fs.Create(p, "out") })
+	destest.Spawn(sim, "setup", func(p *des.Proc) { f = fs.Create(p, "out"); destest.Yield(p) })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestSplitByServerCarriesData(t *testing.T) {
 	sim := des.New()
 	fs := New(sim, testConfig())
 	var f *File
-	sim.Spawn("setup", func(p *des.Proc) { f = fs.Create(p, "out") })
+	destest.Spawn(sim, "setup", func(p *des.Proc) { f = fs.Create(p, "out"); destest.Yield(p) })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +230,13 @@ func TestWriteCostModel(t *testing.T) {
 	fs := New(sim, testConfig())
 	port := freePort(sim)
 	var doneAt des.Time
-	sim.Spawn("client", func(p *des.Proc) {
+	destest.Spawn(sim, "client", func(p *des.Proc) {
+		var op IssueOp
 		f := fs.Create(p, "out")
+		destest.Yield(p)
 		start := p.Now() // create costs one metadata op
-		f.Write(p, port, 0, 100, 0)
+		op.InitWrite(p, f, port, 0, 100, 0)
+		destest.Await(p, op.Step)
 		doneAt = p.Now() - start
 	})
 	if err := sim.Run(); err != nil {
@@ -260,14 +264,18 @@ func TestWriteListParallelAcrossServers(t *testing.T) {
 		fs := New(sim, cfg)
 		port := freePort(sim)
 		var took des.Time
-		sim.Spawn("client", func(p *des.Proc) {
+		destest.Spawn(sim, "client", func(p *des.Proc) {
+			var op IssueOp
 			f := fs.Create(p, "out")
+			destest.Yield(p)
 			start := p.Now()
 			if list {
-				f.WriteList(p, port, segs)
+				op.InitWriteList(p, f, port, segs)
+				destest.Await(p, op.Step)
 			} else {
 				for _, s := range segs {
-					f.Write(p, port, s.Offset, s.Length, s.Offset)
+					op.InitWrite(p, f, port, s.Offset, s.Length, s.Offset)
+					destest.Await(p, op.Step)
 				}
 			}
 			took = p.Now() - start
@@ -296,14 +304,17 @@ func TestWriteListBatchesSegmentsOnOneServer(t *testing.T) {
 	fs := New(sim, cfg)
 	port := freePort(sim)
 	var took des.Time
-	sim.Spawn("client", func(p *des.Proc) {
+	destest.Spawn(sim, "client", func(p *des.Proc) {
 		f := fs.Create(p, "out")
+		destest.Yield(p)
 		start := p.Now()
 		// Two segments, both on server 0 (strips 0 and 4).
-		f.WriteList(p, port, []Segment{
+		var op IssueOp
+		op.InitWriteList(p, f, port, []Segment{
 			seg(0, 50, 0),
 			seg(400, 50, 400),
 		})
+		destest.Await(p, op.Step)
 		took = p.Now() - start
 	})
 	if err := sim.Run(); err != nil {
@@ -324,14 +335,19 @@ func TestSyncFlushesDirtyOnce(t *testing.T) {
 	fs := New(sim, testConfig())
 	port := freePort(sim)
 	var first, second des.Time
-	sim.Spawn("client", func(p *des.Proc) {
+	destest.Spawn(sim, "client", func(p *des.Proc) {
+		var op IssueOp
 		f := fs.Create(p, "out")
-		f.Write(p, port, 0, 100, 0) // server 0 dirty: 100 B
+		destest.Yield(p)
+		op.InitWrite(p, f, port, 0, 100, 0) // server 0 dirty: 100 B
+		destest.Await(p, op.Step)
 		start := p.Now()
-		f.Sync(p, port)
+		op.InitSync(p, f, port)
+		destest.Await(p, op.Step)
 		first = p.Now() - start
 		start = p.Now()
-		f.Sync(p, port)
+		op.InitSync(p, f, port)
+		destest.Await(p, op.Step)
 		second = p.Now() - start
 	})
 	if err := sim.Run(); err != nil {
@@ -355,16 +371,18 @@ func TestConcurrentClientsSerializeAtServer(t *testing.T) {
 	cfg.CaptureData = false
 	fs := New(sim, cfg)
 	var f *File
-	sim.Spawn("setup", func(p *des.Proc) { f = fs.Create(p, "out") })
+	destest.Spawn(sim, "setup", func(p *des.Proc) { f = fs.Create(p, "out"); destest.Yield(p) })
 	var ends []des.Time
 	for i := 0; i < 2; i++ {
 		i := i
 		port := freePort(sim)
-		sim.Spawn("client", func(p *des.Proc) {
-			p.Sleep(2 * des.Millisecond) // after setup
+		destest.Spawn(sim, "client", func(p *des.Proc) {
+			var op IssueOp
+			destest.Sleep(p, 2*des.Millisecond) // after setup
 			start := p.Now()
 			// Both write to server 0 strips (offsets 0 and 400).
-			f.Write(p, port, int64(i)*400, 100, int64(i)*400)
+			op.InitWrite(p, f, port, int64(i)*400, 100, int64(i)*400)
+			destest.Await(p, op.Step)
 			ends = append(ends, p.Now()-start)
 		})
 	}
@@ -384,14 +402,16 @@ func TestFileImageAcrossClients(t *testing.T) {
 	sim := des.New()
 	fs := New(sim, testConfig())
 	var f *File
-	sim.Spawn("setup", func(p *des.Proc) { f = fs.Create(p, "out") })
+	destest.Spawn(sim, "setup", func(p *des.Proc) { f = fs.Create(p, "out"); destest.Yield(p) })
 	// Four clients each write a distinct quarter of a 1000-byte file.
 	for i := 0; i < 4; i++ {
 		i := i
 		port := freePort(sim)
-		sim.Spawn("client", func(p *des.Proc) {
-			p.Sleep(2 * des.Millisecond)
-			f.Write(p, port, int64(i)*250, 250, int64(i)*250)
+		destest.Spawn(sim, "client", func(p *des.Proc) {
+			var op IssueOp
+			destest.Sleep(p, 2*des.Millisecond)
+			op.InitWrite(p, f, port, int64(i)*250, 250, int64(i)*250)
+			destest.Await(p, op.Step)
 		})
 	}
 	if err := sim.Run(); err != nil {
@@ -417,10 +437,15 @@ func TestReadReturnsWrittenData(t *testing.T) {
 	fs := New(sim, testConfig())
 	port := freePort(sim)
 	var got []Segment
-	sim.Spawn("client", func(p *des.Proc) {
+	destest.Spawn(sim, "client", func(p *des.Proc) {
+		var op IssueOp
 		f := fs.Create(p, "out")
-		f.Write(p, port, 10, 5, 10)
-		got = f.Read(p, port, 8, 9)
+		destest.Yield(p)
+		op.InitWrite(p, f, port, 10, 5, 10)
+		destest.Await(p, op.Step)
+		op.InitRead(p, f, port, 8, 9)
+		destest.Await(p, op.Step)
+		got = op.ReadPieces()
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -433,12 +458,17 @@ func TestReadReturnsWrittenData(t *testing.T) {
 func TestOpenAndLookup(t *testing.T) {
 	sim := des.New()
 	fs := New(sim, testConfig())
-	sim.Spawn("client", func(p *des.Proc) {
+	destest.Spawn(sim, "client", func(p *des.Proc) {
 		f := fs.Create(p, "a")
-		if fs.Open(p, "a") != f {
+		destest.Yield(p)
+		g := fs.Open(p, "a")
+		destest.Yield(p)
+		if g != f {
 			t.Error("Open returned a different file")
 		}
-		if fs.Open(p, "missing") != nil {
+		g = fs.Open(p, "missing")
+		destest.Yield(p)
+		if g != nil {
 			t.Error("Open of missing file should be nil")
 		}
 	})
@@ -476,13 +506,17 @@ func TestPropertyListAndContigEquivalent(t *testing.T) {
 			fs := New(sim, testConfig())
 			port := freePort(sim)
 			var img []Segment
-			sim.Spawn("c", func(p *des.Proc) {
+			destest.Spawn(sim, "c", func(p *des.Proc) {
+				var op IssueOp
 				file := fs.Create(p, "out")
+				destest.Yield(p)
 				if useList {
-					file.WriteList(p, port, segs)
+					op.InitWriteList(p, file, port, segs)
+					destest.Await(p, op.Step)
 				} else {
 					for _, s := range segs {
-						file.Write(p, port, s.Offset, s.Length, s.Src)
+						op.InitWrite(p, file, port, s.Offset, s.Length, s.Src)
+						destest.Await(p, op.Step)
 					}
 				}
 				if file.OverlappedBytes() != 0 {

@@ -9,6 +9,7 @@ import (
 
 	"s3asim/internal/causal"
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 // This file pins the server-request pipeline (send NIC → wire → locks →
@@ -105,59 +106,66 @@ func requestGoldenRun(t *testing.T) (string, uint64) {
 	// launch is still in flight.
 	var fa, fb *File
 	var rearmed IssueOp
-	sim.Spawn("setup", func(p *des.Proc) {
+	destest.Spawn(sim, "setup", func(p *des.Proc) {
 		fa = fs.Create(p, "a")
+		destest.Yield(p)
 		fb = fs.Create(p, "b")
+		destest.Yield(p)
 		sim.SpawnFSM("w2", &rearmMachine{op: &rearmed, f: fb, port: own, done: mark})
 	})
 	start := 2 * fs.cfg.MetaOverhead
 
 	// w0 reuses one op for every kind of operation.
-	sim.Spawn("w0", func(p *des.Proc) {
-		p.Sleep(start)
+	destest.Spawn(sim, "w0", func(p *des.Proc) {
+		destest.Sleep(p, start)
 		var op IssueOp
 		op.InitWrite(p, fa, shared, 50, 420, 50)
-		op.Step()
+		destest.Await(p, op.Step)
 		mark(p)
 		op.InitWriteList(p, fa, shared, []Segment{seg(600, 40, 600), seg(700, 30, 700), seg(905, 90, 1905)})
-		op.Step()
+		destest.Await(p, op.Step)
 		mark(p)
 		op.InitSync(p, fa, shared)
-		op.Step()
+		destest.Await(p, op.Step)
 		mark(p)
 		op.InitRead(p, fa, shared, 0, 1000)
-		op.Step()
+		destest.Await(p, op.Step)
 		mark(p)
 		pieces("w0.read", op.ReadPieces())
 		op.InitReadList(p, fa, shared, []Segment{seg(90, 40, 0), seg(610, 200, 0)})
-		op.Step()
+		destest.Await(p, op.Step)
 		mark(p)
 		for i, s := range op.ReadSegsPieces() {
 			pieces(fmt.Sprintf("w0.readlist%d", i), s)
 		}
 	})
 
-	// w1 uses the blocking File methods on the same NICs as w0, with
-	// writes overlapping w0's.
-	sim.Spawn("w1", func(p *des.Proc) {
-		p.Sleep(start + 30*des.Microsecond)
-		fa.WriteList(p, shared, []Segment{seg(140, 20, 9140), seg(300, 120, 300), seg(760, 20, 760)})
+	// w1 runs on the same NICs as w0, with writes overlapping w0's.
+	destest.Spawn(sim, "w1", func(p *des.Proc) {
+		var op IssueOp
+		destest.Sleep(p, start+30*des.Microsecond)
+		op.InitWriteList(p, fa, shared, []Segment{seg(140, 20, 9140), seg(300, 120, 300), seg(760, 20, 760)})
+		destest.Await(p, op.Step)
 		mark(p)
-		fa.Write(p, shared, 1000, 250, 1000)
+		op.InitWrite(p, fa, shared, 1000, 250, 1000)
+		destest.Await(p, op.Step)
 		mark(p)
-		fa.Sync(p, shared)
+		op.InitSync(p, fa, shared)
+		destest.Await(p, op.Step)
 		mark(p)
-		pieces("w1.read", fa.Read(p, shared, 250, 600))
+		op.InitRead(p, fa, shared, 250, 600)
+		destest.Await(p, op.Step)
+		pieces("w1.read", op.ReadPieces())
 		mark(p)
 	})
 
-	sim.Spawn("w3", func(p *des.Proc) {
-		p.Sleep(start + 300*des.Microsecond)
+	destest.Spawn(sim, "w3", func(p *des.Proc) {
+		destest.Sleep(p, start+300*des.Microsecond)
 		rearmed.InitWriteList(p, fa, hijack, []Segment{seg(1300, 60, 1300), seg(1500, 90, 1500)})
-		rearmed.Step()
+		destest.Await(p, rearmed.Step)
 		mark(p)
 		rearmed.InitWrite(p, fa, hijack, 1400, 50, 1400)
-		rearmed.Step()
+		destest.Await(p, rearmed.Step)
 		mark(p)
 	})
 	if err := sim.Run(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -44,8 +45,9 @@ func TestFileNameAndConfigAccessors(t *testing.T) {
 	if fs.Config().NumServers != 4 {
 		t.Fatal("Config accessor")
 	}
-	sim.Spawn("c", func(p *des.Proc) {
+	destest.Spawn(sim, "c", func(p *des.Proc) {
 		f := fs.Create(p, "results.out")
+		destest.Yield(p)
 		if f.Name() != "results.out" {
 			t.Errorf("Name = %q", f.Name())
 		}
@@ -59,12 +61,18 @@ func TestWriteZeroLengthIsNoop(t *testing.T) {
 	sim := des.New()
 	fs := New(sim, testConfig())
 	port := freePort(sim)
-	sim.Spawn("c", func(p *des.Proc) {
+	destest.Spawn(sim, "c", func(p *des.Proc) {
+		var op IssueOp
 		f := fs.Create(p, "x")
+		destest.Yield(p)
 		before := p.Now()
-		f.Write(p, port, 10, 0, 10)
-		f.WriteList(p, port, nil)
-		if got := f.Read(p, port, 0, 0); got != nil {
+		op.InitWrite(p, f, port, 10, 0, 10)
+		destest.Await(p, op.Step)
+		op.InitWriteList(p, f, port, nil)
+		destest.Await(p, op.Step)
+		op.InitRead(p, f, port, 0, 0)
+		destest.Await(p, op.Step)
+		if got := op.ReadPieces(); got != nil {
 			t.Error("zero-length read returned data")
 		}
 		if p.Now() != before {
@@ -93,16 +101,18 @@ func TestLockingSerializesFalseSharing(t *testing.T) {
 		cfg.LockGranularity = lockGran
 		fs := New(sim, cfg)
 		var f *File
-		sim.Spawn("setup", func(p *des.Proc) { f = fs.Create(p, "x") })
+		destest.Spawn(sim, "setup", func(p *des.Proc) { f = fs.Create(p, "x"); destest.Yield(p) })
 		var last des.Time
 		for i := 0; i < 2; i++ {
 			i := i
 			port := freePort(sim)
-			sim.Spawn("c", func(p *des.Proc) {
-				p.Sleep(2 * des.Millisecond)
+			destest.Spawn(sim, "c", func(p *des.Proc) {
+				var op IssueOp
+				destest.Sleep(p, 2*des.Millisecond)
 				// Offsets 0 and 100: different strips, different SERVERS,
 				// same 400-byte lock unit.
-				f.Write(p, port, int64(i)*100, 100, int64(i)*100)
+				op.InitWrite(p, f, port, int64(i)*100, 100, int64(i)*100)
+				destest.Await(p, op.Step)
 				if p.Now() > last {
 					last = p.Now()
 				}
@@ -131,14 +141,16 @@ func TestLockingDisjointUnitsStayParallel(t *testing.T) {
 		cfg.LockGranularity = lockGran
 		fs := New(sim, cfg)
 		var f *File
-		sim.Spawn("setup", func(p *des.Proc) { f = fs.Create(p, "x") })
+		destest.Spawn(sim, "setup", func(p *des.Proc) { f = fs.Create(p, "x"); destest.Yield(p) })
 		var last des.Time
 		for i := 0; i < 2; i++ {
 			i := i
 			port := freePort(sim)
-			sim.Spawn("c", func(p *des.Proc) {
-				p.Sleep(2 * des.Millisecond)
-				f.Write(p, port, int64(i)*1000, 100, int64(i)*1000) // units 0 and 2 at gran 400
+			destest.Spawn(sim, "c", func(p *des.Proc) {
+				var op IssueOp
+				destest.Sleep(p, 2*des.Millisecond)
+				op.InitWrite(p, f, port, int64(i)*1000, 100, int64(i)*1000) // units 0 and 2 at gran 400
+				destest.Await(p, op.Step)
 				if p.Now() > last {
 					last = p.Now()
 				}

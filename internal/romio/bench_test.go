@@ -3,6 +3,7 @@ package romio
 import (
 	"testing"
 
+	"s3asim/internal/des/destest"
 	"s3asim/internal/mpi"
 	"s3asim/internal/pvfs"
 )
@@ -15,11 +16,11 @@ func benchReadSegs(b *testing.B, m Method) {
 	h.SieveBufferSize = 4096
 	e := newEnv(b, 1, h)
 	segs := irregularSegs(64)
-	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		e.f.WriteSegs(r, segs)
+	spawn(e.w, 0, "r0", func(r *mpi.Rank) {
+		writeSegs(e.f, r, segs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if !allPieces(segs, e.f.ReadSegs(r, m, segs)) {
+			if !allPieces(segs, readSegs(e.f, r, m, segs)) {
 				b.Fatal("read pieces not placed")
 			}
 		}
@@ -48,8 +49,8 @@ func BenchmarkCollRead(b *testing.B) {
 	}
 	for rk := 0; rk < n; rk++ {
 		rk := rk
-		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
-			g.WriteAll(r, perRank[rk])
+		spawn(e.w, rk, "r", func(r *mpi.Rank) {
+			writeAll(g, r, perRank[rk])
 			if rk == 0 {
 				b.ResetTimer()
 			}
@@ -76,12 +77,12 @@ func benchWriteSegs(b *testing.B, m Method) {
 	h.SieveBufferSize = 4096
 	e := newEnv(b, 1, h)
 	segs := irregularSegs(64)
-	e.w.Spawn(0, "w0", func(r *mpi.Rank) {
+	spawn(e.w, 0, "w0", func(r *mpi.Rank) {
 		var op WriteSegsOp
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			op.Init(e.f, r, segs)
-			op.Step()
+			destest.Await(r.Proc(), op.Step)
 		}
 	})
 	b.ReportAllocs()
@@ -111,14 +112,14 @@ func benchCollWrite(b *testing.B, m CollMethod) {
 		perRank[i%n] = append(perRank[i%n], s)
 	}
 	for rk := 0; rk < n; rk++ {
-		e.w.Spawn(rk, "w", func(r *mpi.Rank) {
+		spawn(e.w, rk, "w", func(r *mpi.Rank) {
 			var op CollWriteOp
 			if rk == 0 {
 				b.ResetTimer()
 			}
 			for i := 0; i < b.N; i++ {
 				op.Init(g, r, perRank[rk])
-				op.Step()
+				destest.Await(r.Proc(), op.Step)
 			}
 		})
 	}

@@ -12,8 +12,8 @@ import (
 const collTagBase = 1 << 20
 
 // Group is a collective-I/O participant set over a File — the "all workers"
-// group in S3aSim's WW-Coll strategy. Every member must call WriteAll for
-// every collective round, in the same order, with its (possibly empty)
+// group in S3aSim's WW-Coll strategy. Every member must run a CollWriteOp
+// for every collective round, in the same order, with its (possibly empty)
 // segment list; this is the MPI_File_write_at_all contract.
 type Group struct {
 	f       *File
@@ -115,17 +115,6 @@ func (g *Group) numAggregatorsFor(h Hints) int {
 		n = len(g.ranks)
 	}
 	return n
-}
-
-// WriteAll performs one collective write round. Blocks until the round's
-// exit synchronization — the "inherent synchronization of collective I/O"
-// whose cost the paper measures. The round itself lives in CollWriteOp (so
-// FSM processes can run it resumably); this wrapper drives it to completion
-// for goroutine processes.
-func (g *Group) WriteAll(r *mpi.Rank, segs []pvfs.Segment) {
-	var op CollWriteOp
-	op.Init(g, r, segs)
-	op.Step()
 }
 
 // buildPlan computes the aggregate extent, file domains, and the

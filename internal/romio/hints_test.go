@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 	"s3asim/internal/mpi"
 	"s3asim/internal/pvfs"
 )
@@ -38,8 +39,9 @@ func TestOpenDefaultsSieveBuffer(t *testing.T) {
 	w := mpi.NewWorld(sim, 1, testNet())
 	fs := pvfs.New(sim, testFS())
 	var f *File
-	sim.Spawn("open", func(p *des.Proc) {
+	destest.Spawn(sim, "open", func(p *des.Proc) {
 		f = Open(p, w, fs, "x", Hints{IndWriteMethod: DataSieve})
+		destest.Yield(p)
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -71,10 +73,10 @@ func TestListSyncCollectiveImage(t *testing.T) {
 	const segSize = 40
 	for rk := 0; rk < 3; rk++ {
 		rk := rk
-		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
+		spawn(e.w, rk, "r", func(r *mpi.Rank) {
 			for round := 0; round < 2; round++ {
 				off := int64(round*3+rk) * segSize
-				g.WriteAll(r, []pvfs.Segment{
+				writeAll(g, r, []pvfs.Segment{
 					placed(off, segSize),
 				})
 			}
@@ -134,7 +136,7 @@ func TestSieveZeroBufferTerminates(t *testing.T) {
 	for _, size := range []int64{0, -1} {
 		e := newEnv(t, 1, DefaultHints())
 		const segSize = 64
-		e.w.Spawn(0, "r0", func(r *mpi.Rank) {
+		spawn(e.w, 0, "r0", func(r *mpi.Rank) {
 			writeSegsHinted(e.f, r, []pvfs.Segment{
 				placed(0, segSize),
 				placed(2*segSize, segSize),
@@ -165,8 +167,8 @@ func TestWriteSegsHintedOverridesMethod(t *testing.T) {
 	}
 	eList := newEnv(t, 1, DefaultHints())
 	var tList des.Time
-	eList.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		eList.f.WriteSegs(r, segs())
+	spawn(eList.w, 0, "r0", func(r *mpi.Rank) {
+		writeSegs(eList.f, r, segs())
 		tList = r.Now()
 	})
 	if err := eList.sim.Run(); err != nil {
@@ -174,7 +176,7 @@ func TestWriteSegsHintedOverridesMethod(t *testing.T) {
 	}
 	ePosix := newEnv(t, 1, DefaultHints())
 	var tPosix des.Time
-	ePosix.w.Spawn(0, "r0", func(r *mpi.Rank) {
+	spawn(ePosix.w, 0, "r0", func(r *mpi.Rank) {
 		writeSegsHinted(ePosix.f, r, segs(), Hints{IndWriteMethod: Posix})
 		tPosix = r.Now()
 	})
@@ -197,7 +199,7 @@ func TestWriteAllHintedCBNodesOverride(t *testing.T) {
 	const segSize = 48
 	for rk := 0; rk < 3; rk++ {
 		rk := rk
-		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
+		spawn(e.w, rk, "r", func(r *mpi.Rank) {
 			off := int64(rk) * segSize
 			writeAllHinted(g, r, []pvfs.Segment{
 				placed(off, segSize),
@@ -219,16 +221,16 @@ func TestForeignRankPanicsInCollective(t *testing.T) {
 	e := newEnv(t, 3, DefaultHints())
 	g := e.f.NewGroup([]int{0, 1})
 	panicked := false
-	e.w.Spawn(2, "foreign", func(r *mpi.Rank) {
+	spawn(e.w, 2, "foreign", func(r *mpi.Rank) {
 		defer func() {
 			if recover() != nil {
 				panicked = true
 			}
 		}()
-		g.WriteAll(r, nil)
+		writeAll(g, r, nil)
 	})
-	e.w.Spawn(0, "a", func(r *mpi.Rank) { r.Compute(des.Millisecond) })
-	e.w.Spawn(1, "b", func(r *mpi.Rank) { r.Compute(des.Millisecond) })
+	spawn(e.w, 0, "a", func(r *mpi.Rank) { destest.Sleep(r.Proc(), des.Millisecond) })
+	spawn(e.w, 1, "b", func(r *mpi.Rank) { destest.Sleep(r.Proc(), des.Millisecond) })
 	if err := e.sim.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,29 +11,28 @@ import (
 
 // This file holds the romio layer's resumable operations: the individual
 // noncontiguous write (WriteSegsOp) and the collective write (CollWriteOp),
-// in the same op/Step form as mpi's and pvfs's ops. The blocking methods on
-// File and Group are wrappers (Init + one Step) over these, so goroutine and
-// FSM processes execute the identical event sequence.
+// in the same op/Step form as mpi's and pvfs's ops: Init arms an op, and the
+// rank's machine calls Step after every resume until it reports done.
 
-// StartReadAt arms op as rank r's individual contiguous read (the resumable
-// form of ReadAt; fetch captured pieces with op.ReadPieces after completion).
+// StartReadAt arms op as rank r's individual contiguous read (fetch
+// captured pieces with op.ReadPieces after completion).
 func (f *File) StartReadAt(op *pvfs.IssueOp, r *mpi.Rank, off, n int64) {
 	op.InitRead(r.Proc(), f.pv, f.port(r), off, n)
 }
 
-// StartWriteAt arms op as rank r's individual contiguous write (the
-// resumable form of WriteAt).
+// StartWriteAt arms op as rank r's individual contiguous write of n bytes at
+// off holding stream content from src (pvfs.Segment.Src).
 func (f *File) StartWriteAt(op *pvfs.IssueOp, r *mpi.Rank, off, n, src int64) {
 	op.InitWrite(r.Proc(), f.pv, f.port(r), off, n, src)
 }
 
-// StartSync arms op as rank r's file sync (the resumable form of Sync).
+// StartSync arms op as rank r's file sync (MPI_File_sync).
 func (f *File) StartSync(op *pvfs.IssueOp, r *mpi.Rank) {
 	op.InitSync(r.Proc(), f.pv, f.port(r))
 }
 
-// WriteSegsOp is File.WriteSegs as a resumable operation: an individual
-// noncontiguous write of a segment list using the hinted ADIO method.
+// WriteSegsOp is an individual noncontiguous write of a segment list using
+// the hinted ADIO method, as a resumable operation.
 type WriteSegsOp struct {
 	f     *File
 	r     *mpi.Rank
@@ -188,9 +187,11 @@ func (op *WriteSegsOp) Step() bool {
 	}
 }
 
-// CollWriteOp is Group.WriteAll as a resumable operation: one collective
-// write round — registration, entry synchronization, plan processing, data
-// redistribution, aggregator writes, and exit synchronization.
+// CollWriteOp is one collective write round (MPI_File_write_at_all) as a
+// resumable operation — registration, entry synchronization, plan
+// processing, data redistribution, aggregator writes, and exit
+// synchronization, "the inherent synchronization of collective I/O" whose
+// cost the paper measures.
 type CollWriteOp struct {
 	g    *Group
 	r    *mpi.Rank
@@ -226,7 +227,7 @@ const (
 )
 
 // Init registers rank r's contribution for the current round and arms the
-// op. Must be called exactly when the blocking WriteAll would have been:
+// op. Every member must arm its group's rounds in the same order:
 // registration and round bookkeeping happen here.
 func (op *CollWriteOp) Init(g *Group, r *mpi.Rank, segs []pvfs.Segment) {
 	op.InitHinted(g, r, segs, g.f.hints)

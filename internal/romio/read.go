@@ -12,9 +12,7 @@ import (
 // This file holds the romio layer's read-side resumable operations, the
 // mirror of the write side in op.go: the individual noncontiguous read
 // (ReadSegsOp, with POSIX / list / data-sieving ADIO methods) and the
-// collective read (CollReadOp, two-phase or list-sync). Both serve
-// goroutine and FSM processes identically; the blocking File.ReadSegs
-// wrapper is Init + one Step.
+// collective read (CollReadOp, two-phase or list-sync).
 
 // collReadTagBase keeps collective-read exchange tags disjoint from the
 // collective-write tag space, so interleaved read and write rounds can
@@ -185,18 +183,6 @@ func (op *ReadSegsOp) Step() bool {
 // Entries are nil unless the file system captures content. Valid only
 // after Step has returned true.
 func (op *ReadSegsOp) Pieces() [][]pvfs.Segment { return op.pieces }
-
-// ReadSegs performs an individual noncontiguous read of segs from rank r
-// using the given ADIO method, returning the per-segment pieces (nil
-// entries unless the file system captures content). The methods live in
-// ReadSegsOp so FSM processes can run them resumably; this wrapper drives
-// it to completion for goroutine processes.
-func (f *File) ReadSegs(r *mpi.Rank, method Method, segs []pvfs.Segment) [][]pvfs.Segment {
-	var op ReadSegsOp
-	op.Init(f, r, method, segs)
-	op.Step()
-	return op.Pieces()
-}
 
 // CollReadOp is one collective read round (MPI_File_read_all) as a
 // resumable operation, using the group's collective method. Two-phase runs

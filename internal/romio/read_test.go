@@ -14,9 +14,9 @@ func TestReadSegsAllMethodsReturnWrittenBytes(t *testing.T) {
 	for _, m := range []Method{Posix, ListIO, DataSieve} {
 		e := newEnv(t, 1, DefaultHints())
 		var got [][]pvfs.Segment
-		e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-			e.f.WriteSegs(r, segs)
-			got = e.f.ReadSegs(r, m, segs)
+		spawn(e.w, 0, "r0", func(r *mpi.Rank) {
+			writeSegs(e.f, r, segs)
+			got = readSegs(e.f, r, m, segs)
 		})
 		if err := e.sim.Run(); err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -54,9 +54,9 @@ func TestReadSegsZeroFillsHoles(t *testing.T) {
 	for _, m := range []Method{Posix, ListIO, DataSieve} {
 		e := newEnv(t, 1, DefaultHints())
 		var got [][]pvfs.Segment
-		e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-			e.f.WriteSegs(r, []pvfs.Segment{written})
-			got = e.f.ReadSegs(r, m, reads)
+		spawn(e.w, 0, "r0", func(r *mpi.Rank) {
+			writeSegs(e.f, r, []pvfs.Segment{written})
+			got = readSegs(e.f, r, m, reads)
 		})
 		if err := e.sim.Run(); err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -79,9 +79,9 @@ func TestReadSegsSieveSmallBuffer(t *testing.T) {
 	}
 	e := newEnv(t, 1, h)
 	var got [][]pvfs.Segment
-	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		e.f.WriteSegs(r, segs)
-		got = e.f.ReadSegs(r, DataSieve, segs)
+	spawn(e.w, 0, "r0", func(r *mpi.Rank) {
+		writeSegs(e.f, r, segs)
+		got = readSegs(e.f, r, DataSieve, segs)
 	})
 	if err := e.sim.Run(); err != nil {
 		t.Fatal(err)
@@ -113,8 +113,8 @@ func TestCollectiveReadImage(t *testing.T) {
 		got := make([][][]pvfs.Segment, n)
 		for rk := 0; rk < n; rk++ {
 			rk := rk
-			e.w.Spawn(rk, "r", func(r *mpi.Rank) {
-				g.WriteAll(r, perRank[rk])
+			spawn(e.w, rk, "r", func(r *mpi.Rank) {
+				writeAll(g, r, perRank[rk])
 				got[rk] = readAll(g, r, perRank[rk])
 			})
 		}
@@ -142,12 +142,12 @@ func TestCollectiveReadEmptyContributor(t *testing.T) {
 	done := 0
 	for rk := 0; rk < n; rk++ {
 		rk := rk
-		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
+		spawn(e.w, rk, "r", func(r *mpi.Rank) {
 			var segs []pvfs.Segment
 			if rk == 1 {
 				segs = []pvfs.Segment{seg}
 			}
-			g.WriteAll(r, segs)
+			writeAll(g, r, segs)
 			res := readAll(g, r, segs)
 			if rk == 1 {
 				got = res
@@ -178,11 +178,11 @@ func TestInterleavedWriteReadRounds(t *testing.T) {
 	mismatches := 0
 	for rk := 0; rk < n; rk++ {
 		rk := rk
-		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
+		spawn(e.w, rk, "r", func(r *mpi.Rank) {
 			for round := 0; round < rounds; round++ {
 				off := int64(round*n+rk) * segSize
 				segs := []pvfs.Segment{placed(off, segSize)}
-				g.WriteAll(r, segs)
+				writeAll(g, r, segs)
 				got := readAll(g, r, segs)
 				if len(got) != 1 || !pvfs.AllPlaced(got[0], off, segSize) {
 					mismatches++
@@ -240,10 +240,10 @@ func TestDescriptorsStayPlaced(t *testing.T) {
 	h.SieveBufferSize = 96
 	e := newEnv(t, 1, h)
 	got := map[Method][][]pvfs.Segment{}
-	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		e.f.WriteSegs(r, segs)
+	spawn(e.w, 0, "r0", func(r *mpi.Rank) {
+		writeSegs(e.f, r, segs)
 		for _, m := range []Method{Posix, ListIO, DataSieve} {
-			got[m] = e.f.ReadSegs(r, m, segs)
+			got[m] = readSegs(e.f, r, m, segs)
 		}
 	})
 	if err := e.sim.Run(); err != nil {
@@ -283,8 +283,8 @@ func TestDescriptorsStayPlaced(t *testing.T) {
 		reads := make([][][]pvfs.Segment, n)
 		for _, rk := range ranks {
 			rk := rk
-			e.w.Spawn(rk, "r", func(r *mpi.Rank) {
-				g.WriteAll(r, perRank[rk])
+			spawn(e.w, rk, "r", func(r *mpi.Rank) {
+				writeAll(g, r, perRank[rk])
 				reads[rk] = readAll(g, r, perRank[rk])
 			})
 		}

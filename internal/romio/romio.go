@@ -182,24 +182,3 @@ func (f *File) Hints() Hints { return f.hints }
 
 // port returns rank r's storage port.
 func (f *File) port(r *mpi.Rank) *pvfs.Port { return f.ports[r.Rank()] }
-
-// WriteAt performs an individual contiguous write from rank r of n bytes
-// at off holding stream content from src (pvfs.Segment.Src).
-func (f *File) WriteAt(r *mpi.Rank, off, n, src int64) {
-	f.pv.Write(r.Proc(), f.port(r), off, n, src)
-}
-
-// WriteSegs performs an individual noncontiguous write of segs from rank r
-// using the hinted ADIO method. The methods live in WriteSegsOp (so FSM
-// processes can run them resumably); this wrapper drives it to completion
-// for goroutine processes.
-func (f *File) WriteSegs(r *mpi.Rank, segs []pvfs.Segment) {
-	var op WriteSegsOp
-	op.Init(f, r, segs)
-	op.Step()
-}
-
-// Sync flushes the file from rank r (MPI_File_sync).
-func (f *File) Sync(r *mpi.Rank) {
-	f.pv.Sync(r.Proc(), f.port(r))
-}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"s3asim/internal/des"
+	"s3asim/internal/des/destest"
 	"s3asim/internal/mpi"
 	"s3asim/internal/pvfs"
 )
@@ -50,8 +51,9 @@ func newEnv(t testing.TB, ranks int, hints Hints) *env {
 	w := mpi.NewWorld(sim, ranks, testNet())
 	fs := pvfs.New(sim, testFS())
 	e := &env{sim: sim, w: w, fs: fs}
-	sim.Spawn("open", func(p *des.Proc) {
+	destest.Spawn(sim, "open", func(p *des.Proc) {
 		e.f = Open(p, w, fs, "out", hints)
+		destest.Yield(p)
 	})
 	if !sim.RunUntil(des.Second) && e.f == nil {
 		t.Fatal("open did not complete")
@@ -80,16 +82,36 @@ func bytesOf(pieces []pvfs.Segment) []byte { return pvfs.Bytes(pieces, fillPatte
 // placed returns a segment carrying the content of its own offset.
 func placed(off, n int64) pvfs.Segment { return pvfs.Segment{Offset: off, Length: n, Src: off} }
 
-// The helpers below drive a resumable op to completion from a goroutine
-// process — Init arms it, and one Step blocks the caller until it is done,
-// exactly as the blocking File.WriteSegs and Group.WriteAll wrappers do.
+// spawn starts rank i of w running body as straight-line code.
+func spawn(w *mpi.World, i int, name string, body func(r *mpi.Rank)) {
+	r := w.Rank(i)
+	w.SpawnFSM(i, name, destest.Machine(func(*des.Proc) { body(r) }))
+}
+
+// The helpers below drive a resumable op to completion from a straight-line
+// body: Init arms it, and Await steps it until it is done.
+
+// writeSegs is one individual noncontiguous write.
+func writeSegs(f *File, r *mpi.Rank, segs []pvfs.Segment) { writeSegsHinted(f, r, segs, f.hints) }
+
+// writeAll is one collective write round.
+func writeAll(g *Group, r *mpi.Rank, segs []pvfs.Segment) { writeAllHinted(g, r, segs, g.f.hints) }
+
+// readSegs is one individual noncontiguous read, returning the per-segment
+// pieces.
+func readSegs(f *File, r *mpi.Rank, m Method, segs []pvfs.Segment) [][]pvfs.Segment {
+	var op ReadSegsOp
+	op.Init(f, r, m, segs)
+	destest.Await(r.Proc(), op.Step)
+	return op.Pieces()
+}
 
 // writeSegsHinted is one individual noncontiguous write with a per-call
 // hint override.
 func writeSegsHinted(f *File, r *mpi.Rank, segs []pvfs.Segment, h Hints) {
 	var op WriteSegsOp
 	op.InitHinted(f, r, segs, h)
-	op.Step()
+	destest.Await(r.Proc(), op.Step)
 }
 
 // writeAllHinted is one collective write round with a per-round hint
@@ -97,27 +119,29 @@ func writeSegsHinted(f *File, r *mpi.Rank, segs []pvfs.Segment, h Hints) {
 func writeAllHinted(g *Group, r *mpi.Rank, segs []pvfs.Segment, h Hints) {
 	var op CollWriteOp
 	op.InitHinted(g, r, segs, h)
-	op.Step()
+	destest.Await(r.Proc(), op.Step)
 }
 
 // readAll is one collective read round, returning the per-segment pieces.
 func readAll(g *Group, r *mpi.Rank, segs []pvfs.Segment) [][]pvfs.Segment {
 	var op CollReadOp
 	op.Init(g, r, segs)
-	op.Step()
+	destest.Await(r.Proc(), op.Step)
 	return op.Pieces()
 }
 
 func TestWriteAtStoresData(t *testing.T) {
 	e := newEnv(t, 1, DefaultHints())
-	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		e.f.WriteAt(r, 10, 300, 10)
+	spawn(e.w, 0, "r0", func(r *mpi.Rank) {
+		var op pvfs.IssueOp
+		e.f.StartWriteAt(&op, r, 10, 300, 10)
+		destest.Await(r.Proc(), op.Step)
 	})
 	if err := e.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := bytesOf(e.f.PV().ReadBack(10, 300)); !bytes.Equal(got, pattern(10, 300)) {
-		t.Fatal("WriteAt image mismatch")
+		t.Fatal("contiguous write image mismatch")
 	}
 }
 
@@ -145,8 +169,8 @@ func TestIndividualMethodsProduceSameImage(t *testing.T) {
 		h := DefaultHints()
 		h.IndWriteMethod = m
 		e := newEnv(t, 1, h)
-		e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-			e.f.WriteSegs(r, segs)
+		spawn(e.w, 0, "r0", func(r *mpi.Rank) {
+			writeSegs(e.f, r, segs)
 		})
 		if err := e.sim.Run(); err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -168,12 +192,14 @@ func TestDataSievePreservesExistingBytes(t *testing.T) {
 	h := DefaultHints()
 	h.IndWriteMethod = DataSieve
 	e := newEnv(t, 1, h)
-	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
+	spawn(e.w, 0, "r0", func(r *mpi.Rank) {
 		// Pre-existing data across the extent.
-		e.f.WriteAt(r, 0, 200, 0)
+		var op pvfs.IssueOp
+		e.f.StartWriteAt(&op, r, 0, 200, 0)
+		destest.Await(r.Proc(), op.Step)
 		// Sieved sparse overwrite of two pieces with content from
 		// elsewhere in the stream.
-		e.f.WriteSegs(r, []pvfs.Segment{
+		writeSegs(e.f, r, []pvfs.Segment{
 			{Offset: 20, Length: 10, Src: 1000},
 			{Offset: 90, Length: 10, Src: 2000},
 		})
@@ -200,8 +226,8 @@ func TestDataSieveMultipleWindows(t *testing.T) {
 	for _, s := range segs {
 		total = s.Offset + s.Length
 	}
-	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		e.f.WriteSegs(r, segs)
+	spawn(e.w, 0, "r0", func(r *mpi.Rank) {
+		writeSegs(e.f, r, segs)
 	})
 	if err := e.sim.Run(); err != nil {
 		t.Fatal(err)
@@ -221,8 +247,8 @@ func TestDataSieveSegmentLargerThanBuffer(t *testing.T) {
 	h.IndWriteMethod = DataSieve
 	h.SieveBufferSize = 64
 	e := newEnv(t, 1, h)
-	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		e.f.WriteSegs(r, []pvfs.Segment{placed(5, 300)})
+	spawn(e.w, 0, "r0", func(r *mpi.Rank) {
+		writeSegs(e.f, r, []pvfs.Segment{placed(5, 300)})
 	})
 	if err := e.sim.Run(); err != nil {
 		t.Fatal(err)
@@ -239,9 +265,9 @@ func TestListIOFasterThanPosixForScatteredSegments(t *testing.T) {
 		h.IndWriteMethod = m
 		e := newEnv(t, 1, h)
 		var took des.Time
-		e.w.Spawn(0, "r0", func(r *mpi.Rank) {
+		spawn(e.w, 0, "r0", func(r *mpi.Rank) {
 			start := r.Now()
-			e.f.WriteSegs(r, segs)
+			writeSegs(e.f, r, segs)
 			took = r.Now() - start
 		})
 		if err := e.sim.Run(); err != nil {
@@ -272,8 +298,8 @@ func TestCollectiveWriteImage(t *testing.T) {
 	var releases []des.Time
 	for rk := 0; rk < n; rk++ {
 		rk := rk
-		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
-			g.WriteAll(r, perRank[rk])
+		spawn(e.w, rk, "r", func(r *mpi.Rank) {
+			writeAll(g, r, perRank[rk])
 			releases = append(releases, r.Now())
 		})
 	}
@@ -307,10 +333,10 @@ func TestCollectiveMultipleRounds(t *testing.T) {
 	const segSize = 30
 	for rk := 0; rk < n; rk++ {
 		rk := rk
-		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
+		spawn(e.w, rk, "r", func(r *mpi.Rank) {
 			for round := 0; round < rounds; round++ {
 				off := int64(round*n+rk) * segSize
-				g.WriteAll(r, []pvfs.Segment{
+				writeAll(g, r, []pvfs.Segment{
 					placed(off, segSize),
 				})
 			}
@@ -338,12 +364,12 @@ func TestCollectiveEmptyContributor(t *testing.T) {
 	g := e.f.NewGroup([]int{0, 1, 2})
 	for rk := 0; rk < n; rk++ {
 		rk := rk
-		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
+		spawn(e.w, rk, "r", func(r *mpi.Rank) {
 			var segs []pvfs.Segment
 			if rk == 1 {
 				segs = []pvfs.Segment{placed(0, 100)}
 			}
-			g.WriteAll(r, segs)
+			writeAll(g, r, segs)
 		})
 	}
 	if err := e.sim.Run(); err != nil {
@@ -360,8 +386,8 @@ func TestCollectiveAllEmptyRound(t *testing.T) {
 	g := e.f.NewGroup([]int{0, 1})
 	done := 0
 	for rk := 0; rk < n; rk++ {
-		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
-			g.WriteAll(r, nil)
+		spawn(e.w, rk, "r", func(r *mpi.Rank) {
+			writeAll(g, r, nil)
 			done++
 		})
 	}
@@ -382,9 +408,9 @@ func TestCollectiveCBNodesHint(t *testing.T) {
 	const segSize = 40
 	for rk := 0; rk < n; rk++ {
 		rk := rk
-		e.w.Spawn(rk, "r", func(r *mpi.Rank) {
+		spawn(e.w, rk, "r", func(r *mpi.Rank) {
 			off := int64(rk) * segSize
-			g.WriteAll(r, []pvfs.Segment{
+			writeAll(g, r, []pvfs.Segment{
 				placed(off, segSize),
 			})
 		})
@@ -409,10 +435,13 @@ func TestCollectiveCBNodesHint(t *testing.T) {
 
 func TestSyncRuns(t *testing.T) {
 	e := newEnv(t, 1, DefaultHints())
-	e.w.Spawn(0, "r0", func(r *mpi.Rank) {
-		e.f.WriteAt(r, 0, 100, 0)
+	spawn(e.w, 0, "r0", func(r *mpi.Rank) {
+		var op pvfs.IssueOp
+		e.f.StartWriteAt(&op, r, 0, 100, 0)
+		destest.Await(r.Proc(), op.Step)
 		before := r.Now()
-		e.f.Sync(r)
+		e.f.StartSync(&op, r)
+		destest.Await(r.Proc(), op.Step)
 		if r.Now() == before {
 			t.Error("sync should take time")
 		}
@@ -473,11 +502,11 @@ func TestPropertyCollectiveMatchesIndividual(t *testing.T) {
 			g := e.f.NewGroup([]int{0, 1, 2})
 			for rk := 0; rk < n; rk++ {
 				rk := rk
-				e.w.Spawn(rk, "r", func(r *mpi.Rank) {
+				spawn(e.w, rk, "r", func(r *mpi.Rank) {
 					if collective {
-						g.WriteAll(r, perRank[rk])
+						writeAll(g, r, perRank[rk])
 					} else {
-						e.f.WriteSegs(r, perRank[rk])
+						writeSegs(e.f, r, perRank[rk])
 					}
 				})
 			}
