@@ -158,29 +158,49 @@ func TestFSMDeadlockDiagnosed(t *testing.T) {
 	}
 }
 
+// processKinds names the ways a test program can build its processes: all
+// through the destest adapter, all as hand-written machines, or alternating.
+var processKinds = []string{"adapter", "machine", "mixed"}
+
+// machineFor reports whether the i-th process of a program run in the given
+// kind is a hand-written machine.
+func machineFor(kinds string) func(int) bool {
+	return func(i int) bool { return kinds == "machine" || kinds == "mixed" && i%2 == 1 }
+}
+
 // TestMixedKindsEventEquivalence: a straight-line body run through the
-// destest adapter and a hand-written machine replay the same schedule,
-// whether a run uses one kind or mixes both. Three programs cover it:
-// clients contending for one Resource and joined by a Gate; a broadcast
-// chain, whose waiters wake in FIFO order before anything they schedule
-// "now" runs; and re-waiters, which the same broadcast must not wake again.
+// destest adapter and a hand-written machine replay the same schedule —
+// end time, event count, join time — whether a run uses one kind or mixes
+// both, with clients contending for one Resource and joined by a Gate.
 func TestMixedKindsEventEquivalence(t *testing.T) {
-	want := strings.Join([]string{
-		"contention end=0.000030s events=20 join=0.000030s",
-		"broadcast [cast cast-returned wake-a wake-b wake-c wake-d post-a post-b post-c post-d]",
-		"rewait deadlock=true wakes=map[a:1 b:1] waiters=2",
-	}, "\n")
-	for _, kinds := range []string{"adapter", "machine", "mixed"} {
-		// machine reports whether the i-th process of a program is a
-		// hand-written machine.
-		machine := func(i int) bool { return kinds == "machine" || kinds == "mixed" && i%2 == 1 }
-		got := strings.Join([]string{
-			contentionRun(t, machine),
-			broadcastRun(t, machine),
-			rewaitRun(machine),
-		}, "\n")
-		if got != want {
-			t.Errorf("%s schedule:\n%s\nwant:\n%s", kinds, got, want)
+	want := "contention end=0.000030s events=20 join=0.000030s"
+	for _, kinds := range processKinds {
+		if got := contentionRun(t, machineFor(kinds)); got != want {
+			t.Errorf("%s schedule:\n got %s\nwant %s", kinds, got, want)
+		}
+	}
+}
+
+// TestBroadcastBatchOrderingMixedKinds: adapter and machine waiters, alone
+// or interleaved on one signal, wake in FIFO order, and everything any of
+// them schedules "now" runs after all of the chain's wakes.
+func TestBroadcastBatchOrderingMixedKinds(t *testing.T) {
+	want := "broadcast [cast cast-returned wake-a wake-b wake-c wake-d post-a post-b post-c post-d]"
+	for _, kinds := range processKinds {
+		if got := broadcastRun(t, machineFor(kinds)); got != want {
+			t.Errorf("%s broadcast interleaving:\n got %s\nwant %s", kinds, got, want)
+		}
+	}
+}
+
+// TestBroadcastRewaitNotRewokenMixedKinds: a process of either kind that
+// re-parks on the signal while the broadcast chain is still resuming is not
+// woken again by the same broadcast, so the run deadlocks.
+func TestBroadcastRewaitNotRewokenMixedKinds(t *testing.T) {
+	want := "rewait deadlock=true wakes=map[a:1 b:1] waiters=2"
+	for _, kinds := range processKinds {
+		if got := rewaitRun(machineFor(kinds)); got != want {
+			t.Errorf("%s re-wait outcome:\n got %s\nwant %s", kinds, got, want)
 		}
 	}
 }
